@@ -220,6 +220,8 @@ class _Retriever:
         self.provider = provider
         self._bm25: retrieval.Bm25Index | None = None
         self._dense: retrieval.EmbeddingIndex | None = None
+        self._fuzzy: retrieval._TokenMatcher | None = None
+        self._lexicon_index: retrieval._TokenMatcher | None = None
         self._static: list[retrieval.RetrievedExample] | None = None
 
     def _static_examples(self) -> list[retrieval.RetrievedExample]:
@@ -257,7 +259,9 @@ class _Retriever:
             return retrieval.chrf_counterweighted_retrieve(
                 self.pool, source, cfg.k, gamma=cfg.gamma
             )
-        return retrieval.fuzzy_word_retrieve(self.pool, source, cfg.n)
+        if self._fuzzy is None:
+            self._fuzzy = retrieval._TokenMatcher.over_pairs(self.pool)
+        return retrieval.fuzzy_word_retrieve(self._fuzzy, source, cfg.n)
 
     def lexicon_for(self, source: str) -> list[retrieval.RetrievedLexicon]:
         cfg = self.config
@@ -265,7 +269,9 @@ class _Retriever:
             return []
         if cfg.lexicon_mode == "FULL":
             return retrieval.lexicon_full(self.lexicon)
-        return retrieval.lexicon_fuzzy_retrieve(self.lexicon, source, cfg.lexicon_n)
+        if self._lexicon_index is None:
+            self._lexicon_index = retrieval._TokenMatcher.over_lexicon(self.lexicon)
+        return retrieval.lexicon_fuzzy_retrieve(self._lexicon_index, source, cfg.lexicon_n)
 
 
 def run_experiment(
@@ -299,16 +305,6 @@ def run_experiment(
 
     out_dir = Path(config.output_dir)
     manifest_path = out_dir / f"manifest-{fingerprint}.json"
-    done: dict[str, SentenceRecord] = {}
-    if resume and manifest_path.exists():
-        prior = RunManifest.load(manifest_path)
-        if prior.config_fingerprint == fingerprint:
-            done = {r.id: r for r in prior.records if r.error is None}
-
-    profile = (
-        DHAO_PROFILE if config.language == "Dhao" else LanguageProfile(name=config.language)
-    )
-    retriever = _Retriever(config, pool, lexicon, provider)
     manifest = RunManifest(
         config_fingerprint=fingerprint,
         corpus_hashes={
@@ -316,6 +312,19 @@ def run_experiment(
             "pool": retrieval.corpus_fingerprint(pool),
         },
     )
+    done: dict[str, SentenceRecord] = {}
+    if resume and manifest_path.exists():
+        prior = RunManifest.load(manifest_path)
+        # the fingerprint hashes file paths, not contents: a file edited in
+        # place keeps it, so its records are reused only if the data matches
+        if (prior.config_fingerprint == fingerprint
+                and prior.corpus_hashes == manifest.corpus_hashes):
+            done = {r.id: r for r in prior.records if r.error is None}
+
+    profile = (
+        DHAO_PROFILE if config.language == "Dhao" else LanguageProfile(name=config.language)
+    )
+    retriever = _Retriever(config, pool, lexicon, provider)
 
     failure: ProviderError | None = None
     for pair in test_pairs:

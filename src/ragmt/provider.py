@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -114,7 +115,6 @@ class _JsonStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def get(self, key: str) -> dict | None:
         path = self.directory / f"{key}.json"
@@ -123,13 +123,17 @@ class _JsonStore:
         return json.loads(path.read_text(encoding="utf-8"))
 
     def put(self, key: str, record: dict) -> None:
-        path = self.directory / f"{key}.json"
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(record, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-            )
-            tmp.replace(path)
+        # a temp file of its own per write, so writers sharing the directory
+        # (threads or processes) never clobber each other's partial output;
+        # os.replace then swaps in a complete file atomically
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            os.replace(tmp, self.directory / f"{key}.json")
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 class HttpProvider:

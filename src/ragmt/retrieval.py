@@ -9,6 +9,7 @@ by ascending pair id so sweeps reproduce exactly.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from collections import Counter
@@ -184,14 +185,6 @@ class EmbeddingIndex:
         return cls(pairs, np.array(payload["vectors"]), provider_fingerprint)
 
 
-def normalize_vector(vector) -> np.ndarray:
-    v = np.asarray(vector, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / norm
-
-
 def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[RetrievedExample]:
     """Top-k by cosine similarity (dot product of unit vectors)."""
     if k < 1:
@@ -279,24 +272,56 @@ def chrf_counterweighted_retrieve(
 # Fuzzy word matching
 
 
+def _pattern_masks(pattern: str) -> dict[str, int]:
+    """Bit i of masks[c] is set where pattern[i] == c."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks
+
+
+def _bit_distance(masks: dict[str, int], m: int, text: str) -> int:
+    """Edit distance between a pattern of length m >= 1 (given by its masks)
+    and text: Myers' bit-vector recurrence in Hyyrö's edit-distance form.
+
+    Column j of the DP matrix is held as two bit vectors of vertical deltas
+    (+1 in pv, -1 in mv); the distance is tracked at the last row. Python
+    ints make the word as wide as the pattern.
+    """
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = full, 0, m
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the edit-distance matrix grows by one per column
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs)."""
+    """Classic edit distance (insert/delete/substitute, unit costs).
+
+    Bit-parallel (Myers 1999, J. ACM 46(3); Hyyrö 2001): one pass over the
+    shorter string, with the longer one as the bit pattern.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    return _bit_distance(_pattern_masks(a), len(a), b)
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
@@ -306,8 +331,64 @@ def normalized_levenshtein(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
+class _TokenMatcher:
+    """Distinct strings of a pool or lexicon, indexed for fuzzy lookups.
+
+    ``postings`` maps each string to the indices of the items carrying it,
+    in input order; ``empty`` lists the items that carry none. Strings are
+    grouped by length so a lookup skips every length whose similarity bound
+    1 - |len(a) - len(b)| / max(len) is below the threshold: the edit
+    distance is at least the length difference, so the skip is exact.
+    Lookups are memoised per (token, threshold) for the matcher's life.
+    """
+
+    def __init__(self, items: list, strings_per_item):
+        self.items = list(items)
+        self.postings: dict[str, list[int]] = {}
+        self.empty: list[int] = []
+        for idx, strings in enumerate(strings_per_item):
+            if not strings:
+                self.empty.append(idx)
+            for s in strings:
+                self.postings.setdefault(s, []).append(idx)
+        self._by_length: dict[int, list[str]] = {}
+        for s in self.postings:
+            self._by_length.setdefault(len(s), []).append(s)
+        self._memo: dict[tuple[str, float], list[tuple[str, float]]] = {}
+
+    @classmethod
+    def over_pairs(cls, pairs: list[ParallelPair]) -> "_TokenMatcher":
+        """Distinct source-side ``word_tokenize`` types of each pair."""
+        return cls(pairs, (set(word_tokenize(p.source_text)) for p in pairs))
+
+    @classmethod
+    def over_lexicon(cls, lexicon: list[LexiconEntry]) -> "_TokenMatcher":
+        """The lowered headword of each entry."""
+        return cls(lexicon, ((e.source_word.lower(),) for e in lexicon))
+
+    def matches(self, token: str, threshold: float) -> list[tuple[str, float]]:
+        """Indexed strings s with normalized_levenshtein(token, s) >= threshold,
+        paired with that similarity; ``token`` must be non-empty."""
+        key = (token, threshold)
+        found = self._memo.get(key)
+        if found is None:
+            found = []
+            m = len(token)
+            masks = _pattern_masks(token)
+            for length, strings in self._by_length.items():
+                longest = max(m, length)
+                if 1.0 - abs(m - length) / longest < threshold:
+                    continue
+                for s in strings:
+                    sim = 1.0 - _bit_distance(masks, m, s) / longest
+                    if sim >= threshold:
+                        found.append((s, sim))
+            self._memo[key] = found
+        return found
+
+
 def fuzzy_word_retrieve(
-    pairs: list[ParallelPair],
+    pairs: list[ParallelPair] | _TokenMatcher,
     query: str,
     n: int,
     threshold: float = 0.5,
@@ -317,27 +398,31 @@ def fuzzy_word_retrieve(
     Results are unioned across query words and deduplicated by pair id
     (keeping the highest score and its matched token), so the effective
     volume scales with sentence length: at most n * len(query tokens).
+
+    ``pairs`` may be an index built once over the pool and reused across
+    queries (``_TokenMatcher.over_pairs``); a plain list builds one for this
+    call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    query_tokens = word_tokenize(query)
-    doc_tokens = [sorted(set(word_tokenize(p.source_text))) for p in pairs]
+    index = pairs if isinstance(pairs, _TokenMatcher) else _TokenMatcher.over_pairs(pairs)
+    pairs = index.items
 
     best_by_id: dict[str, RetrievedExample] = {}
-    for token in query_tokens:
-        scored = []
-        for pair, toks in zip(pairs, doc_tokens):
-            best = 0.0
-            for cand in toks:
-                sim = normalized_levenshtein(token, cand)
-                if sim > best:
-                    best = sim
-                    if best == 1.0:
-                        break
-            if best >= threshold:
-                scored.append((best, pair))
-        scored.sort(key=lambda item: (-item[0], item[1].id))
-        for sim, pair in scored[:n]:
+    for token in word_tokenize(query):
+        doc_best: dict[int, float] = {}
+        for s, sim in index.matches(token, threshold):
+            for idx in index.postings[s]:
+                if sim > doc_best.get(idx, -1.0):
+                    doc_best[idx] = sim
+        if threshold <= 0.0:
+            # a pair without tokens scores 0.0, which then qualifies
+            doc_best.update(dict.fromkeys(index.empty, 0.0))
+        top = heapq.nsmallest(
+            n, doc_best.items(), key=lambda item: (-item[1], pairs[item[0]].id, item[0])
+        )
+        for idx, sim in top:
+            pair = pairs[idx]
             existing = best_by_id.get(pair.id)
             if existing is None or sim > existing.score:
                 best_by_id[pair.id] = RetrievedExample(
@@ -353,24 +438,31 @@ def fuzzy_word_retrieve(
 
 
 def lexicon_fuzzy_retrieve(
-    lexicon: list[LexiconEntry],
+    lexicon: list[LexiconEntry] | _TokenMatcher,
     query: str,
     n: int,
     threshold: float = 0.5,
 ) -> list[RetrievedLexicon]:
-    """Per query word, the top-n lexicon entries by fuzzy headword match."""
+    """Per query word, the top-n lexicon entries by fuzzy headword match.
+
+    Entries tied on (score, headword) keep their input order. ``lexicon``
+    may be an index built once over the headwords and reused across queries
+    (``_TokenMatcher.over_lexicon``); a plain list builds one for this call.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    query_tokens = word_tokenize(query)
+    index = lexicon if isinstance(lexicon, _TokenMatcher) else _TokenMatcher.over_lexicon(lexicon)
+    entries = index.items
     best: dict[tuple, RetrievedLexicon] = {}
-    for token in query_tokens:
-        scored = []
-        for entry in lexicon:
-            sim = normalized_levenshtein(token, entry.source_word.lower())
-            if sim >= threshold:
-                scored.append((sim, entry))
-        scored.sort(key=lambda item: (-item[0], item[1].source_word))
-        for sim, entry in scored[:n]:
+    for token in word_tokenize(query):
+        scored = [
+            (idx, sim) for s, sim in index.matches(token, threshold) for idx in index.postings[s]
+        ]
+        top = heapq.nsmallest(
+            n, scored, key=lambda item: (-item[1], entries[item[0]].source_word, item[0])
+        )
+        for idx, sim in top:
+            entry = entries[idx]
             key = (entry.source_word, entry.pos, entry.target_word)
             if key not in best or sim > best[key].score:
                 best[key] = RetrievedLexicon(entry=entry, score=sim, query_word=token)

@@ -4,8 +4,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ragmt.corpus import LexiconEntry, ParallelPair, load_lexicon, load_parallel
+
+# Property tests draw the same examples on every run, and a slow host cannot
+# fail them on time alone.
+settings.register_profile("ragmt", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("ragmt")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_DATA = REPO_ROOT / "demos" / "data"

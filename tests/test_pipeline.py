@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import ragmt.provider
 from conftest import DEMO_DATA
 from mock_server import MockProviderServer
+from ragmt import retrieval
 from ragmt.metrics import EvalReport, SentenceScore
 from ragmt.pipeline import (
     ConfigError,
@@ -226,6 +228,48 @@ class TestFailureAndResume:
             # the three completed sentences were not re-requested
             chat_requests = [r for r in server.requests if "chat" in r["path"]]
             assert len(chat_requests) == 7
+
+    @pytest.mark.parametrize("edited", ["test", "corpus"])
+    def test_resume_skips_records_of_a_file_edited_in_place(self, tmp_path, edited):
+        paths = {}
+        for name in ("corpus", "test", "drafts"):
+            paths[name] = tmp_path / f"{name}.tsv"
+            shutil.copy(DEMO_DATA / f"{name}.tsv", paths[name])
+        config = base_config(
+            tmp_path, context="BM25", k=2, corpus_path=str(paths["corpus"]),
+            test_path=str(paths["test"]), draft_path=str(paths["drafts"]),
+        )
+        _, original = run_experiment(config, resume=False)
+
+        # same paths, so the same config fingerprint, but other contents:
+        # rotate source texts (corpus) or reference texts (test) between ids
+        rows = [line.split("\t") for line in paths[edited].read_text("utf-8").splitlines()]
+        column = 1 if edited == "corpus" else 2
+        texts = [row[column] for row in rows]
+        for row, text in zip(rows, texts[1:] + texts[:1]):
+            row[column] = text
+        paths[edited].write_text("".join("\t".join(r) + "\n" for r in rows), "utf-8")
+
+        _, resumed = run_experiment(config, resume=True)
+        _, fresh = run_experiment(config, resume=False)
+        assert resumed.to_dict() == fresh.to_dict()
+        assert fresh.to_dict() != original.to_dict()
+
+
+def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):
+    built = []
+    init = retrieval._TokenMatcher.__init__
+
+    def counting_init(self, items, strings_per_item):
+        built.append(type(items[0]).__name__)
+        init(self, items, strings_per_item)
+
+    monkeypatch.setattr(retrieval._TokenMatcher, "__init__", counting_init)
+    config = base_config(tmp_path, context="FUZZY_WORD", n=2,
+                         lexicon_mode="FUZZY_N", lexicon_n=2)
+    _, manifest = run_experiment(config, resume=False)
+    assert len(manifest.records) == 10
+    assert sorted(built) == ["LexiconEntry", "ParallelPair"]
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import sys
 import threading
 
 import pytest
@@ -13,6 +15,7 @@ from ragmt.provider import (
     ProviderConfig,
     ProviderError,
     ReplayProvider,
+    _JsonStore,
     build_provider,
     chat_request_key,
     embedding_request_key,
@@ -175,6 +178,45 @@ class TestReplay:
         assert isinstance(build_provider(config), ReplayProvider)
         http_config = ProviderConfig(base_url="http://localhost:1", model_name="m")
         assert isinstance(build_provider(http_config), HttpProvider)
+
+
+def test_json_store_concurrent_writers_share_directory(tmp_path):
+    # two stores on one directory stand for two processes sharing a cache_dir
+    stores = [_JsonStore(tmp_path), _JsonStore(tmp_path)]
+    records = [{"writer": w, "payload": str(w) * 50_000} for w in range(4)]
+    errors: list[Exception] = []
+
+    def write(store, record):
+        try:
+            for _ in range(30):
+                store.put("key", record)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def read(store):
+        try:
+            for _ in range(100):
+                got = store.get("key")
+                assert got is None or got in records
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(stores[w % 2], r))
+               for w, r in enumerate(records)]
+    threads += [threading.Thread(target=read, args=(store,)) for store in stores]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert json.loads((tmp_path / "key.json").read_text(encoding="utf-8")) in records
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key.json"]
 
 
 class TestCacheKeys:

@@ -6,11 +6,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import WORDS, make_pairs
 from ragmt.corpus import LexiconEntry, ParallelPair
 from ragmt.retrieval import (
     Bm25Index,
+    _TokenMatcher,
     EmbeddingIndex,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
@@ -96,6 +99,46 @@ def fuzzy_oracle(pairs, query, n, threshold=0.5):
             if pid not in best or sim > best[pid]:
                 best[pid] = sim
     return sorted(((s, pid) for pid, s in best.items()), key=lambda r: (-r[0], r[1]))
+
+
+def fuzzy_word_oracle(pairs, query, n, threshold):
+    """fuzzy_oracle, also keeping the query token each pair was kept for."""
+    best = {}
+    for token in word_tokenize(query):
+        scored = []
+        for p in pairs:
+            sims = [
+                1 - edit_distance_oracle(token, t) / max(len(token), len(t))
+                for t in set(word_tokenize(p.source_text))
+            ]
+            sim = max(sims, default=0.0)
+            if sim >= threshold:
+                scored.append((sim, p.id))
+        scored.sort(key=lambda r: (-r[0], r[1]))
+        for sim, pid in scored[:n]:
+            if pid not in best or sim > best[pid][0]:
+                best[pid] = (sim, token)
+    ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
+    return [(pid, sim, token) for pid, (sim, token) in ranked]
+
+
+def lexicon_fuzzy_oracle(lexicon, query, n, threshold):
+    """Brute force over all (token, entry) pairs against lowered headwords;
+    entries tied on (score, headword) stay in input order."""
+    best = {}
+    for token in word_tokenize(query):
+        scored = []
+        for e in lexicon:
+            head = e.source_word.lower()
+            sim = 1 - edit_distance_oracle(token, head) / max(len(token), len(head))
+            if sim >= threshold:
+                scored.append((sim, e))
+        scored.sort(key=lambda r: (-r[0], r[1].source_word))
+        for sim, e in scored[:n]:
+            key = (e.source_word, e.pos, e.target_word)
+            if key not in best or sim > best[key][0]:
+                best[key] = (sim, e, token)
+    return sorted(best.values(), key=lambda r: (-r[0], r[1].source_word))
 
 
 def chrf_cw_oracle(pairs, query, k, gamma=0.5):
@@ -317,6 +360,99 @@ class TestLevenshtein:
             b = "".join(rng.choice("xyz") for _ in range(rng.randint(1, 6)))
             assert normalized_levenshtein(a, b) == normalized_levenshtein(b, a)
             assert 0.0 <= normalized_levenshtein(a, b) <= 1.0
+
+    @given(
+        st.text(alphabet="abé漢 ", min_size=65, max_size=130),
+        st.text(alphabet="abé漢 ", max_size=130),
+        st.integers(0, 130),
+        st.integers(0, 130),
+    )
+    def test_against_dp_oracle_long_and_non_ascii(self, a, insert, start, stop):
+        # longer than a 64-bit word; the second string is the first with one
+        # span replaced, so distances stay small as well as large
+        b = a[:start] + insert + a[stop:]
+        assert levenshtein(a, b) == edit_distance_oracle(a, b)
+        assert levenshtein(b, a) == edit_distance_oracle(a, b)
+
+
+# Words with non-ASCII and upper-case letters, and a punctuation-only word
+# that tokenizes to nothing; few letters, so fuzzy matches are common.
+_words = st.text(alphabet="abcéñÉ", min_size=1, max_size=6) | st.just("!!")
+_texts = st.lists(_words, min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def _pools(draw):
+    """Pairs with ids out of input order, token-less and duplicate source texts."""
+    texts = draw(st.lists(_texts, min_size=1, max_size=6))
+    sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=10))
+    order = draw(st.permutations(range(len(sources))))
+    return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
+
+
+@st.composite
+def _queries(draw, vocabulary):
+    """Queries mixing pool words, repeated tokens and unseen words."""
+    words = draw(st.lists(st.sampled_from(vocabulary) | _words, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
+    return " ".join(words + repeats)
+
+
+_thresholds = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=4)
+
+
+def _fuzzy_rows(results):
+    return [(r.pair.id, r.score, r.matched_token) for r in results]
+
+
+def _lexicon_rows(results):
+    return [(r.score, id(r.entry), r.query_word) for r in results]
+
+
+class TestFuzzyIndexProperties:
+    """The indexed retrievers equal the brute-force oracles exactly: ids,
+    float scores, matched tokens and order."""
+
+    @given(st.data(), _pools(), st.integers(1, 4), _thresholds)
+    def test_fuzzy_word_shared_index_matches_oracle(self, data, pairs, n, thresholds):
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = _TokenMatcher.over_pairs(pairs)
+        for threshold in thresholds:
+            query = data.draw(_queries(vocabulary))
+            want = fuzzy_word_oracle(pairs, query, n, threshold)
+            assert _fuzzy_rows(fuzzy_word_retrieve(index, query, n, threshold)) == want
+            assert _fuzzy_rows(fuzzy_word_retrieve(pairs, query, n, threshold)) == want
+
+    @given(
+        st.data(),
+        st.lists(
+            st.builds(LexiconEntry, _words.filter(str.isalpha), st.sampled_from("xy"),
+                      st.sampled_from([None, "noun"])),
+            min_size=1, max_size=12,
+        ),
+        st.integers(1, 4),
+        _thresholds,
+    )
+    def test_lexicon_shared_index_matches_oracle(self, data, lexicon, n, thresholds):
+        index = _TokenMatcher.over_lexicon(lexicon)
+        for threshold in thresholds:
+            query = data.draw(_queries([e.source_word for e in lexicon]))
+            want = [(s, id(e), tok) for s, e, tok in lexicon_fuzzy_oracle(lexicon, query, n,
+                                                                           threshold)]
+            assert _lexicon_rows(lexicon_fuzzy_retrieve(index, query, n, threshold)) == want
+            assert _lexicon_rows(lexicon_fuzzy_retrieve(lexicon, query, n, threshold)) == want
+
+    def test_memo_keyed_by_threshold(self):
+        pairs = [ParallelPair("p1", "fathers", "t", "NT"), ParallelPair("p2", "!!", "t", "NT")]
+        index = _TokenMatcher.over_pairs(pairs)
+        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 1.0)) == []
+        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.5)) == [
+            ("p1", 1 - 1 / 7, "father")
+        ]
+        # a token-less pair qualifies at 0.0 only when the threshold allows it
+        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.0)) == [
+            ("p1", 1 - 1 / 7, "father"), ("p2", 0.0, "father")
+        ]
 
 
 class TestFuzzyWord:
