@@ -32,7 +32,6 @@ def _emit(data) -> None:
 
 def _cmd_corpus_validate(args) -> int:
     pairs = corpus.load_parallel(args.file)
-    corpus.CorpusStore(pairs=pairs)
     _emit({"file": args.file, "pairs": len(pairs), "valid": True})
     return 0
 
@@ -105,23 +104,13 @@ def _cmd_retrieve(args) -> int:
     wanted = ("NT",) if args.corpus == "nt" else ("NT", "GRAMMAR")
     pool = [p for p in pairs if p.origin in wanted]
     strategy = STRATEGY_NAMES[args.strategy]
-    if strategy == "BM25":
-        index = retrieval.Bm25Index(pool)
-        results = retrieval.bm25_retrieve(index, args.query, args.k)
-    elif strategy == "CHRF_CW":
-        results = retrieval.chrf_counterweighted_retrieve(
-            pool, args.query, args.k, gamma=args.gamma
-        )
-    elif strategy == "FUZZY_WORD":
-        results = retrieval.fuzzy_word_retrieve(pool, args.query, args.n)
-    else:
+    provider = None
+    if args.provider_config:
         provider = build_provider(ProviderConfig.from_dict(
             json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
         ))
-        batch = provider.embed([p.source_text for p in pool])
-        index = retrieval.EmbeddingIndex(pool, batch.vectors, provider.fingerprint)
-        query_vec = provider.embed([args.query]).vectors[0]
-        results = retrieval.dense_retrieve(index, query_vec, args.k)
+    retriever = retrieval.Retriever(strategy, pool, gamma=args.gamma, provider=provider)
+    results = retriever.retrieve(args.query, args.n if strategy == "FUZZY_WORD" else args.k)
     _emit([
         {
             "id": r.pair.id,

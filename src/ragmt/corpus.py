@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 ORIGINS = ("NT", "OT", "GRAMMAR")
@@ -78,21 +78,6 @@ class LexiconEntry:
     def __post_init__(self):
         if not self.source_word or not self.target_word:
             raise CorpusError("lexicon entries need non-empty source and target words")
-
-
-@dataclass
-class CorpusStore:
-    """Immutable-by-convention bundle of pairs and lexicon entries."""
-
-    pairs: list[ParallelPair] = field(default_factory=list)
-    lexicon: list[LexiconEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for pair in self.pairs:
-            if pair.id in seen:
-                raise CorpusError(f"duplicate pair id {pair.id!r} in store")
-            seen.add(pair.id)
 
 
 @dataclass(frozen=True)

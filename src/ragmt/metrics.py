@@ -190,6 +190,20 @@ def _f_score(stats: list[int], params: ChrfParams) -> float:
     return 100.0 * (1 + factor) * avg_prec * avg_rec / denom
 
 
+def _check_pairs(hypotheses: list[str], references: list[str]) -> None:
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"{len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise ValueError("need at least one hypothesis/reference pair")
+
+
+def _pooled(rows) -> list[int]:
+    """Column sums of per-segment count rows: corpus scores pool counts."""
+    return [sum(column) for column in zip(*rows)]
+
+
 def chrf_pp(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> float:
     """Sentence-level chrF++ in [0, 100]."""
     return _f_score(_segment_statistics(hypothesis, reference, params), params)
@@ -199,35 +213,34 @@ def corpus_chrf(
     hypotheses: list[str], references: list[str], params: ChrfParams = ChrfParams()
 ) -> float:
     """Corpus-level chrF++ over pooled n-gram statistics."""
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise ValueError("need at least one hypothesis/reference pair")
-    pooled = [0] * (3 * (params.char_order + params.word_order))
-    for hyp, ref in zip(hypotheses, references):
-        for i, v in enumerate(_segment_statistics(hyp, ref, params)):
-            pooled[i] += v
-    return _f_score(pooled, params)
+    _check_pairs(hypotheses, references)
+    return _f_score(
+        _pooled(_segment_statistics(h, r, params) for h, r in zip(hypotheses, references)),
+        params,
+    )
 
 
 # ---------------------------------------------------------------------------
 # BLEU
 
 
-def _bleu_statistics(hyp_tokens: list[str], ref_tokens: list[str], max_order: int):
-    matches = [0] * max_order
-    totals = [0] * max_order
+def _bleu_statistics(hyp: str, ref: str, tokenizer, max_order: int) -> list[int]:
+    """One segment's BLEU counts: n-gram matches per order, n-gram totals
+    per order, then the hypothesis and reference lengths in tokens."""
+    h_toks = tokenizer.tokenize(hyp)
+    r_toks = tokenizer.tokenize(ref)
+    matches, totals = [], []
     for order in range(1, max_order + 1):
-        h = _word_ngram_counts(hyp_tokens, order)
-        r = _word_ngram_counts(ref_tokens, order)
-        totals[order - 1] = sum(h.values())
-        matches[order - 1] = sum((h & r).values())
-    return matches, totals
+        h = _word_ngram_counts(h_toks, order)
+        r = _word_ngram_counts(r_toks, order)
+        totals.append(sum(h.values()))
+        matches.append(sum((h & r).values()))
+    return matches + totals + [len(h_toks), len(r_toks)]
 
 
-def _bleu_from_pooled(matches, totals, hyp_len, ref_len, max_order=4) -> float:
+def _bleu_from_pooled(stats: list[int], max_order: int) -> float:
+    matches, totals = stats[:max_order], stats[max_order : 2 * max_order]
+    hyp_len, ref_len = stats[-2:]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -251,26 +264,10 @@ def corpus_bleu(
     max_order: int = 4,
 ) -> float:
     """Pooled-count BLEU with brevity penalty and epsilon smoothing."""
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise ValueError("need at least one hypothesis/reference pair")
+    _check_pairs(hypotheses, references)
     tokenizer = tokenizer or WhitespaceTokenizer()
-    matches = [0] * max_order
-    totals = [0] * max_order
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        h_toks = tokenizer.tokenize(hyp)
-        r_toks = tokenizer.tokenize(ref)
-        hyp_len += len(h_toks)
-        ref_len += len(r_toks)
-        m, t = _bleu_statistics(h_toks, r_toks, max_order)
-        for i in range(max_order):
-            matches[i] += m[i]
-            totals[i] += t[i]
-    return _bleu_from_pooled(matches, totals, hyp_len, ref_len, max_order)
+    rows = (_bleu_statistics(h, r, tokenizer, max_order) for h, r in zip(hypotheses, references))
+    return _bleu_from_pooled(_pooled(rows), max_order)
 
 
 def sentence_bleu(hypothesis: str, reference: str, tokenizer=None) -> float:
@@ -285,22 +282,29 @@ def evaluate(
     chrf_params: ChrfParams = ChrfParams(),
     config: dict | None = None,
 ) -> EvalReport:
-    """Corpus + per-sentence scoring bundled into one report."""
+    """Corpus + per-sentence scoring bundled into one report.
+
+    Each segment's counts are taken once: a sentence score comes from its
+    own counts and a corpus score from their sums, exactly as ``chrf_pp``,
+    ``sentence_bleu``, ``corpus_chrf`` and ``corpus_bleu`` compute them.
+    """
     if not (len(ids) == len(hypotheses) == len(references)):
         raise ValueError("ids, hypotheses, and references must align")
+    _check_pairs(hypotheses, references)
     tokenizer = tokenizer or WhitespaceTokenizer()
+    max_order = 4
+    chrf_rows = [_segment_statistics(h, r, chrf_params) for h, r in zip(hypotheses, references)]
+    bleu_rows = [
+        _bleu_statistics(h, r, tokenizer, max_order) for h, r in zip(hypotheses, references)
+    ]
     per_sentence = [
-        SentenceScore(
-            id=i,
-            bleu=sentence_bleu(h, r, tokenizer=tokenizer),
-            chrf=chrf_pp(h, r, chrf_params),
-        )
-        for i, h, r in zip(ids, hypotheses, references)
+        SentenceScore(id=i, bleu=_bleu_from_pooled(b, max_order), chrf=_f_score(c, chrf_params))
+        for i, b, c in zip(ids, bleu_rows, chrf_rows)
     ]
     label = "spBLEU" if tokenizer.is_subword_model else f"BLEU({tokenizer.name})"
     return EvalReport(
-        corpus_bleu=corpus_bleu(hypotheses, references, tokenizer=tokenizer),
-        corpus_chrf=corpus_chrf(hypotheses, references, chrf_params),
+        corpus_bleu=_bleu_from_pooled(_pooled(bleu_rows), max_order),
+        corpus_chrf=_f_score(_pooled(chrf_rows), chrf_params),
         per_sentence=per_sentence,
         config_fingerprint=config_fingerprint(config or {}),
         bleu_label=label,

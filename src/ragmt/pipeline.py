@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import metrics, retrieval
@@ -88,25 +88,9 @@ class ExperimentConfig:
             raise ConfigError(f"lexicon_mode {self.lexicon_mode} requires a lexicon file")
 
     def to_dict(self) -> dict:
-        data = {
-            "mode": self.mode,
-            "context": self.context,
-            "lexicon_mode": self.lexicon_mode,
-            "k": self.k,
-            "n": self.n,
-            "lexicon_n": self.lexicon_n,
-            "retrieval_corpus": self.retrieval_corpus,
-            "static_seed": self.static_seed,
-            "gamma": self.gamma,
-            "corpus_path": self.corpus_path,
-            "lexicon_path": self.lexicon_path,
-            "test_path": self.test_path,
-            "draft_path": self.draft_path,
-            "output_dir": self.output_dir,
-            "language": self.language,
-        }
-        if self.provider is not None:
-            data["provider"] = vars(self.provider).copy()
+        data = asdict(self)
+        if self.provider is None:
+            del data["provider"]
         return data
 
     @classmethod
@@ -194,6 +178,14 @@ def _prompt_hash(system: str, user: str) -> str:
     return hashlib.sha256(f"{system}\x1e{user}".encode()).hexdigest()[:16]
 
 
+def _rows_hash(rows) -> str:
+    """Content hash of rows of strings: fields joined by \\x1f, rows ended by \\x1e."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(("\x1f".join(row) + "\x1e").encode())
+    return h.hexdigest()
+
+
 def load_drafts(path: str | Path) -> dict[str, str]:
     """Draft file: ``id \\t hypothesis`` per line."""
     drafts: dict[str, str] = {}
@@ -209,18 +201,20 @@ def load_drafts(path: str | Path) -> dict[str, str]:
     return drafts
 
 
-class _Retriever:
-    """Builds strategy state once and serves per-sentence context bundles."""
+class _ContextSource:
+    """Per-sentence examples and lexicon entries for one experiment cell;
+    each index or static draw is made on first use and kept for the cell."""
 
     def __init__(self, config: ExperimentConfig, pool: list[ParallelPair],
                  lexicon: list[LexiconEntry], provider):
         self.config = config
         self.pool = pool
         self.lexicon = lexicon
-        self.provider = provider
-        self._bm25: retrieval.Bm25Index | None = None
-        self._dense: retrieval.EmbeddingIndex | None = None
-        self._fuzzy: retrieval._TokenMatcher | None = None
+        self._retriever: retrieval.Retriever | None = None
+        if config.context not in ("NONE", "STATIC_K"):
+            self._retriever = retrieval.Retriever(
+                config.context, pool, gamma=config.gamma, provider=provider
+            )
         self._lexicon_index: retrieval._TokenMatcher | None = None
         self._static: list[retrieval.RetrievedExample] | None = None
 
@@ -243,25 +237,7 @@ class _Retriever:
             return []
         if cfg.context == "STATIC_K":
             return self._static_examples()
-        if cfg.context == "BM25":
-            if self._bm25 is None:
-                self._bm25 = retrieval.Bm25Index(self.pool)
-            return retrieval.bm25_retrieve(self._bm25, source, cfg.k)
-        if cfg.context == "DENSE":
-            if self._dense is None:
-                batch = self.provider.embed([p.source_text for p in self.pool])
-                self._dense = retrieval.EmbeddingIndex(
-                    self.pool, batch.vectors, self.provider.fingerprint
-                )
-            query = self.provider.embed([source]).vectors[0]
-            return retrieval.dense_retrieve(self._dense, query, cfg.k)
-        if cfg.context == "CHRF_CW":
-            return retrieval.chrf_counterweighted_retrieve(
-                self.pool, source, cfg.k, gamma=cfg.gamma
-            )
-        if self._fuzzy is None:
-            self._fuzzy = retrieval._TokenMatcher.over_pairs(self.pool)
-        return retrieval.fuzzy_word_retrieve(self._fuzzy, source, cfg.n)
+        return self._retriever.retrieve(source, cfg.n if cfg.context == "FUZZY_WORD" else cfg.k)
 
     def lexicon_for(self, source: str) -> list[retrieval.RetrievedLexicon]:
         cfg = self.config
@@ -310,13 +286,15 @@ def run_experiment(
         corpus_hashes={
             "test": retrieval.corpus_fingerprint(test_pairs),
             "pool": retrieval.corpus_fingerprint(pool),
+            "lexicon": _rows_hash((e.source_word, e.pos or "", e.target_word) for e in lexicon),
+            "drafts": _rows_hash(drafts.items()),
         },
     )
     done: dict[str, SentenceRecord] = {}
     if resume and manifest_path.exists():
         prior = RunManifest.load(manifest_path)
         # the fingerprint hashes file paths, not contents: a file edited in
-        # place keeps it, so its records are reused only if the data matches
+        # place keeps it, so its records are reused only if every input matches
         if (prior.config_fingerprint == fingerprint
                 and prior.corpus_hashes == manifest.corpus_hashes):
             done = {r.id: r for r in prior.records if r.error is None}
@@ -324,7 +302,7 @@ def run_experiment(
     profile = (
         DHAO_PROFILE if config.language == "Dhao" else LanguageProfile(name=config.language)
     )
-    retriever = _Retriever(config, pool, lexicon, provider)
+    retriever = _ContextSource(config, pool, lexicon, provider)
 
     failure: ProviderError | None = None
     for pair in test_pairs:
@@ -364,10 +342,18 @@ def run_experiment(
         manifest.records.append(record)
 
     completed = [r for r in manifest.records if r.error is None]
-    for record in completed:
-        record.bleu = metrics.sentence_bleu(record.completion, record.reference)
-        record.chrf = metrics.chrf_pp(record.completion, record.reference)
     if completed:
+        report = metrics.evaluate(
+            ids=[r.id for r in completed],
+            hypotheses=[r.completion for r in completed],
+            references=[r.reference for r in completed],
+            tokenizer=WhitespaceTokenizer(),
+            chrf_params=ChrfParams(),
+            config=config.to_dict(),
+        )
+        for record, score in zip(completed, report.per_sentence):
+            record.bleu = score.bleu
+            record.chrf = score.chrf
         manifest.effective_k_mean = statistics.fmean(r.effective_k for r in completed)
     manifest.save(manifest_path)
 
@@ -377,14 +363,6 @@ def run_experiment(
             failure.status,
         )
 
-    report = metrics.evaluate(
-        ids=[r.id for r in completed],
-        hypotheses=[r.completion for r in completed],
-        references=[r.reference for r in completed],
-        tokenizer=WhitespaceTokenizer(),
-        chrf_params=ChrfParams(),
-        config=config.to_dict(),
-    )
     report.metadata["test_fingerprint"] = manifest.corpus_hashes["test"]
     report.metadata["effective_k_mean"] = manifest.effective_k_mean
     report.metadata["temperature"] = (
@@ -414,12 +392,10 @@ def sweep(
         raise ConfigError("sweep requires at least one value")
     rows = []
     for value in values:
-        data = base_config.to_dict()
         if base_config.context == "FUZZY_WORD":
-            data["n"] = value
+            config = replace(base_config, n=value)
         else:
-            data["k"] = value
-        config = ExperimentConfig.from_dict(data)
+            config = replace(base_config, k=value)
         row = {
             "strategy": config.context,
             "k_or_n": value,

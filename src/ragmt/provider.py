@@ -336,11 +336,3 @@ def build_provider(config: ProviderConfig):
     if config.replay_dir:
         return ReplayProvider(config)
     return HttpProvider(config)
-
-
-def complete(prompt: RenderedPrompt, config: ProviderConfig) -> ChatExchange:
-    return build_provider(config).complete(prompt)
-
-
-def embed(texts: list[str], config: ProviderConfig) -> EmbeddingBatch:
-    return build_provider(config).embed(texts)

@@ -1,27 +1,24 @@
 """In-context example retrieval over the English source side.
 
 Four sentence strategies (BM25, dense cosine, diversity-aware character
-n-gram greedy, word-level fuzzy matching) plus lexicon retrieval (fuzzy
-top-n and full dictionary). All retrievers are deterministic; ties break
-by ascending pair id so sweeps reproduce exactly.
+n-gram greedy, word-level fuzzy matching), served through one
+``Retriever``, plus lexicon retrieval (fuzzy top-n and full dictionary).
+All retrievers are deterministic; ties break by ascending pair id so
+sweeps reproduce exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import LexiconEntry, ParallelPair
 from .text import char_ngrams, word_tokenize
-
-STRATEGIES = ("BM25", "DENSE", "CHRF_CW", "FUZZY_WORD")
 
 
 @dataclass
@@ -40,7 +37,7 @@ class RetrievedLexicon:
 
 
 def corpus_fingerprint(pairs: list[ParallelPair]) -> str:
-    """Content hash of a pair list, for keying persisted indices."""
+    """Content hash of a pair list, for telling corpora apart on resume."""
     h = hashlib.sha256()
     for p in pairs:
         h.update(f"{p.id}\x1f{p.source_text}\x1f{p.target_text}\x1f{p.origin}\x1e".encode())
@@ -78,7 +75,6 @@ class Bm25Index:
             term: math.log((n - len(docs) + 0.5) / (len(docs) + 0.5) + 1.0)
             for term, docs in self.postings.items()
         }
-        self.fingerprint = corpus_fingerprint(self.pairs)
 
     def score_document(self, query_tokens: list[str], doc_index: int) -> float:
         dl = self.doc_lens[doc_index]
@@ -92,25 +88,6 @@ class Bm25Index:
             if tf:
                 score += self.idf[term] * tf * (self.k1 + 1.0) / (tf + norm)
         return score
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "kind": "bm25",
-            "version": 1,
-            "fingerprint": self.fingerprint,
-            "k1": self.k1,
-            "b": self.b,
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path, pairs: list[ParallelPair]) -> "Bm25Index":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("kind") != "bm25":
-            raise ValueError(f"{path} is not a BM25 index sidecar")
-        if payload["fingerprint"] != corpus_fingerprint(pairs):
-            raise ValueError("index sidecar does not match the supplied corpus")
-        return cls(pairs, k1=payload["k1"], b=payload["b"])
 
 
 def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[RetrievedExample]:
@@ -156,33 +133,6 @@ class EmbeddingIndex:
         self.vectors = vectors
         self.dimension = vectors.shape[1]
         self.provider_fingerprint = provider_fingerprint
-        self.fingerprint = corpus_fingerprint(self.pairs)
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "kind": "embedding",
-            "version": 1,
-            "fingerprint": self.fingerprint,
-            "provider_fingerprint": self.provider_fingerprint,
-            "vectors": self.vectors.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-    @classmethod
-    def load(
-        cls, path: str | Path, pairs: list[ParallelPair], provider_fingerprint: str
-    ) -> "EmbeddingIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("kind") != "embedding":
-            raise ValueError(f"{path} is not an embedding index sidecar")
-        if payload["fingerprint"] != corpus_fingerprint(pairs):
-            raise ValueError("index sidecar does not match the supplied corpus")
-        if payload["provider_fingerprint"] != provider_fingerprint:
-            raise ValueError(
-                "stale embedding index: provider fingerprint "
-                f"{payload['provider_fingerprint']!r} != {provider_fingerprint!r}"
-            )
-        return cls(pairs, np.array(payload["vectors"]), provider_fingerprint)
 
 
 def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[RetrievedExample]:
@@ -431,6 +381,55 @@ def fuzzy_word_retrieve(
     results = list(best_by_id.values())
     results.sort(key=lambda r: (-r.score, r.pair.id))
     return results
+
+
+# ---------------------------------------------------------------------------
+# One entry point for the sentence strategies
+
+
+class Retriever:
+    """One sentence strategy over a pool, queried sentence by sentence.
+
+    ``strategy`` is BM25, DENSE, CHRF_CW or FUZZY_WORD. The strategy's
+    index (BM25, the pool's embeddings via ``provider.embed``, or the fuzzy
+    token index) is built on the first query and reused for every later
+    one; CHRF_CW needs none. ``gamma`` is CHRF_CW's counterweight.
+    """
+
+    def __init__(self, strategy: str, pairs: list[ParallelPair], gamma: float = 0.5,
+                 provider=None):
+        if strategy not in ("BM25", "DENSE", "CHRF_CW", "FUZZY_WORD"):
+            raise ValueError(f"unknown retrieval strategy {strategy!r}")
+        if strategy == "DENSE" and provider is None:
+            raise ValueError("DENSE retrieval needs an embedding provider")
+        self.strategy = strategy
+        self.pairs = pairs
+        self.gamma = gamma
+        self.provider = provider
+        self._index = None
+
+    def _build_index(self):
+        if self.strategy == "BM25":
+            return Bm25Index(self.pairs)
+        if self.strategy == "DENSE":
+            batch = self.provider.embed([p.source_text for p in self.pairs])
+            return EmbeddingIndex(self.pairs, batch.vectors, self.provider.fingerprint)
+        if self.strategy == "FUZZY_WORD":
+            return _TokenMatcher.over_pairs(self.pairs)
+        return self.pairs
+
+    def retrieve(self, query: str, size: int) -> list[RetrievedExample]:
+        """The examples for one query; ``size`` is k, or n for FUZZY_WORD."""
+        if self._index is None:
+            self._index = self._build_index()
+        if self.strategy == "BM25":
+            return bm25_retrieve(self._index, query, size)
+        if self.strategy == "DENSE":
+            query_vector = self.provider.embed([query]).vectors[0]
+            return dense_retrieve(self._index, query_vector, size)
+        if self.strategy == "CHRF_CW":
+            return chrf_counterweighted_retrieve(self._index, query, size, gamma=self.gamma)
+        return fuzzy_word_retrieve(self._index, query, size)
 
 
 # ---------------------------------------------------------------------------

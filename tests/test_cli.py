@@ -7,7 +7,7 @@ import pytest
 from conftest import DEMO_DATA
 from mock_server import MockProviderServer
 from ragmt.cli import main
-from ragmt.pipeline import ExperimentConfig
+from ragmt.pipeline import ExperimentConfig, run_experiment
 from ragmt.provider import ProviderConfig
 
 CORPUS = str(DEMO_DATA / "corpus.tsv")
@@ -112,6 +112,23 @@ class TestRetrieveCommand:
         assert results
         assert all(r["score"] > 0 for r in results)
         assert all(r["target"] for r in results)
+
+    @pytest.mark.parametrize("strategy, context, size", [
+        ("bm25", "BM25", "k"), ("chrf-cw", "CHRF_CW", "k"), ("fuzzy-word", "FUZZY_WORD", "n"),
+    ])
+    def test_same_ids_as_a_run(self, tmp_path, capsys, strategy, context, size):
+        config = ExperimentConfig(
+            mode="NMT_ONLY", context=context, corpus_path=CORPUS, test_path=TEST,
+            draft_path=DRAFTS, output_dir=str(tmp_path), **{size: 2},
+        )
+        _, manifest = run_experiment(config)
+        for record in manifest.records:
+            code, out = run_cli(
+                capsys, "retrieve", "--strategy", strategy, "--corpus-file", CORPUS,
+                "--query", record.source, f"--{size}", "2",
+            )
+            assert code == 0
+            assert [r["id"] for r in json.loads(out)] == record.retrieved_ids
 
     def test_grammar_pool_flag(self, capsys):
         code, out = run_cli(

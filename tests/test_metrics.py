@@ -4,6 +4,8 @@ import math
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ragmt.metrics import (
     ChrfParams,
@@ -266,6 +268,30 @@ class TestEvaluate:
         averaged = sum(sentence_bleu(h, r) for h, r in pairs) / 2
         assert pooled != pytest.approx(averaged)
         assert pooled == pytest.approx(oracle_bleu(pairs), abs=1e-6)
+
+    # words of letters (with non-ASCII) or of punctuation only; a segment
+    # may have no words at all, so hypotheses can be empty
+    SEGMENTS = st.lists(
+        st.one_of(
+            st.text(alphabet="abcéßπ水", min_size=1, max_size=5),
+            st.text(alphabet=".,!?;:'\"-", min_size=1, max_size=3),
+        ),
+        max_size=8,
+    ).map(" ".join)
+
+    @given(
+        st.lists(st.tuples(SEGMENTS, SEGMENTS), min_size=1, max_size=6),
+        st.sampled_from([ChrfParams(), ChrfParams(char_order=3, word_order=0, beta=1.0)]),
+    )
+    def test_single_pass_equals_public_scorers(self, pairs, params):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        report = evaluate([str(i) for i in range(len(pairs))], hyps, refs, chrf_params=params)
+        for score, h, r in zip(report.per_sentence, hyps, refs):
+            assert score.bleu == sentence_bleu(h, r)
+            assert score.chrf == chrf_pp(h, r, params)
+        assert report.corpus_bleu == corpus_bleu(hyps, refs)
+        assert report.corpus_chrf == corpus_chrf(hyps, refs, params)
 
 
 def test_whitespace_tokenizer_round_trip():

@@ -10,7 +10,7 @@ import ragmt.provider
 from conftest import DEMO_DATA
 from mock_server import MockProviderServer
 from ragmt import retrieval
-from ragmt.metrics import EvalReport, SentenceScore
+from ragmt.metrics import EvalReport, SentenceScore, chrf_pp, sentence_bleu
 from ragmt.pipeline import (
     ConfigError,
     ExperimentConfig,
@@ -101,6 +101,28 @@ class TestConfigInvariants:
         assert loaded == config
         assert loaded.fingerprint() == config.fingerprint()
 
+    @pytest.mark.parametrize("kwargs, fingerprint", [
+        (dict(mode="NMT_ONLY"), "1f8764d20fb53189"),
+        (dict(final_preset(), provider=ProviderConfig(model_name="mock-chat",
+                                                      replay_dir="fixtures")),
+         "c98c323250a4b9f7"),
+        (dict(mode="POST_EDIT", context="CHRF_CW", k=5, gamma=0.25,
+              lexicon_mode="FUZZY_N", lexicon_n=2,
+              provider=ProviderConfig(base_url="http://localhost:8000/v1",
+                                      model_name="mock-chat",
+                                      embedding_model_name="mock-embed",
+                                      cache_dir="cache")),
+         "a6ed8fc679c547e2"),
+    ])
+    def test_fingerprint_pinned(self, kwargs, fingerprint):
+        # the fingerprint names a run's manifest and report files, so a
+        # changed serialisation would orphan every earlier run
+        config = ExperimentConfig(
+            corpus_path="data/corpus.tsv", lexicon_path="data/lexicon.tsv",
+            test_path="data/test.tsv", draft_path="data/drafts.tsv", **kwargs,
+        )
+        assert config.fingerprint() == fingerprint
+
     def test_final_preset_matches_best_system(self):
         preset = final_preset()
         assert preset["context"] == "FUZZY_WORD"
@@ -133,6 +155,13 @@ class TestNmtOnly:
             assert record.prompt_hash is None
         path = Path(config.output_dir) / f"manifest-{config.fingerprint()}.json"
         assert RunManifest.load(path).config_fingerprint == config.fingerprint()
+
+
+    def test_record_scores_are_sentence_scores(self, tmp_path):
+        _, manifest = run_experiment(base_config(tmp_path))
+        for record in manifest.records:
+            assert record.bleu == sentence_bleu(record.completion, record.reference)
+            assert record.chrf == chrf_pp(record.completion, record.reference)
 
 
 class TestPostEditReplay:
@@ -229,29 +258,35 @@ class TestFailureAndResume:
             chat_requests = [r for r in server.requests if "chat" in r["path"]]
             assert len(chat_requests) == 7
 
-    @pytest.mark.parametrize("edited", ["test", "corpus"])
+    @pytest.mark.parametrize("edited", ["test", "corpus", "lexicon", "drafts"])
     def test_resume_skips_records_of_a_file_edited_in_place(self, tmp_path, edited):
         paths = {}
-        for name in ("corpus", "test", "drafts"):
+        for name in ("corpus", "test", "drafts", "lexicon"):
             paths[name] = tmp_path / f"{name}.tsv"
             shutil.copy(DEMO_DATA / f"{name}.tsv", paths[name])
-        config = base_config(
-            tmp_path, context="BM25", k=2, corpus_path=str(paths["corpus"]),
-            test_path=str(paths["test"]), draft_path=str(paths["drafts"]),
-        )
-        _, original = run_experiment(config, resume=False)
+        with MockProviderServer() as server:
+            # post-editing, so lexicon entries reach the prompt and its hash
+            config = base_config(
+                tmp_path, mode="POST_EDIT", context="BM25", k=2,
+                lexicon_mode="FUZZY_N", lexicon_n=1,
+                provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat"),
+                corpus_path=str(paths["corpus"]), test_path=str(paths["test"]),
+                draft_path=str(paths["drafts"]), lexicon_path=str(paths["lexicon"]),
+            )
+            _, original = run_experiment(config, resume=False)
 
-        # same paths, so the same config fingerprint, but other contents:
-        # rotate source texts (corpus) or reference texts (test) between ids
-        rows = [line.split("\t") for line in paths[edited].read_text("utf-8").splitlines()]
-        column = 1 if edited == "corpus" else 2
-        texts = [row[column] for row in rows]
-        for row, text in zip(rows, texts[1:] + texts[:1]):
-            row[column] = text
-        paths[edited].write_text("".join("\t".join(r) + "\n" for r in rows), "utf-8")
+            # same paths, so the same config fingerprint, but other contents:
+            # rotate source texts (corpus), reference texts (test), headwords
+            # (lexicon) or hypotheses (drafts) between rows
+            rows = [line.split("\t") for line in paths[edited].read_text("utf-8").splitlines()]
+            column = {"corpus": 1, "test": 2, "lexicon": 0, "drafts": 1}[edited]
+            texts = [row[column] for row in rows]
+            for row, text in zip(rows, texts[1:] + texts[:1]):
+                row[column] = text
+            paths[edited].write_text("".join("\t".join(r) + "\n" for r in rows), "utf-8")
 
-        _, resumed = run_experiment(config, resume=True)
-        _, fresh = run_experiment(config, resume=False)
+            _, resumed = run_experiment(config, resume=True)
+            _, fresh = run_experiment(config, resume=False)
         assert resumed.to_dict() == fresh.to_dict()
         assert fresh.to_dict() != original.to_dict()
 

@@ -203,19 +203,6 @@ class TestBm25:
         with pytest.raises(ValueError):
             bm25_retrieve(Bm25Index(make_pairs(5, seed=0)), "father", 0)
 
-    def test_sidecar_round_trip(self, tmp_path):
-        pairs = make_pairs(30, seed=1)
-        index = Bm25Index(pairs, k1=1.2, b=0.6)
-        index.save(tmp_path / "bm25.json")
-        loaded = Bm25Index.load(tmp_path / "bm25.json", pairs)
-        assert loaded.k1 == 1.2 and loaded.b == 0.6
-
-    def test_sidecar_rejects_changed_corpus(self, tmp_path):
-        pairs = make_pairs(30, seed=1)
-        Bm25Index(pairs).save(tmp_path / "bm25.json")
-        with pytest.raises(ValueError, match="does not match"):
-            Bm25Index.load(tmp_path / "bm25.json", make_pairs(30, seed=2))
-
 
 # ---------------------------------------------------------------------------
 # Dense
@@ -264,15 +251,6 @@ class TestDense:
     def test_non_unit_vectors_rejected(self):
         with pytest.raises(ValueError, match="unit-normalized"):
             EmbeddingIndex(make_pairs(2, seed=0), np.ones((2, 4)), "t")
-
-    def test_sidecar_provider_fingerprint_staleness(self, tmp_path):
-        pairs = make_pairs(5, seed=0)
-        index = EmbeddingIndex(pairs, _unit_rows(5, 4, 0), "model-v1")
-        index.save(tmp_path / "emb.json")
-        loaded = EmbeddingIndex.load(tmp_path / "emb.json", pairs, "model-v1")
-        assert np.allclose(loaded.vectors, index.vectors)
-        with pytest.raises(ValueError, match="stale"):
-            EmbeddingIndex.load(tmp_path / "emb.json", pairs, "model-v2")
 
 
 # ---------------------------------------------------------------------------
