@@ -126,7 +126,7 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_prompt_render(args) -> int:
-    bundle = ContextBundle.empty()
+    bundle = ContextBundle()
     if args.mode == "postedit":
         rendered = render_postedit(args.source, args.draft, bundle)
     else:

@@ -9,13 +9,14 @@ statistics over segments rather than averaging sentence scores.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .text import char_ngrams
 
 _PUNCTS = set(string.punctuation)
 
@@ -116,19 +117,8 @@ class EvalReport:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def config_fingerprint(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, ensure_ascii=False).encode()
-    ).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # chrF++
-
-
-def _char_ngram_counts(text: str, order: int) -> Counter:
-    squeezed = "".join(text.split())
-    return Counter(squeezed[i : i + order] for i in range(len(squeezed) - order + 1))
 
 
 def _separate_punctuation(text: str) -> list[str]:
@@ -156,8 +146,8 @@ def _segment_statistics(hyp: str, ref: str, params: ChrfParams) -> list[int]:
     """Per order: (hyp count, ref count, match count), chars then words."""
     stats: list[int] = []
     for order in range(1, params.char_order + 1):
-        h = _char_ngram_counts(hyp, order)
-        r = _char_ngram_counts(ref, order)
+        h = char_ngrams(hyp, order, order)
+        r = char_ngrams(ref, order, order)
         stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
     if params.word_order > 0:
         h_toks = _separate_punctuation(hyp)
@@ -280,7 +270,7 @@ def evaluate(
     references: list[str],
     tokenizer=None,
     chrf_params: ChrfParams = ChrfParams(),
-    config: dict | None = None,
+    config_fingerprint: str = "",
 ) -> EvalReport:
     """Corpus + per-sentence scoring bundled into one report.
 
@@ -306,7 +296,7 @@ def evaluate(
         corpus_bleu=_bleu_from_pooled(_pooled(bleu_rows), max_order),
         corpus_chrf=_f_score(_pooled(chrf_rows), chrf_params),
         per_sentence=per_sentence,
-        config_fingerprint=config_fingerprint(config or {}),
+        config_fingerprint=config_fingerprint,
         bleu_label=label,
         metadata={
             "tokenizer": tokenizer.name,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import metrics, retrieval
 from .corpus import LexiconEntry, ParallelPair, load_lexicon, load_parallel
-from .metrics import ChrfParams, EvalReport, WhitespaceTokenizer, config_fingerprint
+from .metrics import ChrfParams, EvalReport, WhitespaceTokenizer
 from .prompt import (
     DHAO_PROFILE,
     ContextBundle,
@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError("STATIC_K requires k >= 1")
         if self.context in ("BM25", "DENSE", "CHRF_CW") and (self.k is None or self.k < 1):
             raise ConfigError(f"{self.context} requires k >= 1")
+        if self.context == "DENSE" and self.provider is None:
+            raise ConfigError("DENSE requires a provider for embeddings")
         if self.context == "FUZZY_WORD" and (self.n is None or self.n < 1):
             raise ConfigError("FUZZY_WORD requires n >= 1")
         if self.lexicon_mode == "FUZZY_N" and (self.lexicon_n is None or self.lexicon_n < 1):
@@ -106,7 +108,20 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def fingerprint(self) -> str:
-        return config_fingerprint(self.to_dict())
+        """The run's identity, naming its manifest and report: every field
+        that decides its outputs. Where it writes and how it reaches the
+        model stay out, so a resume or replay may change them."""
+        identity = self.to_dict()
+        del identity["output_dir"]
+        if self.provider is not None:
+            # the provider fields a request key hashes; the rest say how to reach the model
+            identity["provider"] = {
+                name: identity["provider"][name]
+                for name in ("model_name", "embedding_model_name", "temperature")
+            }
+        return hashlib.sha256(
+            json.dumps(identity, sort_keys=True, ensure_ascii=False).encode()
+        ).hexdigest()[:16]
 
 
 def final_preset(**overrides) -> dict:
@@ -184,6 +199,10 @@ def _rows_hash(rows) -> str:
     for row in rows:
         h.update(("\x1f".join(row) + "\x1e").encode())
     return h.hexdigest()
+
+
+def _pairs_hash(pairs: list[ParallelPair]) -> str:
+    return _rows_hash((p.id, p.source_text, p.target_text, p.origin) for p in pairs)
 
 
 def load_drafts(path: str | Path) -> dict[str, str]:
@@ -284,8 +303,8 @@ def run_experiment(
     manifest = RunManifest(
         config_fingerprint=fingerprint,
         corpus_hashes={
-            "test": retrieval.corpus_fingerprint(test_pairs),
-            "pool": retrieval.corpus_fingerprint(pool),
+            "test": _pairs_hash(test_pairs),
+            "pool": _pairs_hash(pool),
             "lexicon": _rows_hash((e.source_word, e.pos or "", e.target_word) for e in lexicon),
             "drafts": _rows_hash(drafts.items()),
         },
@@ -349,7 +368,7 @@ def run_experiment(
             references=[r.reference for r in completed],
             tokenizer=WhitespaceTokenizer(),
             chrf_params=ChrfParams(),
-            config=config.to_dict(),
+            config_fingerprint=fingerprint,
         )
         for record, score in zip(completed, report.per_sentence):
             record.bleu = score.bleu

@@ -40,10 +40,6 @@ class ContextBundle:
     examples: list[RetrievedExample] = field(default_factory=list)
     lexicon: list[RetrievedLexicon] = field(default_factory=list)
 
-    @classmethod
-    def empty(cls) -> "ContextBundle":
-        return cls()
-
 
 @dataclass(frozen=True)
 class RenderedPrompt:
@@ -134,7 +130,7 @@ def render_direct(
     """Direct-translation prompt: context blocks, source line, instruction."""
     if not source.strip():
         raise ValueError("source must be non-empty")
-    bundle = bundle or ContextBundle.empty()
+    bundle = bundle or ContextBundle()
     parts = _context_blocks(bundle, profile)
     parts.append(
         f"Source text (English): {source}\n\n"
@@ -156,7 +152,7 @@ def render_postedit(
         raise ValueError("source must be non-empty")
     if not draft.strip():
         raise ValueError("post-editing requires a non-empty draft; use direct mode instead")
-    bundle = bundle or ContextBundle.empty()
+    bundle = bundle or ContextBundle()
     parts = _context_blocks(bundle, profile)
     parts.append(
         f"Source text (English): {source}\n\n"

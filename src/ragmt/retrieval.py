@@ -9,7 +9,6 @@ sweeps reproduce exactly.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from collections import Counter
@@ -34,14 +33,6 @@ class RetrievedLexicon:
     entry: LexiconEntry
     score: float
     query_word: str
-
-
-def corpus_fingerprint(pairs: list[ParallelPair]) -> str:
-    """Content hash of a pair list, for telling corpora apart on resume."""
-    h = hashlib.sha256()
-    for p in pairs:
-        h.update(f"{p.id}\x1f{p.source_text}\x1f{p.target_text}\x1f{p.origin}\x1e".encode())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

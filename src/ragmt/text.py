@@ -35,6 +35,5 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
     squeezed = "".join(text.split())
     grams: Counter = Counter()
     for n in range(n_min, n_max + 1):
-        for i in range(len(squeezed) - n + 1):
-            grams[squeezed[i : i + n]] += 1
+        grams.update(squeezed[i : i + n] for i in range(len(squeezed) - n + 1))
     return grams

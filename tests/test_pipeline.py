@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import ragmt.provider
-from conftest import DEMO_DATA
+from conftest import DEMO_DATA, REPO_ROOT, make_pairs
 from mock_server import MockProviderServer
 from ragmt import retrieval
 from ragmt.metrics import EvalReport, SentenceScore, chrf_pp, sentence_bleu
@@ -15,6 +16,7 @@ from ragmt.pipeline import (
     ConfigError,
     ExperimentConfig,
     RunManifest,
+    _pairs_hash,
     compare,
     final_preset,
     load_drafts,
@@ -71,6 +73,15 @@ def replay_config(tmp_path, fixtures, config_kwargs) -> ExperimentConfig:
     return base_config(tmp_path, provider=provider_config, **config_kwargs)
 
 
+def with_changes(config: ExperimentConfig, change: dict) -> ExperimentConfig:
+    """``config`` with fields of its own or of its provider replaced."""
+    provider_fields = {f.name for f in fields(ProviderConfig)}
+    provider = replace(config.provider,
+                       **{k: v for k, v in change.items() if k in provider_fields})
+    return replace(config, provider=provider,
+                   **{k: v for k, v in change.items() if k not in provider_fields})
+
+
 class TestConfigInvariants:
     def test_nmt_only_forbids_provider(self, tmp_path):
         with pytest.raises(ConfigError, match="forbids"):
@@ -92,6 +103,10 @@ class TestConfigInvariants:
         with pytest.raises(ConfigError, match="FUZZY_WORD"):
             base_config(tmp_path, context="FUZZY_WORD")
 
+    def test_dense_requires_provider(self, tmp_path):
+        with pytest.raises(ConfigError, match="DENSE"):
+            base_config(tmp_path, context="DENSE", k=2)
+
     def test_config_json_round_trip(self, tmp_path):
         config = base_config(tmp_path, context="FUZZY_WORD", n=5,
                              lexicon_mode="FULL")
@@ -102,17 +117,17 @@ class TestConfigInvariants:
         assert loaded.fingerprint() == config.fingerprint()
 
     @pytest.mark.parametrize("kwargs, fingerprint", [
-        (dict(mode="NMT_ONLY"), "1f8764d20fb53189"),
+        (dict(mode="NMT_ONLY"), "faa272b176b1b692"),
         (dict(final_preset(), provider=ProviderConfig(model_name="mock-chat",
                                                       replay_dir="fixtures")),
-         "c98c323250a4b9f7"),
+         "ef69fd46a4148f28"),
         (dict(mode="POST_EDIT", context="CHRF_CW", k=5, gamma=0.25,
               lexicon_mode="FUZZY_N", lexicon_n=2,
               provider=ProviderConfig(base_url="http://localhost:8000/v1",
                                       model_name="mock-chat",
                                       embedding_model_name="mock-embed",
                                       cache_dir="cache")),
-         "a6ed8fc679c547e2"),
+         "99e041f52de5887a"),
     ])
     def test_fingerprint_pinned(self, kwargs, fingerprint):
         # the fingerprint names a run's manifest and report files, so a
@@ -122,6 +137,40 @@ class TestConfigInvariants:
             test_path="data/test.tsv", draft_path="data/drafts.tsv", **kwargs,
         )
         assert config.fingerprint() == fingerprint
+
+    LIVE = ProviderConfig(model_name="mock-chat", embedding_model_name="mock-embed",
+                          base_url="http://localhost:8000/v1", cache_dir="cache")
+
+    @pytest.mark.parametrize("change", [
+        dict(base_url="http://localhost:9000/v1"), dict(api_key_env="OTHER_KEY"),
+        dict(max_retries=7), dict(request_timeout=300.0), dict(max_in_flight=16),
+        dict(embed_batch_size=8), dict(backoff_base=0.5), dict(cache_dir="elsewhere"),
+        dict(cache_dir=None, replay_dir="cache"), dict(output_dir="elsewhere"),
+    ], ids="+".join)
+    def test_operational_fields_keep_identity(self, tmp_path, change):
+        config = base_config(tmp_path, mode="POST_EDIT", context="BM25", k=2,
+                             provider=self.LIVE)
+        assert with_changes(config, change).fingerprint() == config.fingerprint()
+
+    @pytest.mark.parametrize("change", [
+        dict(model_name="other-chat"), dict(embedding_model_name="other-embed"),
+        dict(temperature=0.7), dict(k=3), dict(gamma=0.25),
+        dict(test_path="data/other_test.tsv"),
+    ], ids="+".join)
+    def test_output_fields_change_identity(self, tmp_path, change):
+        config = base_config(tmp_path, mode="POST_EDIT", context="BM25", k=2,
+                             provider=self.LIVE)
+        assert with_changes(config, change).fingerprint() != config.fingerprint()
+
+    @pytest.mark.parametrize("path", sorted((REPO_ROOT / "configs").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_configs_load(self, path):
+        config = ExperimentConfig.load(path)
+        if config.provider is not None:
+            # configs/README.md: a live run's cache replays as the same run
+            replayed = replace(config, provider=replace(
+                config.provider, cache_dir=None, replay_dir=config.provider.cache_dir))
+            assert replayed.fingerprint() == config.fingerprint()
 
     def test_final_preset_matches_best_system(self):
         preset = final_preset()
@@ -258,6 +307,37 @@ class TestFailureAndResume:
             chat_requests = [r for r in server.requests if "chat" in r["path"]]
             assert len(chat_requests) == 7
 
+    def test_resume_with_other_operational_settings(self, tmp_path):
+        # no cache: only the manifest can spare the completed sentences
+        with MockProviderServer() as server:
+            server.status_script = [200, 200, 200] + [500] * 50
+            provider_config = ProviderConfig(
+                base_url=server.base_url, model_name="mock-chat",
+                max_retries=1, backoff_base=0.01,
+            )
+            config = base_config(tmp_path, provider=provider_config, **self.KWARGS)
+            with pytest.raises(ProviderError, match="partial manifest"):
+                run_experiment(config)
+
+        with MockProviderServer() as server:
+            provider_config = replace(provider_config, base_url=server.base_url,
+                                      request_timeout=120.0)
+            config = base_config(tmp_path, provider=provider_config, **self.KWARGS)
+            _, manifest = run_experiment(config)
+            assert all(r.error is None for r in manifest.records)
+            chat_requests = [r for r in server.requests if "chat" in r["path"]]
+            assert len(chat_requests) == 7
+
+    def test_replay_of_a_live_run_shares_its_manifest(self, tmp_path):
+        # both runs write to base_config's output_dir
+        fixtures = record_fixtures(tmp_path, self.KWARGS)
+        config = replay_config(tmp_path, fixtures, self.KWARGS)
+        _, manifest = run_experiment(config)
+        assert [p.name for p in Path(config.output_dir).glob("manifest-*.json")] == [
+            f"manifest-{config.fingerprint()}.json"
+        ]
+        assert all(r.error is None for r in manifest.records)
+
     @pytest.mark.parametrize("edited", ["test", "corpus", "lexicon", "drafts"])
     def test_resume_skips_records_of_a_file_edited_in_place(self, tmp_path, edited):
         paths = {}
@@ -289,6 +369,17 @@ class TestFailureAndResume:
             _, fresh = run_experiment(config, resume=False)
         assert resumed.to_dict() == fresh.to_dict()
         assert fresh.to_dict() != original.to_dict()
+
+
+def test_corpus_fingerprint_sensitivity(tmp_path):
+    a = make_pairs(5, seed=0)
+    assert _pairs_hash(a) == _pairs_hash(make_pairs(5, seed=0))
+    assert _pairs_hash(a) != _pairs_hash(make_pairs(5, seed=1))
+    # content hashes stored in earlier manifests still match on resume
+    _, manifest = run_experiment(base_config(tmp_path))
+    assert manifest.corpus_hashes["test"] == (
+        "af93b4cc112be044134e02ae3fb890d05c9bc30a7dba46327b294d47072b11c4"
+    )
 
 
 def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):

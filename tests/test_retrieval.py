@@ -17,7 +17,6 @@ from ragmt.retrieval import (
     EmbeddingIndex,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
-    corpus_fingerprint,
     dense_retrieve,
     fuzzy_word_retrieve,
     levenshtein,
@@ -518,10 +517,3 @@ class TestLexiconRetrieval:
         assert [r.entry for r in results] == demo_lexicon
         assert all(r.score == 1.0 for r in results)
         assert lexicon_full([]) == []
-
-
-def test_corpus_fingerprint_sensitivity():
-    a = make_pairs(5, seed=0)
-    b = make_pairs(5, seed=1)
-    assert corpus_fingerprint(a) == corpus_fingerprint(make_pairs(5, seed=0))
-    assert corpus_fingerprint(a) != corpus_fingerprint(b)
