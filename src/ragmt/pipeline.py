@@ -1,10 +1,12 @@
 """Experiment orchestration: baselines, retrieval sweeps, and comparisons.
 
 A run walks the test set sentence by sentence: retrieve context per the
-config, render the prompt, call the provider (or score the supplied draft
-directly in NMT_ONLY mode), then score everything with chrF++ and BLEU.
-Every run persists a manifest so interrupted sweeps can resume and every
-completion stays traceable to a cached exchange.
+config and render the prompt on the calling thread, send the prompt to the
+provider from a pool of ``max_in_flight`` worker threads (or score the
+supplied draft directly in NMT_ONLY mode), then score everything with
+chrF++ and BLEU. Records are kept in test order, so a run's files do not
+depend on ``max_in_flight``. Every run persists a manifest so interrupted
+sweeps can resume and every completion stays traceable to a cached exchange.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import hashlib
 import json
 import random
 import statistics
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -189,8 +193,12 @@ class RunManifest:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _prompt_digest(system: str, user: str) -> str:
+    return hashlib.sha256(f"{system}\x1e{user}".encode()).hexdigest()
+
+
 def _prompt_hash(system: str, user: str) -> str:
-    return hashlib.sha256(f"{system}\x1e{user}".encode()).hexdigest()[:16]
+    return _prompt_digest(system, user)[:16]
 
 
 def _rows_hash(rows) -> str:
@@ -269,6 +277,10 @@ class _ContextSource:
         return retrieval.lexicon_fuzzy_retrieve(self._lexicon_index, source, cfg.lexicon_n)
 
 
+def _completion_text(provider, rendered) -> str:
+    return provider.complete(rendered).response_text
+
+
 def run_experiment(
     config: ExperimentConfig,
     provider=None,
@@ -276,8 +288,10 @@ def run_experiment(
 ) -> tuple[EvalReport, RunManifest]:
     """Execute one experiment cell and return (report, manifest).
 
-    A provider failure aborts the run but the partial manifest is persisted
-    first; rerunning with ``resume=True`` skips completed sentences.
+    A provider failure stops sending prompts and aborts the run once the
+    ones in flight have settled; the partial manifest keeps every completed
+    sentence and the first failed one, and rerunning with ``resume=True``
+    skips the completed sentences.
     """
     fingerprint = config.fingerprint()
     test_pairs = load_parallel(config.test_path)
@@ -323,42 +337,71 @@ def run_experiment(
     )
     retriever = _ContextSource(config, pool, lexicon, provider)
 
+    # Retrieval and rendering stay on this thread, in test order; prompts go
+    # to max_in_flight workers. The oldest is settled before another is
+    # sent, so at most max_in_flight prompts wait on the provider at once.
+    in_flight = config.provider.max_in_flight if config.provider else 1
+    window: deque[tuple[SentenceRecord, Future]] = deque()
+    sent: dict[str, Future] = {}  # prompt digest -> its completion text
+    failed: SentenceRecord | None = None
     failure: ProviderError | None = None
-    for pair in test_pairs:
-        if pair.id in done:
-            manifest.records.append(done[pair.id])
-            continue
-        draft = drafts.get(pair.id)
-        examples = retriever.examples_for(pair.source_text)
-        lex = retriever.lexicon_for(pair.source_text)
-        bundle = ContextBundle(examples=examples, lexicon=lex)
-        record = SentenceRecord(
-            id=pair.id,
-            source=pair.source_text,
-            reference=pair.target_text,
-            draft=draft,
-            retrieved_ids=[ex.pair.id for ex in examples],
-            lexicon_count=len(lex),
-            effective_k=len(examples),
-            prompt_hash=None,
-            completion=None,
-        )
-        if config.mode == "NMT_ONLY":
-            record.completion = draft
-        else:
+
+    def settle_oldest() -> None:
+        nonlocal failed, failure
+        record, future = window.popleft()
+        try:
+            record.completion = future.result()
+        except ProviderError as exc:
+            record.error = str(exc)
+            if failure is None:  # settled in test order: the first failure
+                failed, failure = record, exc
+
+    with ThreadPoolExecutor(max_workers=in_flight) as executor:
+        for pair in test_pairs:
+            if pair.id in done:
+                manifest.records.append(done[pair.id])
+                continue
+            if failure is not None:  # send nothing more after a failure
+                continue
+            draft = drafts.get(pair.id)
+            examples = retriever.examples_for(pair.source_text)
+            lex = retriever.lexicon_for(pair.source_text)
+            bundle = ContextBundle(examples=examples, lexicon=lex)
+            record = SentenceRecord(
+                id=pair.id,
+                source=pair.source_text,
+                reference=pair.target_text,
+                draft=draft,
+                retrieved_ids=[ex.pair.id for ex in examples],
+                lexicon_count=len(lex),
+                effective_k=len(examples),
+                prompt_hash=None,
+                completion=None,
+            )
+            if config.mode == "NMT_ONLY":
+                record.completion = draft
+                manifest.records.append(record)
+                continue
             if config.mode == "POST_EDIT":
                 rendered = render_postedit(pair.source_text, draft, bundle, profile)
             else:
                 rendered = render_direct(pair.source_text, bundle, profile)
-            record.prompt_hash = _prompt_hash(rendered.system, rendered.user)
-            try:
-                record.completion = provider.complete(rendered).response_text
-            except ProviderError as exc:
-                record.error = str(exc)
-                manifest.records.append(record)
-                failure = exc
-                break
-        manifest.records.append(record)
+            digest = _prompt_digest(rendered.system, rendered.user)
+            record.prompt_hash = digest[:16]
+            # a prompt already sent in this run is not sent again
+            future = sent.get(digest)
+            if future is None:
+                while len(window) >= in_flight:
+                    settle_oldest()
+                if failure is not None:
+                    continue
+                future = sent[digest] = executor.submit(_completion_text, provider, rendered)
+            manifest.records.append(record)
+            window.append((record, future))
+        while window:
+            settle_oldest()
+    # keep the first failure in test order; the later ones are resent on resume
+    manifest.records = [r for r in manifest.records if r.error is None or r is failed]
 
     completed = [r for r in manifest.records if r.error is None]
     if completed:

@@ -3,11 +3,20 @@
 Three layers:
   * a disk cache keyed by content hash of the request, one JSON file per
     exchange;
-  * an HTTP provider with exponential-backoff retries and a bounded
-    in-flight semaphore;
+  * an HTTP provider with exponential-backoff retries (honouring a 429 or
+    503 reply's ``Retry-After``) and a bounded in-flight semaphore;
   * a replay provider that serves recorded fixtures (same JSON schema as
     the cache) and never touches the network, making whole-pipeline runs
     bit-reproducible.
+
+Concurrency: ``ProviderConfig.max_in_flight`` bounds the requests one
+``HttpProvider`` has on the wire at once, whichever threads send them.
+``HttpProvider.embed`` posts its ``embed_batch_size`` chunks through a
+window of that many outstanding requests and handles each reply (parse,
+normalise, cache) in chunk order as it arrives. ``pipeline.run_experiment``
+calls ``complete`` from that many worker threads. Both providers may be
+called from several threads at once; results never depend on the order in
+which replies arrive.
 """
 
 from __future__ import annotations
@@ -19,14 +28,18 @@ import os
 import tempfile
 import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .prompt import RenderedPrompt
 
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+RETRY_AFTER_STATUSES = {429, 503}
 
 
 class ProviderError(RuntimeError):
@@ -102,6 +115,16 @@ def embedding_request_key(model: str, text: str) -> str:
     return _request_key({"kind": "embedding", "model": model, "text": text})
 
 
+def _retry_after(header: str | None, cap: float) -> float:
+    """Seconds a ``Retry-After: <seconds>`` header asks for, at most ``cap``;
+    0 when absent or unparsable (an HTTP-date is not parsed)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return 0.0
+    return min(seconds, cap) if math.isfinite(seconds) else 0.0
+
+
 def _unit_normalize(vector: list[float]) -> list[float]:
     norm = math.sqrt(sum(v * v for v in vector))
     if norm == 0:
@@ -138,7 +161,7 @@ class _JsonStore:
 
 class HttpProvider:
     """OpenAI-compatible HTTP client with caching, retries, and a
-    bounded-concurrency semaphore."""
+    bounded-concurrency semaphore; safe to call from several threads."""
 
     def __init__(self, config: ProviderConfig):
         if not config.base_url:
@@ -147,6 +170,11 @@ class HttpProvider:
         self.cache = _JsonStore(config.cache_dir) if config.cache_dir else None
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._session = requests.Session()
+        # urllib3 keeps 10 connections per host by default and discards the rest
+        adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
+        self._count_lock = threading.Lock()
         self.request_count = 0
 
     @property
@@ -163,12 +191,15 @@ class HttpProvider:
     def _post(self, endpoint: str, body: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
         last_error: ProviderError | None = None
+        delay = 0.0
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(self.config.backoff_base * 2 ** (attempt - 1))
+                time.sleep(delay)
+            delay = self.config.backoff_base * 2 ** attempt
             try:
                 with self._semaphore:
-                    self.request_count += 1
+                    with self._count_lock:
+                        self.request_count += 1
                     resp = self._session.post(
                         url, json=body, headers=self._headers(),
                         timeout=self.config.request_timeout,
@@ -182,6 +213,9 @@ class HttpProvider:
                 last_error = ProviderError(
                     f"transient HTTP {resp.status_code} from {url}", resp.status_code
                 )
+                if resp.status_code in RETRY_AFTER_STATUSES:
+                    delay = max(delay, _retry_after(resp.headers.get("Retry-After"),
+                                                    self.config.request_timeout))
                 continue
             raise ProviderError(
                 f"HTTP {resp.status_code} from {url}: {resp.text[:200]}",
@@ -251,37 +285,46 @@ class HttpProvider:
         model = cfg.embedding_model_name or cfg.model_name
         vectors: dict[str, list[float]] = {}
         pending: list[str] = []
-        for text in texts:
-            if text in vectors or text in pending:
-                continue
+        for text in dict.fromkeys(texts):  # distinct texts, first-seen order
             cached = self.cache.get(embedding_request_key(model, text)) if self.cache else None
             if cached is not None:
                 vectors[text] = cached["vector"]
             else:
                 pending.append(text)
-        for i in range(0, len(pending), cfg.embed_batch_size):
-            chunk = pending[i : i + cfg.embed_batch_size]
-            data = self._post("/embeddings", {"model": model, "input": chunk})
-            try:
-                rows = [item["embedding"] for item in data["data"]]
-            except (KeyError, TypeError):
-                raise ProviderError(
-                    f"malformed embedding response: {str(data)[:200]}"
-                ) from None
-            if len(rows) != len(chunk):
-                raise ProviderError(
-                    f"{len(rows)} embeddings returned for {len(chunk)} inputs"
-                )
-            for text, row in zip(chunk, rows):
-                vec = _unit_normalize([float(v) for v in row])
-                vectors[text] = vec
-                if self.cache is not None:
-                    self.cache.put(embedding_request_key(model, text), {
-                        "kind": "embedding",
-                        "request": {"model": model, "text": text},
-                        "vector": vec,
-                    })
+        # at most max_in_flight chunks outstanding; each reply is handled in
+        # chunk order while the later requests are still on the wire
+        window: deque = deque()
+        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as executor:
+            for i in range(0, len(pending), cfg.embed_batch_size):
+                if len(window) == cfg.max_in_flight:
+                    self._store_embeddings(model, *window.popleft(), vectors)
+                chunk = pending[i : i + cfg.embed_batch_size]
+                window.append((chunk, executor.submit(
+                    self._post, "/embeddings", {"model": model, "input": chunk})))
+            while window:
+                self._store_embeddings(model, *window.popleft(), vectors)
         return EmbeddingBatch(inputs=list(texts), vectors=[vectors[t] for t in texts])
+
+    def _store_embeddings(self, model: str, chunk: list[str], reply,
+                          vectors: dict[str, list[float]]) -> None:
+        """Check one embedding reply and add its unit vectors to ``vectors``
+        and to the cache."""
+        data = reply.result()
+        try:
+            rows = [item["embedding"] for item in data["data"]]
+        except (KeyError, TypeError):
+            raise ProviderError(f"malformed embedding response: {str(data)[:200]}") from None
+        if len(rows) != len(chunk):
+            raise ProviderError(f"{len(rows)} embeddings returned for {len(chunk)} inputs")
+        for text, row in zip(chunk, rows):
+            vec = _unit_normalize([float(v) for v in row])
+            vectors[text] = vec
+            if self.cache is not None:
+                self.cache.put(embedding_request_key(model, text), {
+                    "kind": "embedding",
+                    "request": {"model": model, "text": text},
+                    "vector": vec,
+                })
 
 
 class ReplayProvider:

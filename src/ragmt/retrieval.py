@@ -137,7 +137,12 @@ def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[Retrieve
             f"!= index dimension {index.dimension}"
         )
     scores = index.vectors @ q
-    order = sorted(range(len(index.pairs)), key=lambda i: (-scores[i], index.pairs[i].id))
+    candidates = range(len(scores))
+    if k < len(scores):
+        # every index scoring at least the k-th best, so ties at the cut all compete
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        candidates = np.flatnonzero(scores >= kth)
+    order = sorted(candidates, key=lambda i: (-scores[i], index.pairs[i].id))
     return [
         RetrievedExample(pair=index.pairs[i], score=float(scores[i]), strategy="DENSE")
         for i in order[:k]

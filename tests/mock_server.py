@@ -14,6 +14,7 @@ class MockProviderServer:
 
     def __init__(self, response_delay: float = 0.0):
         self.status_script: list[int] = []  # consumed before each success
+        self.retry_after: str | None = None  # Retry-After value sent with each failure
         self.requests: list[dict] = []
         self.response_delay = response_delay
         self.in_flight = 0
@@ -39,6 +40,8 @@ class MockProviderServer:
                         time.sleep(outer.response_delay)
                     if status != 200:
                         self.send_response(status)
+                        if outer.retry_after is not None:
+                            self.send_header("Retry-After", outer.retry_after)
                         self.end_headers()
                         return
                     payload = outer._respond(self.path, body)

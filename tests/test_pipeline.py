@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 import ragmt.provider
 from conftest import DEMO_DATA, REPO_ROOT, make_pairs
 from mock_server import MockProviderServer
-from ragmt import retrieval
+from ragmt import pipeline, retrieval
+from ragmt.corpus import load_parallel
 from ragmt.metrics import EvalReport, SentenceScore, chrf_pp, sentence_bleu
 from ragmt.pipeline import (
     ConfigError,
@@ -25,7 +28,7 @@ from ragmt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from ragmt.provider import ProviderConfig, ProviderError
+from ragmt.provider import ChatExchange, ProviderConfig, ProviderError
 
 
 def base_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -371,6 +374,127 @@ class TestFailureAndResume:
         assert fresh.to_dict() != original.to_dict()
 
 
+class TestConcurrentDispatch:
+    KWARGS = dict(mode="POST_EDIT", context="BM25", k=2)
+
+    def test_outputs_do_not_depend_on_max_in_flight(self, tmp_path):
+        blobs = {}
+        for in_flight in (1, 4):
+            with MockProviderServer(response_delay=0.05) as server:
+                config = base_config(
+                    tmp_path, output_dir=str(tmp_path / f"runs{in_flight}"),
+                    provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                            max_in_flight=in_flight),
+                    **self.KWARGS,
+                )
+                run_experiment(config, resume=False)
+            assert server.high_water == in_flight
+            out = Path(config.output_dir)
+            blobs[in_flight] = [
+                (out / f"{kind}-{config.fingerprint()}.json").read_bytes()
+                for kind in ("manifest", "report")
+            ]
+        assert blobs[1] == blobs[4]
+
+    def test_failed_run_keeps_completed_records_and_resumes_the_rest(self, tmp_path):
+        test_ids = [p.id for p in load_parallel(DEMO_DATA / "test.tsv")]
+        with MockProviderServer() as server:
+            server.status_script = [200] * 5 + [500] * 50
+            provider_config = ProviderConfig(
+                base_url=server.base_url, model_name="mock-chat",
+                max_retries=1, backoff_base=0.01, max_in_flight=4,
+            )
+            config = base_config(tmp_path, provider=provider_config, **self.KWARGS)
+            with pytest.raises(ProviderError, match="partial manifest"):
+                run_experiment(config, resume=False)
+        partial = RunManifest.load(
+            Path(config.output_dir) / f"manifest-{config.fingerprint()}.json")
+        ids = [r.id for r in partial.records]
+        errors = [r for r in partial.records if r.error is not None]
+        # each of the five 200s completed a sentence, and all five are kept
+        assert len(partial.records) - len(errors) == 5
+        assert len(errors) == 1
+        # in test order, and nothing before the failed sentence is missing
+        assert ids == sorted(ids, key=test_ids.index)
+        first_error = test_ids.index(errors[0].id)
+        assert ids[: first_error + 1] == test_ids[: first_error + 1]
+        # nothing was sent after the failure: at most the window behind it
+        prompts = {r["body"]["messages"][-1]["content"] for r in server.requests}
+        assert len(prompts) <= first_error + provider_config.max_in_flight
+
+        with MockProviderServer() as server:
+            config = base_config(tmp_path, provider=replace(
+                provider_config, base_url=server.base_url), **self.KWARGS)
+            _, manifest = run_experiment(config)
+        assert [r.id for r in manifest.records] == test_ids
+        assert all(r.error is None for r in manifest.records)
+        chat_requests = [r for r in server.requests if "chat" in r["path"]]
+        assert len(chat_requests) == 5  # no cache: only the manifest spares the others
+
+    def test_at_most_max_in_flight_prompts_outstanding(self, tmp_path, monkeypatch):
+        release = threading.Event()
+
+        class BlockingProvider:
+            fingerprint = "blocking"
+
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def complete(self, prompt):
+                with self.lock:
+                    self.calls += 1
+                release.wait(timeout=60)
+                return ChatExchange(request={}, response_text="done", latency=0.0)
+
+        rendered = []
+        render = pipeline.render_postedit
+        monkeypatch.setattr(pipeline, "render_postedit",
+                            lambda *args: rendered.append(args[0]) or render(*args))
+        provider = BlockingProvider()
+        config = base_config(tmp_path, mode="POST_EDIT", context="NONE",
+                             provider=ProviderConfig(model_name="m", max_in_flight=2))
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(run_experiment(config, provider, resume=False)))
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while (provider.calls < 2 or len(rendered) < 3) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # time for a wrongly sent third prompt or fourth render
+            # two prompts sent; the third waits for the oldest to settle
+            assert provider.calls == 2
+            assert len(rendered) == 3
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        _, manifest = results[0]
+        assert [r.completion for r in manifest.records] == ["done"] * 10
+
+    def test_identical_prompts_sent_once(self, tmp_path):
+        pair = load_parallel(DEMO_DATA / "test.tsv")[0]
+        test_path, draft_path = tmp_path / "test.tsv", tmp_path / "drafts.tsv"
+        test_path.write_text(
+            f"a\t{pair.source_text}\t{pair.target_text}\tOT\n"
+            f"b\t{pair.source_text}\t{pair.target_text}\tOT\n", encoding="utf-8")
+        draft_path.write_text("a\tsame draft\nb\tsame draft\n", encoding="utf-8")
+        with MockProviderServer() as server:
+            config = base_config(
+                tmp_path, mode="POST_EDIT", context="NONE",
+                test_path=str(test_path), draft_path=str(draft_path),
+                provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat"),
+            )
+            _, manifest = run_experiment(config, resume=False)
+        assert len(server.requests) == 1
+        a, b = manifest.records
+        assert (a.id, b.id) == ("a", "b")
+        assert a.prompt_hash == b.prompt_hash
+        assert a.completion is not None
+        assert a.completion == b.completion
+
+
 def test_corpus_fingerprint_sensitivity(tmp_path):
     a = make_pairs(5, seed=0)
     assert _pairs_hash(a) == _pairs_hash(make_pairs(5, seed=0))
@@ -432,9 +556,10 @@ class TestSweep:
         kwargs = dict(mode="POST_EDIT", context="BM25", k=1)
         with MockProviderServer() as server:
             server.status_script = [500] * 2  # consumed by the k=1 cell
+            # one request at a time, so both 500s hit one sentence's two attempts
             provider_config = ProviderConfig(
                 base_url=server.base_url, model_name="mock-chat",
-                max_retries=1, backoff_base=0.01,
+                max_retries=1, backoff_base=0.01, max_in_flight=1,
                 cache_dir=str(tmp_path / "cache"),
             )
             config = base_config(tmp_path, provider=provider_config, **kwargs)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import threading
 
 import pytest
 
+import ragmt.provider
 from mock_server import MockProviderServer
 from ragmt.prompt import RenderedPrompt
 from ragmt.provider import (
@@ -100,6 +102,64 @@ class TestComplete:
             assert len(server.requests) == 8
 
 
+    def test_request_count_exact_across_threads(self, tmp_path, caplog):
+        # more threads than cores and a short switch interval, so an unguarded
+        # ``request_count += 1`` would lose updates
+        with MockProviderServer(response_delay=0.02) as server:
+            provider = HttpProvider(make_config(server, tmp_path, max_in_flight=16))
+            prompts = [
+                RenderedPrompt(system="s", user=f"query {i}", mode="direct")
+                for i in range(16)
+            ]
+            threads = [
+                threading.Thread(target=provider.complete, args=(p,)) for p in prompts
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with caplog.at_level(logging.WARNING, logger="urllib3"):
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert provider.request_count == len(server.requests) == 16
+        # the connection pool holds max_in_flight connections, so none is dropped
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize("status, header, slept", [
+        (429, "2", 2.0),  # longer than the backoff: honoured
+        (503, "0.5", 0.5),
+        (429, "0", 0.01),  # shorter than the backoff: the backoff
+        (429, "1000", 5.0),  # capped at request_timeout
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.01),  # unparsable: the backoff
+        (429, "nan", 0.01),
+        (500, "2", 0.01),  # only 429 and 503 carry a meaningful Retry-After
+    ])
+    def test_sleep_before_retry(self, tmp_path, monkeypatch, status, header, slept):
+        sleeps = []
+        monkeypatch.setattr(ragmt.provider.time, "sleep", sleeps.append)
+        with MockProviderServer() as server:
+            server.status_script = [status]
+            server.retry_after = header
+            provider = HttpProvider(make_config(server, tmp_path))
+            assert provider.complete(PROMPT).response_text.startswith("echo:")
+        assert sleeps == [slept]
+
+    def test_backoff_doubles_without_header(self, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(ragmt.provider.time, "sleep", sleeps.append)
+        with MockProviderServer() as server:
+            server.status_script = [429, 503, 429]
+            provider = HttpProvider(make_config(server, tmp_path))
+            provider.complete(PROMPT)
+        assert sleeps == [0.01, 0.02, 0.04]
+
+
 class TestEmbed:
     def test_unit_normalized_and_aligned(self, tmp_path):
         with MockProviderServer() as server:
@@ -122,6 +182,36 @@ class TestEmbed:
             provider.embed(texts)
             embed_requests = [r for r in server.requests if r["path"].endswith("/embeddings")]
             assert len(embed_requests) == 4  # ceil(100 / 32)
+
+    def test_duplicates_sent_once_and_aligned(self, tmp_path):
+        texts = ["b", "a", "b", "c", "a", "a"]
+        with MockProviderServer() as server:
+            provider = HttpProvider(make_config(server, tmp_path, cache_dir=None,
+                                                embed_batch_size=1))
+            batch = provider.embed(texts)
+            sent = [r["body"]["input"] for r in server.requests]
+            alone = {t: provider.embed([t]).vectors[0] for t in set(texts)}
+        assert sorted(sent) == [["a"], ["b"], ["c"]]  # one request per distinct text
+        assert batch.inputs == texts
+        assert batch.vectors == [alone[t] for t in texts]
+
+    def test_chunks_in_flight_together(self, tmp_path):
+        texts = [f"text number {i}" for i in range(40)]
+        batches = {}
+        for in_flight in (1, 4):
+            with MockProviderServer(response_delay=0.05) as server:
+                provider = HttpProvider(make_config(
+                    server, tmp_path / str(in_flight), embed_batch_size=4,
+                    max_in_flight=in_flight))
+                batches[in_flight] = provider.embed(texts)
+            assert server.high_water == in_flight
+            assert len(server.requests) == 10
+        assert batches[1] == batches[4]
+        # every vector reached the cache: a second call sends nothing
+        with MockProviderServer() as server:
+            provider = HttpProvider(make_config(server, tmp_path / "4"))
+            assert provider.embed(texts) == batches[4]
+            assert server.requests == []
 
     def test_embedding_cache_hits(self, tmp_path):
         with MockProviderServer() as server:

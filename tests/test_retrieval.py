@@ -62,6 +62,13 @@ def dense_oracle(pairs, matrix, query, k):
     return scored[:k]
 
 
+def dense_sort_oracle(index, query, k):
+    """Sort every row by (-score, id), as dense retrieval first did."""
+    scores = index.vectors @ query
+    order = sorted(range(len(index.pairs)), key=lambda i: (-scores[i], index.pairs[i].id))
+    return [(index.pairs[i].id, float(scores[i])) for i in order[:k]]
+
+
 def edit_distance_oracle(a, b):
     """Full-matrix DP, written independently of the package implementation."""
     m, n = len(a), len(b)
@@ -241,6 +248,19 @@ class TestDense:
             got = [(r.score, r.pair.id) for r in dense_retrieve(index, q, 5)]
             want = dense_oracle(pairs, vectors, q, 5)
             assert [g[1] for g in got] == [w[1] for w in want]
+
+    @given(st.data(), st.integers(1, 25), st.integers(1, 27))
+    def test_partial_selection_matches_full_sort(self, data, size, k):
+        # rows drawn from a few directions, so duplicate vectors tie and the
+        # ties straddle the k-th place; ids out of input order
+        palette = _unit_rows(4, 3, seed=5)
+        rows = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        order = data.draw(st.permutations(range(size)))
+        pairs = [ParallelPair(f"p{j:02d}", "s", "t", "NT") for j in order]
+        index = EmbeddingIndex(pairs, palette[rows], "t")
+        query = palette[data.draw(st.integers(0, 3))]
+        got = [(r.pair.id, r.score) for r in dense_retrieve(index, query, k)]
+        assert got == dense_sort_oracle(index, query, k)
 
     def test_dimension_mismatch_names_both(self):
         index = EmbeddingIndex(make_pairs(5, seed=0), _unit_rows(5, 8, 0), "t")
