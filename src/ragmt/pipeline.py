@@ -258,6 +258,11 @@ class _ContextSource:
             ]
         return self._static
 
+    def prepare(self, sources: list[str]) -> None:
+        """Ahead of the loop: embed every DENSE query in one batch."""
+        if self._retriever is not None:
+            self._retriever.prepare(sources)
+
     def examples_for(self, source: str) -> list[retrieval.RetrievedExample]:
         cfg = self.config
         if cfg.context == "NONE":
@@ -304,13 +309,17 @@ def run_experiment(
         pool = [p for p in all_pairs if p.origin in wanted]
     lexicon = load_lexicon(config.lexicon_path) if config.lexicon_mode != "NONE" else []
     drafts = load_drafts(config.draft_path) if config.draft_path else {}
-
-    if config.mode != "NMT_ONLY" and provider is None:
-        provider = build_provider(config.provider)
-
     missing = [p.id for p in test_pairs if p.id not in drafts]
     if config.draft_path and missing:
         raise ConfigError(f"draft file missing ids: {missing[:5]}")
+    if config.mode == "POST_EDIT":
+        # NMT_ONLY scores an empty draft as it is; post-editing needs text to edit
+        empty = [p.id for p in test_pairs if not drafts[p.id].strip()]
+        if empty:
+            raise ConfigError(f"POST_EDIT needs a non-empty draft; empty for ids: {empty[:5]}")
+
+    if config.mode != "NMT_ONLY" and provider is None:
+        provider = build_provider(config.provider)
 
     out_dir = Path(config.output_dir)
     manifest_path = out_dir / f"manifest-{fingerprint}.json"
@@ -336,6 +345,7 @@ def run_experiment(
         DHAO_PROFILE if config.language == "Dhao" else LanguageProfile(name=config.language)
     )
     retriever = _ContextSource(config, pool, lexicon, provider)
+    retriever.prepare([p.source_text for p in test_pairs if p.id not in done])
 
     # Retrieval and rendering stay on this thread, in test order; prompts go
     # to max_in_flight workers. The oldest is settled before another is

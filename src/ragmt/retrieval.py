@@ -10,8 +10,9 @@ sweeps reproduce exactly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +154,58 @@ def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[Retrieve
 # ChrF-counterweighted greedy retrieval
 
 
+class _GramIndex:
+    """The character n-grams (orders n_min..n_max) of a pool's source texts.
+
+    Built once per pool. ``sizes[i]`` is the number of distinct n-grams of
+    pair i. ``ids`` numbers each distinct n-gram, and the pairs holding
+    n-gram g are ``holders[starts[g]:starts[g + 1]]``, ascending. ``texts[i]``
+    numbers pair i's source text, byte-identical texts alike, and
+    ``rank[i]`` is pair i's place in (id, input position) order.
+    """
+
+    def __init__(self, pairs: list[ParallelPair], n_min: int = 2, n_max: int = 6):
+        self.pairs = list(pairs)
+        self.n_min, self.n_max = n_min, n_max
+        # an unseen n-gram takes the next number on first lookup
+        self.ids: dict[str, int] = defaultdict(itertools.count().__next__)
+        sizes, held = [], []
+        for pair in self.pairs:
+            grams = char_ngrams(pair.source_text, n_min, n_max)
+            sizes.append(len(grams))
+            held.extend(map(self.ids.__getitem__, grams))
+        self.ids.default_factory = None
+        n = len(self.pairs)
+        self.sizes = np.array(sizes, dtype=np.intp)
+        held = np.array(held, dtype=np.intp)
+        self.holders = np.repeat(np.arange(n, dtype=np.int32), self.sizes)[
+            np.argsort(held, kind="stable")
+        ]
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(held, minlength=len(self.ids)))))
+        distinct: dict[str, int] = {}
+        self.texts = np.array(
+            [distinct.setdefault(p.source_text, len(distinct)) for p in self.pairs], dtype=np.intp
+        )
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[sorted(range(n), key=lambda i: self.pairs[i].id)] = np.arange(n)
+
+    def holder_counts(self, grams) -> np.ndarray:
+        """Per pair, how many of the n-grams numbered ``grams`` it holds."""
+        held = [self.holders[self.starts[g]:self.starts[g + 1]] for g in grams]
+        return np.bincount(np.concatenate(held) if held else [], minlength=len(self.pairs))
+
+
+def _first(scores: np.ndarray, rank: np.ndarray, mask: np.ndarray) -> int | None:
+    """The pair in ``mask`` with the highest score, ties to the lowest rank."""
+    candidates = np.flatnonzero(mask)
+    if not len(candidates):
+        return None
+    top = candidates[scores[candidates] == scores[candidates].max()]
+    return int(top[np.argmin(rank[top])])
+
+
 def chrf_counterweighted_retrieve(
-    pairs: list[ParallelPair],
+    pairs: list[ParallelPair] | _GramIndex,
     query: str,
     k: int,
     gamma: float = 0.5,
@@ -163,54 +214,76 @@ def chrf_counterweighted_retrieve(
 ) -> list[RetrievedExample]:
     """Greedy diverse selection by character n-gram overlap with the query.
 
-    Each query n-gram carries a residual weight (initially 1.0). A candidate
-    scores the sum of residual weights of its distinct n-grams shared with
-    the query, divided by the candidate's distinct n-gram count. Selecting a
-    candidate decays the residual weight of every shared query n-gram by
-    gamma, steering later picks toward uncovered material. A candidate whose
-    source text is byte-identical to an already selected one is skipped while
-    any distinct candidate still has positive score.
+    Each query n-gram carries a residual weight gamma^c, c being how often
+    it was decayed so far. A candidate scores the residual weights of its
+    distinct n-grams shared with the query, summed as count_c * gamma^c in
+    ascending c (so the sum does not depend on set order), divided by the
+    candidate's distinct n-gram count. Selecting a candidate decays every
+    shared query n-gram once, steering later picks toward uncovered
+    material. A candidate whose source text is byte-identical to an already
+    selected one is skipped while any distinct candidate still has positive
+    score. Ties break by ascending pair id.
+
+    ``pairs`` may be an index built once over the pool with the same orders
+    and reused across queries (``_GramIndex``); a plain list builds one for
+    this call. Only pairs sharing an n-gram with the query score above 0,
+    and a pick rescores only the holders of the n-grams it decays.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not query.strip():
         raise ValueError("query must be non-empty")
-    query_grams = set(char_ngrams(query, n_min, n_max))
-    weights = {g: 1.0 for g in query_grams}
-
-    profiles = []
-    for idx, pair in enumerate(pairs):
-        grams = set(char_ngrams(pair.source_text, n_min, n_max))
-        profiles.append((idx, pair, grams, grams & query_grams))
+    index = pairs if isinstance(pairs, _GramIndex) else _GramIndex(pairs, n_min, n_max)
+    if (index.n_min, index.n_max) != (n_min, n_max):
+        raise ValueError("the index holds other n-gram orders")
+    n = len(index.pairs)
+    # query n-grams some pair holds -> how often each was decayed
+    decays = {index.ids[g]: 0 for g in char_ngrams(query, n_min, n_max) if g in index.ids}
+    # counts[c][i]: pair i's shared n-grams decayed c times, worth weights[c] each
+    counts = [index.holder_counts(decays)]
+    weights = [1.0]
+    sizes = np.maximum(index.sizes, 1)  # a pair without n-grams shares none and scores 0
+    scores = counts[0] * weights[0] / sizes
+    open_ = np.ones(n, dtype=bool)
+    chosen_texts = np.zeros(n, dtype=bool)
 
     selected: list[RetrievedExample] = []
-    selected_texts: set[str] = set()
-    remaining = list(profiles)
-    while remaining and len(selected) < k:
-        best = None
-        best_dup = None
-        for idx, pair, grams, shared in remaining:
-            if not grams:
-                score = 0.0
-            else:
-                score = sum(weights[g] for g in shared) / len(grams)
-            key = (-score, pair.id)
-            if gamma < 1.0 and pair.source_text in selected_texts:
-                if best_dup is None or key < best_dup[0]:
-                    best_dup = (key, idx, pair, shared, score)
-            else:
-                if best is None or key < best[0]:
-                    best = (key, idx, pair, shared, score)
-        if best is None or (best[4] <= 0.0 and best_dup is not None and best_dup[4] > 0.0):
+    while len(selected) < min(k, n):
+        dup = chosen_texts[index.texts] if gamma < 1.0 else np.zeros(n, dtype=bool)
+        best = _first(scores, index.rank, open_ & ~dup)
+        best_dup = _first(scores, index.rank, open_ & dup)
+        if best is None or (scores[best] <= 0.0 and best_dup is not None
+                            and scores[best_dup] > 0.0):
             best = best_dup
-        if best is None:
+        pair = index.pairs[best]
+        selected.append(RetrievedExample(pair=pair, score=float(scores[best]), strategy="CHRF_CW"))
+        open_[best] = False
+        chosen_texts[index.texts[best]] = True
+        if len(selected) == k:
             break
-        _, idx, pair, shared, score = best
-        selected.append(RetrievedExample(pair=pair, score=score, strategy="CHRF_CW"))
-        selected_texts.add(pair.source_text)
-        for g in shared:
-            weights[g] *= gamma
-        remaining = [item for item in remaining if item[0] != idx]
+        decayed: dict[int, list[int]] = {}  # decay count -> n-grams
+        for g in char_ngrams(pair.source_text, n_min, n_max):
+            gid = index.ids[g]
+            if gid in decays:
+                decayed.setdefault(decays[gid], []).append(gid)
+                decays[gid] += 1
+        if not decayed:
+            continue
+        while len(counts) <= max(decayed) + 1:
+            counts.append(np.zeros(n, dtype=counts[0].dtype))
+            weights.append(weights[-1] * gamma)
+        touched = np.zeros(n, dtype=bool)
+        for c, grams in decayed.items():
+            moved = index.holder_counts(grams)
+            counts[c] -= moved
+            counts[c + 1] += moved
+            touched |= moved > 0
+        # only the holders of a decayed n-gram change score
+        touched = np.flatnonzero(touched)
+        total = counts[0][touched] * weights[0]
+        for count, weight in zip(counts[1:], weights[1:]):
+            total += count[touched] * weight
+        scores[touched] = total / sizes[touched]
     return selected
 
 
@@ -277,15 +350,45 @@ def normalized_levenshtein(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
+def _reach(threshold: float, longest: int) -> int:
+    """How many edit distances d in [0, longest] keep 1 - d / longest >=
+    threshold: the condition holds up to some d, so bisect for the first
+    d where it fails."""
+    lo, hi = 0, longest + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 1.0 - mid / longest >= threshold:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _uint_of(bits: int) -> np.dtype:
+    """The narrowest unsigned integer type with at least ``bits`` bits."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.dtype(t).itemsize * 8 >= bits)
+
+
 class _TokenMatcher:
     """Distinct strings of a pool or lexicon, indexed for fuzzy lookups.
 
     ``postings`` maps each string to the indices of the items carrying it,
-    in input order; ``empty`` lists the items that carry none. Strings are
-    grouped by length so a lookup skips every length whose similarity bound
-    1 - |len(a) - len(b)| / max(len) is below the threshold: the edit
-    distance is at least the length difference, so the skip is exact.
-    Lookups are memoised per (token, threshold) for the matcher's life.
+    in input order; ``empty`` lists the items that carry none. The strings
+    are kept longest first and coded by their alphabet, one code array per
+    character position: column j holds position j of every string longer
+    than j, so the strings still being read at column j are a prefix.
+
+    A lookup takes every token not yet memoised at once and runs the
+    Myers/Hyyrö bit-vector recurrence of ``_bit_distance`` in numpy, one
+    column step over a (strings x tokens) array per character position,
+    each token being one machine word; a string's distance is final when
+    its last column is read. Strings whose similarity bound
+    1 - |len(a) - len(b)| / max(len) is below the threshold for every
+    token of the lookup are skipped: the edit distance is at least the
+    length difference, so the skip is exact. Tokens longer than 64
+    characters take the scalar ``_bit_distance`` path. Lookups are memoised
+    per (token, threshold) for the matcher's life.
     """
 
     def __init__(self, items: list, strings_per_item):
@@ -297,9 +400,21 @@ class _TokenMatcher:
                 self.empty.append(idx)
             for s in strings:
                 self.postings.setdefault(s, []).append(idx)
-        self._by_length: dict[int, list[str]] = {}
-        for s in self.postings:
-            self._by_length.setdefault(len(s), []).append(s)
+        # stable: equal lengths keep first-seen order
+        self._strings = sorted(self.postings, key=len, reverse=True)
+        self._lengths = np.array([len(s) for s in self._strings], dtype=np.intp)
+        self._alphabet: dict[str, int] = {}
+        codes = np.array(
+            [self._alphabet.setdefault(ch, len(self._alphabet))
+             for s in self._strings for ch in s],
+            dtype=np.intp,
+        )
+        starts = np.cumsum(self._lengths) - self._lengths
+        longest = int(self._lengths[0]) if self._strings else 0
+        # _longer[j]: how many strings are longer than j
+        self._longer = np.searchsorted(-self._lengths, -np.arange(longest), side="left")
+        self._columns = [codes[starts[:n] + j] for j, n in enumerate(self._longer)]
+        self._distinct_lengths = sorted(set(self._lengths.tolist()))
         self._memo: dict[tuple[str, float], list[tuple[str, float]]] = {}
 
     @classmethod
@@ -312,25 +427,106 @@ class _TokenMatcher:
         """The lowered headword of each entry."""
         return cls(lexicon, ((e.source_word.lower(),) for e in lexicon))
 
-    def matches(self, token: str, threshold: float) -> list[tuple[str, float]]:
-        """Indexed strings s with normalized_levenshtein(token, s) >= threshold,
-        paired with that similarity; ``token`` must be non-empty."""
-        key = (token, threshold)
-        found = self._memo.get(key)
-        if found is None:
-            found = []
-            m = len(token)
-            masks = _pattern_masks(token)
-            for length, strings in self._by_length.items():
-                longest = max(m, length)
-                if 1.0 - abs(m - length) / longest < threshold:
-                    continue
-                for s in strings:
-                    sim = 1.0 - _bit_distance(masks, m, s) / longest
-                    if sim >= threshold:
-                        found.append((s, sim))
-            self._memo[key] = found
+    def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
+        """Per token, the indexed strings s with normalized_levenshtein(token,
+        s) >= threshold, paired with that similarity; tokens must be
+        non-empty."""
+        new = [t for t in dict.fromkeys(tokens) if (t, threshold) not in self._memo]
+        words = [t for t in new if len(t) <= 64]
+        if self._strings:
+            # a few dozen tokens at a time bound the (strings x tokens) arrays
+            for i in range(0, len(words), 32):
+                self._lookup(words[i:i + 32], threshold)
+        for token in new:
+            if (token, threshold) not in self._memo:
+                self._memo[(token, threshold)] = self._scan(token, threshold)
+        return {t: self._memo[(t, threshold)] for t in tokens}
+
+    def _scan(self, token: str, threshold: float) -> list[tuple[str, float]]:
+        """One token against each string of a length it may match, in Python."""
+        m = len(token)
+        masks = _pattern_masks(token)
+        reach = {L: _reach(threshold, max(m, L)) for L in self._distinct_lengths}
+        found = []
+        for s in self._strings:
+            if abs(m - len(s)) < reach[len(s)]:
+                d = _bit_distance(masks, m, s)
+                if d < reach[len(s)]:
+                    found.append((s, 1.0 - d / max(m, len(s))))
         return found
+
+    def _lookup(self, tokens: list[str], threshold: float) -> None:
+        """Memoise the matches of tokens of at most 64 characters, all at once."""
+        m = [len(t) for t in tokens]
+        top = max(max(m), self._distinct_lengths[-1])
+        # reach[q, L]: distances below it keep tokens[q] and a string of
+        # length L similar enough; similarities are computed in Python only,
+        # as normalized_levenshtein computes them. The type holds every
+        # token's bits and every distance, so all the steps run in it.
+        word = _uint_of(max(max(m), (top + 1).bit_length()))
+        reach = np.zeros((len(tokens), top + 1), dtype=word)
+        for q, mq in enumerate(m):
+            for length in self._distinct_lengths:
+                reach[q, length] = _reach(threshold, max(mq, length))
+        keep = np.zeros(top + 1, dtype=bool)
+        for length in self._distinct_lengths:
+            keep[length] = any(abs(mq - length) < reach[q, length] for q, mq in enumerate(m))
+        rows = np.flatnonzero(keep[self._lengths])  # ascending, so still longest first
+        for token in tokens:
+            self._memo[(token, threshold)] = []
+        if not len(rows):
+            return
+        lengths = self._lengths[rows]
+        # peq[c, q]: bit i set where tokens[q][i] is alphabet character c;
+        # token characters outside the alphabet match no string
+        peq = np.zeros((len(self._alphabet), len(tokens)), dtype=word)
+        for q, token in enumerate(tokens):
+            for ch, bits in _pattern_masks(token).items():
+                c = self._alphabet.get(ch)
+                if c is not None:
+                    peq[c, q] = bits
+        shape = (len(rows), len(tokens))
+        # bits above a token's length never reach its bit m - 1, so the words
+        # need no masking: pv starts all ones
+        pv = np.full(shape, np.iinfo(word).max, dtype=word)
+        mv = np.zeros(shape, dtype=word)
+        xv, xh, eq, bit, dist = (np.empty(shape, dtype=word) for _ in range(5))
+        dist[:] = m
+        last = np.array(m, dtype=word) - word.type(1)
+        one = word.type(1)
+        # rows[:n], the kept strings longer than j, read column j; the others
+        # keep the distance at their own last column
+        for j, n in enumerate(np.searchsorted(rows, self._longer[:lengths[0]])):
+            P, M, X, H, E, B, D = pv[:n], mv[:n], xv[:n], xh[:n], eq[:n], bit[:n], dist[:n]
+            np.take(peq, self._columns[j][rows[:n]], axis=0, out=E)
+            np.bitwise_or(E, M, out=X)
+            np.bitwise_and(E, P, out=H)
+            np.add(H, P, out=H)
+            np.bitwise_xor(H, P, out=H)
+            np.bitwise_or(H, E, out=H)
+            np.bitwise_and(P, H, out=E)  # E is now mh
+            np.bitwise_or(H, P, out=H)
+            np.invert(H, out=H)
+            np.bitwise_or(H, M, out=H)  # H is now ph
+            np.right_shift(H, last, out=B)
+            np.bitwise_and(B, one, out=B)
+            np.add(D, B, out=D)
+            np.right_shift(E, last, out=B)
+            np.bitwise_and(B, one, out=B)
+            np.subtract(D, B, out=D)
+            # row 0 of the edit-distance matrix grows by one per column
+            np.left_shift(H, one, out=H)
+            np.bitwise_or(H, one, out=H)
+            np.left_shift(E, one, out=E)
+            np.bitwise_and(H, X, out=M)
+            np.bitwise_or(X, H, out=X)
+            np.invert(X, out=X)
+            np.bitwise_or(X, E, out=P)
+        hit_rows, hit_tokens = np.nonzero(dist < reach[:, lengths].T)
+        for r, q, d in zip(rows[hit_rows].tolist(), hit_tokens.tolist(),
+                           dist[hit_rows, hit_tokens].tolist()):
+            s = self._strings[r]
+            self._memo[(tokens[q], threshold)].append((s, 1.0 - d / max(m[q], len(s))))
 
 
 def fuzzy_word_retrieve(
@@ -354,10 +550,12 @@ def fuzzy_word_retrieve(
     index = pairs if isinstance(pairs, _TokenMatcher) else _TokenMatcher.over_pairs(pairs)
     pairs = index.items
 
+    tokens = word_tokenize(query)
+    found = index.matches(tokens, threshold)
     best_by_id: dict[str, RetrievedExample] = {}
-    for token in word_tokenize(query):
+    for token in tokens:
         doc_best: dict[int, float] = {}
-        for s, sim in index.matches(token, threshold):
+        for s, sim in found[token]:
             for idx in index.postings[s]:
                 if sim > doc_best.get(idx, -1.0):
                     doc_best[idx] = sim
@@ -387,9 +585,9 @@ class Retriever:
     """One sentence strategy over a pool, queried sentence by sentence.
 
     ``strategy`` is BM25, DENSE, CHRF_CW or FUZZY_WORD. The strategy's
-    index (BM25, the pool's embeddings via ``provider.embed``, or the fuzzy
-    token index) is built on the first query and reused for every later
-    one; CHRF_CW needs none. ``gamma`` is CHRF_CW's counterweight.
+    index (BM25, the pool's embeddings via ``provider.embed``, the chrF-CW
+    n-gram index or the fuzzy token index) is built on the first query and
+    reused for every later one. ``gamma`` is CHRF_CW's counterweight.
     """
 
     def __init__(self, strategy: str, pairs: list[ParallelPair], gamma: float = 0.5,
@@ -403,6 +601,7 @@ class Retriever:
         self.gamma = gamma
         self.provider = provider
         self._index = None
+        self._query_vectors: dict[str, list[float]] = {}
 
     def _build_index(self):
         if self.strategy == "BM25":
@@ -412,7 +611,18 @@ class Retriever:
             return EmbeddingIndex(self.pairs, batch.vectors, self.provider.fingerprint)
         if self.strategy == "FUZZY_WORD":
             return _TokenMatcher.over_pairs(self.pairs)
-        return self.pairs
+        return _GramIndex(self.pairs)
+
+    def prepare(self, queries: list[str]) -> None:
+        """For DENSE, build the index and embed all ``queries`` in one
+        ``provider.embed`` call, so retrieving for them sends no request;
+        the other strategies need nothing ahead."""
+        if self.strategy != "DENSE" or not queries:
+            return
+        if self._index is None:
+            self._index = self._build_index()
+        batch = self.provider.embed(queries)
+        self._query_vectors.update(zip(batch.inputs, batch.vectors))
 
     def retrieve(self, query: str, size: int) -> list[RetrievedExample]:
         """The examples for one query; ``size`` is k, or n for FUZZY_WORD."""
@@ -421,7 +631,9 @@ class Retriever:
         if self.strategy == "BM25":
             return bm25_retrieve(self._index, query, size)
         if self.strategy == "DENSE":
-            query_vector = self.provider.embed([query]).vectors[0]
+            query_vector = self._query_vectors.get(query)
+            if query_vector is None:
+                query_vector = self.provider.embed([query]).vectors[0]
             return dense_retrieve(self._index, query_vector, size)
         if self.strategy == "CHRF_CW":
             return chrf_counterweighted_retrieve(self._index, query, size, gamma=self.gamma)
@@ -448,11 +660,11 @@ def lexicon_fuzzy_retrieve(
         raise ValueError("n must be >= 1")
     index = lexicon if isinstance(lexicon, _TokenMatcher) else _TokenMatcher.over_lexicon(lexicon)
     entries = index.items
+    tokens = word_tokenize(query)
+    found = index.matches(tokens, threshold)
     best: dict[tuple, RetrievedLexicon] = {}
-    for token in word_tokenize(query):
-        scored = [
-            (idx, sim) for s, sim in index.matches(token, threshold) for idx in index.postings[s]
-        ]
+    for token in tokens:
+        scored = [(idx, sim) for s, sim in found[token] for idx in index.postings[s]]
         top = heapq.nsmallest(
             n, scored, key=lambda item: (-item[1], entries[item[0]].source_word, item[0])
         )

@@ -522,6 +522,75 @@ def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):
     assert sorted(built) == ["LexiconEntry", "ParallelPair"]
 
 
+class TestDenseQueryBatch:
+    def _run(self, tmp_path, name):
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(
+                base_url=server.base_url, model_name="mock-chat",
+                embedding_model_name="mock-embed", embed_batch_size=4,
+            )
+            config = base_config(tmp_path, mode="POST_EDIT", context="DENSE", k=3,
+                                 provider=provider_config, output_dir=str(tmp_path / name))
+            run_experiment(config, resume=False)
+            embeds = [r for r in server.requests if r["path"].endswith("/embeddings")]
+        files = sorted(Path(config.output_dir).glob("*.json"))
+        return len(embeds), [(f.name, f.read_bytes()) for f in files]
+
+    def test_queries_embedded_ahead_in_chunks(self, tmp_path, monkeypatch):
+        pool = {p.source_text for p in load_parallel(DEMO_DATA / "corpus.tsv")
+                if p.origin == "NT"}
+        tests = load_parallel(DEMO_DATA / "test.tsv")
+        queries = {p.source_text for p in tests}
+        requests, files = self._run(tmp_path, "batched")
+        assert requests == -(-len(pool) // 4) + -(-len(queries) // 4)
+        # the same run embedding one query per request, as retrieval did before
+        monkeypatch.setattr(retrieval.Retriever, "prepare", lambda self, queries: None)
+        one_by_one, files_one_by_one = self._run(tmp_path, "one_by_one")
+        assert one_by_one == -(-len(pool) // 4) + len(tests)
+        assert len(files) == 2
+        assert files == files_one_by_one
+
+
+class TestEmptyDrafts:
+    @staticmethod
+    def drafts_with_blank(tmp_path) -> str:
+        """The demo drafts with the second one whitespace only."""
+        rows = (DEMO_DATA / "drafts.tsv").read_text(encoding="utf-8").splitlines()
+        rows[1] = rows[1].split("\t")[0] + "\t  "
+        path = tmp_path / "drafts.tsv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_postedit_rejected_before_any_request(self, tmp_path):
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(base_url=server.base_url, model_name="mock-chat")
+            config = base_config(tmp_path, mode="POST_EDIT", provider=provider_config,
+                                 draft_path=self.drafts_with_blank(tmp_path))
+            with pytest.raises(ConfigError, match="empty"):
+                run_experiment(config, resume=False)
+            assert server.requests == []
+        assert not Path(config.output_dir).exists()
+
+    def test_sweep_marks_the_cells_and_continues(self, tmp_path):
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(base_url=server.base_url, model_name="mock-chat")
+            config = base_config(tmp_path, mode="POST_EDIT", context="BM25", k=1,
+                                 provider=provider_config,
+                                 draft_path=self.drafts_with_blank(tmp_path))
+            rows = sweep(config, [1, 2])
+            assert server.requests == []
+        assert [r["k_or_n"] for r in rows] == [1, 2]
+        assert all("empty" in r["error"] for r in rows)
+
+    def test_nmt_only_scores_an_empty_draft(self, tmp_path):
+        _, manifest = run_experiment(
+            base_config(tmp_path, draft_path=self.drafts_with_blank(tmp_path)), resume=False
+        )
+        blank = manifest.records[1]
+        assert blank.completion == "  "
+        assert blank.error is None and blank.chrf is not None
+
+
 class TestSweep:
     def test_fuzzy_sweep_reports_effective_k(self, tmp_path):
         kwargs = dict(mode="POST_EDIT", context="FUZZY_WORD", n=1)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,10 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import WORDS, make_pairs
-from ragmt.corpus import LexiconEntry, ParallelPair
+from conftest import REPO_ROOT, WORDS, make_pairs
+from ragmt.corpus import LexiconEntry, ParallelPair, load_parallel
 from ragmt.retrieval import (
     Bm25Index,
+    _GramIndex,
     _TokenMatcher,
     EmbeddingIndex,
     bm25_retrieve,
@@ -148,23 +154,62 @@ def lexicon_fuzzy_oracle(lexicon, query, n, threshold):
 
 
 def chrf_cw_oracle(pairs, query, k, gamma=0.5):
-    """Reference greedy loop, recomputed from scratch each round."""
+    """Reference greedy loop, every score recomputed each round. A query
+    n-gram decayed c times weighs gamma^c (c repeated products); a pair's
+    shared n-grams are summed as count_c * gamma^c in ascending c."""
     qgrams = set(char_ngrams(query, 2, 6))
-    weights = dict.fromkeys(qgrams, 1.0)
+    decays = dict.fromkeys(qgrams, 0)
+    weights = [1.0]
     pool = {p.id: p for p in pairs}
     picked = []
     while pool and len(picked) < k:
         scores = {}
         for pid, p in pool.items():
             grams = set(char_ngrams(p.source_text, 2, 6))
+            per_decay = Counter(decays[g] for g in grams & qgrams)
             scores[pid] = (
-                sum(weights[g] for g in grams & qgrams) / len(grams) if grams else 0.0
+                sum(n * weights[c] for c, n in sorted(per_decay.items())) / len(grams)
+                if grams else 0.0
             )
         pid = min(pool, key=lambda i: (-scores[i], i))
         picked.append((pid, scores[pid]))
         for g in set(char_ngrams(pool[pid].source_text, 2, 6)) & qgrams:
-            weights[g] *= gamma
+            decays[g] += 1
+        weights.append(weights[-1] * gamma)
         del pool[pid]
+    return picked
+
+
+def chrf_cw_dedup_oracle(pairs, query, k, gamma):
+    """chrf_cw_oracle with the duplicate rule: while gamma < 1, a pair whose
+    text was already picked is taken only when no other pair scores above
+    0 and it does; ties break by (id, input position)."""
+    qgrams = set(char_ngrams(query, 2, 6))
+    decays = dict.fromkeys(qgrams, 0)
+    weights = [1.0]
+    pool = list(enumerate(pairs))
+    picked, texts = [], set()
+    while pool and len(picked) < k:
+        scored = []
+        for pos, p in pool:
+            grams = set(char_ngrams(p.source_text, 2, 6))
+            per_decay = Counter(decays[g] for g in grams & qgrams)
+            score = (sum(n * weights[c] for c, n in sorted(per_decay.items())) / len(grams)
+                     if grams else 0.0)
+            scored.append(((-score, p.id, pos), score, p))
+        fresh = [s for s in scored if gamma >= 1.0 or s[2].source_text not in texts]
+        seen = [s for s in scored if gamma < 1.0 and s[2].source_text in texts]
+        best = min(fresh, default=None)
+        best_seen = min(seen, default=None)
+        if best is None or (best[1] <= 0.0 and best_seen is not None and best_seen[1] > 0.0):
+            best = best_seen
+        (_, _, pos), score, p = best
+        picked.append((p.id, score))
+        texts.add(p.source_text)
+        for g in set(char_ngrams(p.source_text, 2, 6)) & qgrams:
+            decays[g] += 1
+        weights.append(weights[-1] * gamma)
+        pool = [item for item in pool if item[0] != pos]
     return picked
 
 
@@ -276,6 +321,19 @@ class TestDense:
 # ChrF-counterweighted
 
 
+# Few letters and spaces: many shared n-grams, exact ties, duplicate texts
+# and texts without any n-gram ("a", " "); "d" is never in a pool.
+_cw_texts = st.text(alphabet="ab cd", min_size=1, max_size=8)
+
+
+@st.composite
+def _cw_pools(draw):
+    texts = draw(st.lists(_cw_texts.map(lambda t: t.replace("d", "a")), min_size=1, max_size=5))
+    sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=8))
+    order = draw(st.permutations(range(len(sources))))
+    return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
+
+
 class TestChrfCounterweighted:
     def test_k1_equals_plain_top1(self):
         pairs = make_pairs(30, seed=7)
@@ -322,6 +380,62 @@ class TestChrfCounterweighted:
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
             chrf_counterweighted_retrieve(make_pairs(5, seed=0), "  ", 2)
+
+    @given(st.data(), _cw_pools(), st.sampled_from([0.3, 0.5, 0.7, 1.0]), st.integers(1, 10))
+    def test_shared_index_matches_oracle(self, data, pairs, gamma, k):
+        index = _GramIndex(pairs)
+        for _ in range(2):
+            query = data.draw(_cw_texts.filter(str.strip))
+            want = chrf_cw_dedup_oracle(pairs, query, k, gamma)
+            for source in (index, pairs):
+                got = chrf_counterweighted_retrieve(source, query, k, gamma=gamma)
+                assert [(r.pair.id, r.score) for r in got] == want
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.7])
+    def test_matches_oracle_exactly_off_powers_of_two(self, gamma):
+        # weights that are not powers of two round differently when summed
+        # in another order, so exact scores pin the summation order
+        pairs = make_pairs(150, seed=19)
+        index = _GramIndex(pairs)
+        rng = random.Random(gamma)
+        for _ in range(3):
+            query = " ".join(rng.choice(WORDS) for _ in range(6))
+            got = chrf_counterweighted_retrieve(index, query, 10, gamma=gamma)
+            assert [(r.pair.id, r.score) for r in got] == chrf_cw_oracle(pairs, query, 10, gamma)
+
+    def test_index_orders_must_match(self):
+        with pytest.raises(ValueError, match="orders"):
+            chrf_counterweighted_retrieve(_GramIndex(make_pairs(5, seed=0)), "water", 2, n_max=4)
+
+    def test_scores_do_not_depend_on_the_hash_seed(self):
+        # gamma 0.3 and 0.7 give weights whose float sums round differently
+        # in different orders; set order follows PYTHONHASHSEED
+        script = f"""
+import json, random
+from ragmt.corpus import ParallelPair
+from ragmt.retrieval import chrf_counterweighted_retrieve
+rng = random.Random(0)
+words = {WORDS!r}
+pairs = [ParallelPair(f"d{{i:03d}}", " ".join(rng.choice(words) for _ in range(8)), "t", "NT")
+         for i in range(150)]
+out = []
+for gamma in (0.3, 0.7):
+    for _ in range(4):
+        query = " ".join(rng.choice(words) for _ in range(6))
+        out.append([(r.pair.id, r.score.hex())
+                    for r in chrf_counterweighted_retrieve(pairs, query, 10, gamma=gamma)])
+print(json.dumps(out))
+"""
+        path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        runs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            ).stdout)
+            for seed in ("0", "1")
+        ]
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 8 and all(len(ids) == 10 for ids in runs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +511,54 @@ def _queries(draw, vocabulary):
 
 _thresholds = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=4)
 
+# Words of 60-75 characters, prefixes of one long word with an optional
+# extra letter: long words match each other, some one edit apart, and
+# tokens over 64 characters take the scalar path.
+_LONG = "abéab漢cab" * 9
+_long_words = st.tuples(st.integers(60, 74), st.sampled_from(["", "a", "é", "漢"])).map(
+    lambda t: _LONG[:t[0]] + t[1]
+)
+_pool_words = _words | _words | _long_words
+_pool_texts = st.lists(_pool_words, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def _match_pools(draw):
+    """_pools, with long words among the short ones."""
+    texts = draw(st.lists(_pool_texts, min_size=1, max_size=5))
+    sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=8))
+    order = draw(st.permutations(range(len(sources))))
+    return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
+
+
+@st.composite
+def _match_queries(draw, vocabulary):
+    """Pool words, new short and long words, and words with characters no
+    pool word has ("z", "ü")."""
+    foreign = st.text(alphabet="azü", min_size=1, max_size=5).filter(lambda w: w.strip("a"))
+    words = draw(st.lists(st.sampled_from(vocabulary) | _pool_words | foreign, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
+    return " ".join(words + repeats)
+
+
+def brute_matches(token, strings, threshold):
+    """Every (string, similarity) at or above the threshold, by the DP oracle."""
+    found = []
+    for s in strings:
+        sim = 1 - edit_distance_oracle(token, s) / max(len(token), len(s))
+        if sim >= threshold:
+            found.append((s, sim))
+    return sorted(found)
+
+
+def _load_generator():
+    """perfbench/gen.py, the benchmark's input generator (read, not changed)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  REPO_ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def _fuzzy_rows(results):
     return [(r.pair.id, r.score, r.matched_token) for r in results]
@@ -438,6 +600,57 @@ class TestFuzzyIndexProperties:
                                                                            threshold)]
             assert _lexicon_rows(lexicon_fuzzy_retrieve(index, query, n, threshold)) == want
             assert _lexicon_rows(lexicon_fuzzy_retrieve(lexicon, query, n, threshold)) == want
+
+    @given(st.data(), _match_pools(), st.integers(1, 3), _thresholds)
+    def test_batched_matcher_matches_oracle(self, data, pairs, n, thresholds):
+        # one pool matcher and one lexicon matcher over the same words, each
+        # reused across queries and thresholds
+        index = _TokenMatcher.over_pairs(pairs)
+        types = sorted({t for p in pairs for t in word_tokenize(p.source_text)})
+        lexicon = [LexiconEntry(t, "x") for t in types] or [LexiconEntry("a", "x")]
+        lexicon_index = _TokenMatcher.over_lexicon(lexicon)
+        vocabulary = [t for p in pairs for t in p.source_text.split()]
+        for threshold in thresholds:
+            query = data.draw(_match_queries(vocabulary))
+            tokens = word_tokenize(query)
+            found = index.matches(tokens, threshold)
+            for token in tokens:
+                assert sorted(found[token]) == brute_matches(token, types, threshold)
+            assert _fuzzy_rows(fuzzy_word_retrieve(index, query, n, threshold)) == (
+                fuzzy_word_oracle(pairs, query, n, threshold))
+            want = [(s, id(e), tok) for s, e, tok in lexicon_fuzzy_oracle(lexicon, query, n,
+                                                                           threshold)]
+            assert _lexicon_rows(lexicon_fuzzy_retrieve(lexicon_index, query, n,
+                                                        threshold)) == want
+
+    def test_long_words_around_the_threshold(self):
+        # one to fourteen edits apart, against thresholds that cut between
+        # them, for tokens up to 64 characters (numpy) and over (Python)
+        words = [_LONG[:n] for n in range(60, 75)] + [_LONG[:66] + "é", "ab" * 40]
+        pairs = [ParallelPair(f"p{i:02d}", w, "t", "NT") for i, w in enumerate(words)]
+        index = _TokenMatcher.over_pairs(pairs)
+        tokens = words + [_LONG[:70] + "zz", "é" * 65]
+        distances = {(t, w): edit_distance_oracle(t, w) for t in tokens for w in words}
+        for threshold in (0.0, 0.5, 0.97, 1.0):
+            found = index.matches(tokens, threshold)
+            for token in tokens:
+                want = []
+                for w in words:
+                    sim = 1 - distances[token, w] / max(len(token), len(w))
+                    if sim >= threshold:
+                        want.append((w, sim))
+                assert sorted(found[token]) == sorted(want)
+
+    def test_generated_vocabulary_matches_brute_force(self, tmp_path):
+        paths = _load_generator().generate(0, tmp_path, nt=40, grammar=4, test=4, lexicon=10)
+        pool = load_parallel(paths["corpus"])
+        types = sorted({t for p in pool for t in word_tokenize(p.source_text)})
+        tokens = sorted({t for p in load_parallel(paths["test"])
+                         for t in word_tokenize(p.source_text)})
+        found = _TokenMatcher.over_pairs(pool).matches(tokens, 0.5)
+        assert len(tokens) > 50 and len(types) > 200
+        for token in tokens:
+            assert sorted(found[token]) == brute_matches(token, types, 0.5)
 
     def test_memo_keyed_by_threshold(self):
         pairs = [ParallelPair("p1", "fathers", "t", "NT"), ParallelPair("p2", "!!", "t", "NT")]
