@@ -172,10 +172,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     config = pipeline.ExperimentConfig.load(args.config)
-    values = [int(v) for v in args.values.split(",")]
-    rows = pipeline.sweep(config, values, csv_path=args.csv)
+    rows = pipeline.sweep(config, args.values, csv_path=args.csv)
     _emit(rows)
     return 0
 
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep k or n over one strategy")
     p.add_argument("--config", required=True)
-    p.add_argument("--values", required=True, help="comma-separated ints")
+    p.add_argument("--values", required=True, type=_int_list, help="comma-separated ints")
     p.add_argument("--csv", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
 

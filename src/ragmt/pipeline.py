@@ -1,12 +1,18 @@
 """Experiment orchestration: baselines, retrieval sweeps, and comparisons.
 
-A run walks the test set sentence by sentence: retrieve context per the
-config and render the prompt on the calling thread, send the prompt to the
-provider from a pool of ``max_in_flight`` worker threads (or score the
-supplied draft directly in NMT_ONLY mode), then score everything with
-chrF++ and BLEU. Records are kept in test order, so a run's files do not
-depend on ``max_in_flight``. Every run persists a manifest so interrupted
-sweeps can resume and every completion stays traceable to a cached exchange.
+A run goes through three stages. Load reads and checks the inputs, hashes
+them and builds the provider. Plan retrieves each test sentence's examples
+and lexicon entries, once per sweep: at the sweep's largest k or n, with
+one retriever and one lexicon matcher, as the first cell reaches each
+sentence. Dispatch runs one cell: render each prompt on the calling
+thread, send it to the provider from a pool of ``max_in_flight`` worker
+threads (or score the supplied draft directly in NMT_ONLY mode), then
+score everything with chrF++ and BLEU. ``run_experiment`` is one load, one
+plan and one dispatch; ``sweep`` is one load, one plan and a dispatch per
+value, and each of its cells writes the files a single run would. Records
+are kept in test order, so a run's files do not depend on
+``max_in_flight``. Every run persists a manifest so interrupted sweeps can
+resume and every completion stays traceable to a cached exchange.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import random
 import statistics
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -228,85 +235,36 @@ def load_drafts(path: str | Path) -> dict[str, str]:
     return drafts
 
 
-class _ContextSource:
-    """Per-sentence examples and lexicon entries for one experiment cell;
-    each index or static draw is made on first use and kept for the cell."""
+@dataclass
+class _Inputs:
+    """What every cell of a sweep shares: the loaded inputs, their content
+    hashes and the provider."""
 
-    def __init__(self, config: ExperimentConfig, pool: list[ParallelPair],
-                 lexicon: list[LexiconEntry], provider):
-        self.config = config
-        self.pool = pool
-        self.lexicon = lexicon
-        self._retriever: retrieval.Retriever | None = None
-        if config.context not in ("NONE", "STATIC_K"):
-            self._retriever = retrieval.Retriever(
-                config.context, pool, gamma=config.gamma, provider=provider
-            )
-        self._lexicon_index: retrieval._TokenMatcher | None = None
-        self._static: list[retrieval.RetrievedExample] | None = None
-
-    def _static_examples(self) -> list[retrieval.RetrievedExample]:
-        # fixed corpus-wide: the same seeded draw is reused for every sentence
-        if self._static is None:
-            nt = [p for p in self.pool if p.origin == "NT"]
-            if len(nt) < self.config.k:
-                raise ConfigError(f"STATIC_K: only {len(nt)} NT pairs for k={self.config.k}")
-            chosen = random.Random(self.config.static_seed).sample(nt, self.config.k)
-            self._static = [
-                retrieval.RetrievedExample(pair=p, score=1.0, strategy="STATIC")
-                for p in chosen
-            ]
-        return self._static
-
-    def prepare(self, sources: list[str]) -> None:
-        """Ahead of the loop: embed every DENSE query in one batch."""
-        if self._retriever is not None:
-            self._retriever.prepare(sources)
-
-    def examples_for(self, source: str) -> list[retrieval.RetrievedExample]:
-        cfg = self.config
-        if cfg.context == "NONE":
-            return []
-        if cfg.context == "STATIC_K":
-            return self._static_examples()
-        return self._retriever.retrieve(source, cfg.n if cfg.context == "FUZZY_WORD" else cfg.k)
-
-    def lexicon_for(self, source: str) -> list[retrieval.RetrievedLexicon]:
-        cfg = self.config
-        if cfg.lexicon_mode == "NONE":
-            return []
-        if cfg.lexicon_mode == "FULL":
-            return retrieval.lexicon_full(self.lexicon)
-        if self._lexicon_index is None:
-            self._lexicon_index = retrieval._TokenMatcher.over_lexicon(self.lexicon)
-        return retrieval.lexicon_fuzzy_retrieve(self._lexicon_index, source, cfg.lexicon_n)
+    test_pairs: list[ParallelPair]
+    pool: list[ParallelPair]
+    lexicon: list[LexiconEntry]
+    drafts: dict[str, str]
+    corpus_hashes: dict
+    provider: object
 
 
-def _completion_text(provider, rendered) -> str:
-    return provider.complete(rendered).response_text
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    provider=None,
-    resume: bool = True,
-) -> tuple[EvalReport, RunManifest]:
-    """Execute one experiment cell and return (report, manifest).
-
-    A provider failure stops sending prompts and aborts the run once the
-    ones in flight have settled; the partial manifest keeps every completed
-    sentence and the first failed one, and rerunning with ``resume=True``
-    skips the completed sentences.
-    """
-    fingerprint = config.fingerprint()
+def _load(config: ExperimentConfig, provider) -> _Inputs:
+    """Load stage: read and check the inputs, hash them and build the
+    provider, before any request. ``config`` may be any cell of a sweep,
+    since its cells differ only in k or n."""
     test_pairs = load_parallel(config.test_path)
     if not test_pairs:
         raise ConfigError("test set is empty")
     pool: list[ParallelPair] = []
-    if config.context not in ("NONE",):
+    if config.context != "NONE":
         all_pairs = load_parallel(config.corpus_path)
         wanted = ("NT",) if config.retrieval_corpus == "NT" else ("NT", "GRAMMAR")
         pool = [p for p in all_pairs if p.origin in wanted]
+        if not pool:
+            raise ConfigError(
+                f"{config.context}: the retrieval pool is empty "
+                f"(no {' or '.join(wanted)} pairs in {config.corpus_path})"
+            )
     lexicon = load_lexicon(config.lexicon_path) if config.lexicon_mode != "NONE" else []
     drafts = load_drafts(config.draft_path) if config.draft_path else {}
     missing = [p.id for p in test_pairs if p.id not in drafts]
@@ -320,18 +278,118 @@ def run_experiment(
 
     if config.mode != "NMT_ONLY" and provider is None:
         provider = build_provider(config.provider)
-
-    out_dir = Path(config.output_dir)
-    manifest_path = out_dir / f"manifest-{fingerprint}.json"
-    manifest = RunManifest(
-        config_fingerprint=fingerprint,
+    return _Inputs(
+        test_pairs=test_pairs,
+        pool=pool,
+        lexicon=lexicon,
+        drafts=drafts,
         corpus_hashes={
             "test": _pairs_hash(test_pairs),
             "pool": _pairs_hash(pool),
             "lexicon": _rows_hash((e.source_word, e.pos or "", e.target_word) for e in lexicon),
             "drafts": _rows_hash(drafts.items()),
         },
+        provider=provider,
     )
+
+
+def _size(config: ExperimentConfig) -> int | None:
+    """How many examples a cell asks for: n for FUZZY_WORD, else k."""
+    return config.n if config.context == "FUZZY_WORD" else config.k
+
+
+class _Plan:
+    """Plan stage: each test sentence's examples and lexicon entries,
+    retrieved once for all the cells of a sweep, by one retriever and one
+    lexicon matcher.
+
+    Examples are retrieved at ``size``, the largest any cell asks for, and
+    each cell reads its own size from them (``Retriever.prefixes``). A
+    sentence is planned when the first cell reaches it, so the first request
+    waits for no other sentence's retrieval. STATIC_K draws per k instead:
+    a seeded sample of k is not a prefix of a larger one.
+    """
+
+    def __init__(self, config: ExperimentConfig, inputs: _Inputs, size: int | None):
+        self.config = config
+        self.inputs = inputs
+        self.size = size
+        self._retriever: retrieval.Retriever | None = None
+        if config.context not in ("NONE", "STATIC_K"):
+            self._retriever = retrieval.Retriever(
+                config.context, inputs.pool, gamma=config.gamma, provider=inputs.provider
+            )
+        self._lexicon_index: retrieval._TokenMatcher | None = None
+        self._examples: dict[int, Callable[[int], list[retrieval.RetrievedExample]]] = {}
+        self._lexicon: dict[int, list[retrieval.RetrievedLexicon]] = {}
+        self._static: dict[int, list[retrieval.RetrievedExample]] = {}
+
+    def prepare(self, indices: list[int]) -> None:
+        """Ahead of a cell's loop: embed the DENSE queries of the test
+        sentences at ``indices`` not planned yet, in one batch."""
+        if self._retriever is not None:
+            self._retriever.prepare([
+                self.inputs.test_pairs[i].source_text for i in indices if i not in self._examples
+            ])
+
+    def _static_examples(self, k: int) -> list[retrieval.RetrievedExample]:
+        # fixed corpus-wide: the same seeded draw is reused for every sentence
+        if k not in self._static:
+            nt = [p for p in self.inputs.pool if p.origin == "NT"]
+            if len(nt) < k:
+                raise ConfigError(f"STATIC_K: only {len(nt)} NT pairs for k={k}")
+            chosen = random.Random(self.config.static_seed).sample(nt, k)
+            self._static[k] = [
+                retrieval.RetrievedExample(pair=p, score=1.0, strategy="STATIC")
+                for p in chosen
+            ]
+        return self._static[k]
+
+    def examples(self, i: int, size: int | None) -> list[retrieval.RetrievedExample]:
+        """The examples of test sentence ``i`` for a cell asking for ``size``."""
+        if self.config.context == "NONE":
+            return []
+        if self.config.context == "STATIC_K":
+            return self._static_examples(size)
+        if i not in self._examples:
+            self._examples[i] = self._retriever.prefixes(
+                self.inputs.test_pairs[i].source_text, self.size
+            )
+        return self._examples[i](size)
+
+    def lexicon(self, i: int) -> list[retrieval.RetrievedLexicon]:
+        """The lexicon entries of test sentence ``i``; every cell has the same."""
+        cfg = self.config
+        if cfg.lexicon_mode == "NONE":
+            return []
+        if cfg.lexicon_mode == "FULL":
+            return retrieval.lexicon_full(self.inputs.lexicon)
+        if i not in self._lexicon:
+            if self._lexicon_index is None:
+                self._lexicon_index = retrieval._TokenMatcher.over_lexicon(self.inputs.lexicon)
+            self._lexicon[i] = retrieval.lexicon_fuzzy_retrieve(
+                self._lexicon_index, self.inputs.test_pairs[i].source_text, cfg.lexicon_n
+            )
+        return self._lexicon[i]
+
+
+def _completion_text(provider, rendered) -> str:
+    return provider.complete(rendered).response_text
+
+
+def _dispatch(config: ExperimentConfig, plan: _Plan, resume: bool) -> tuple[EvalReport, RunManifest]:
+    """Dispatch stage: render, send, score and save one cell of the plan.
+
+    A provider failure stops sending prompts and aborts the cell once the
+    ones in flight have settled; the partial manifest keeps every completed
+    sentence and the first failed one.
+    """
+    inputs = plan.inputs
+    fingerprint = config.fingerprint()
+    out_dir = Path(config.output_dir)
+    manifest_path = out_dir / f"manifest-{fingerprint}.json"
+    manifest = RunManifest(config_fingerprint=fingerprint,
+                           corpus_hashes=dict(inputs.corpus_hashes))
     done: dict[str, SentenceRecord] = {}
     if resume and manifest_path.exists():
         prior = RunManifest.load(manifest_path)
@@ -344,8 +402,8 @@ def run_experiment(
     profile = (
         DHAO_PROFILE if config.language == "Dhao" else LanguageProfile(name=config.language)
     )
-    retriever = _ContextSource(config, pool, lexicon, provider)
-    retriever.prepare([p.source_text for p in test_pairs if p.id not in done])
+    size = _size(config)
+    plan.prepare([i for i, p in enumerate(inputs.test_pairs) if p.id not in done])
 
     # Retrieval and rendering stay on this thread, in test order; prompts go
     # to max_in_flight workers. The oldest is settled before another is
@@ -367,15 +425,15 @@ def run_experiment(
                 failed, failure = record, exc
 
     with ThreadPoolExecutor(max_workers=in_flight) as executor:
-        for pair in test_pairs:
+        for i, pair in enumerate(inputs.test_pairs):
             if pair.id in done:
                 manifest.records.append(done[pair.id])
                 continue
             if failure is not None:  # send nothing more after a failure
                 continue
-            draft = drafts.get(pair.id)
-            examples = retriever.examples_for(pair.source_text)
-            lex = retriever.lexicon_for(pair.source_text)
+            draft = inputs.drafts.get(pair.id)
+            examples = plan.examples(i, size)
+            lex = plan.lexicon(i)
             bundle = ContextBundle(examples=examples, lexicon=lex)
             record = SentenceRecord(
                 id=pair.id,
@@ -405,7 +463,9 @@ def run_experiment(
                     settle_oldest()
                 if failure is not None:
                     continue
-                future = sent[digest] = executor.submit(_completion_text, provider, rendered)
+                future = sent[digest] = executor.submit(
+                    _completion_text, inputs.provider, rendered
+                )
             manifest.records.append(record)
             window.append((record, future))
         while window:
@@ -450,6 +510,22 @@ def run_experiment(
     return report, manifest
 
 
+def run_experiment(
+    config: ExperimentConfig,
+    provider=None,
+    resume: bool = True,
+) -> tuple[EvalReport, RunManifest]:
+    """Execute one experiment cell and return (report, manifest).
+
+    A sweep of one value: one load, one plan and one dispatch. A provider
+    failure stops sending prompts and aborts the run once the ones in
+    flight have settled; the partial manifest keeps every completed
+    sentence and the first failed one, and rerunning with ``resume=True``
+    skips the completed sentences.
+    """
+    return _dispatch(config, _Plan(config, _load(config, provider), _size(config)), resume)
+
+
 SWEEP_COLUMNS = ("strategy", "k_or_n", "effective_k_mean", "spBLEU", "chrF++", "error")
 
 
@@ -459,30 +535,49 @@ def sweep(
     provider=None,
     csv_path: str | Path | None = None,
 ) -> list[dict]:
-    """One run per k/n value; failed cells are marked and the sweep continues."""
+    """One cell per k/n value, each written as ``run_experiment`` writes it;
+    failed cells are marked and the sweep continues.
+
+    The inputs are loaded and the provider built once (load), each test
+    sentence's examples and lexicon entries are retrieved once, at the
+    largest value (plan), and each cell renders, sends, scores and saves
+    its own prompts (dispatch). A value run_experiment would reject marks
+    its own cell; an input that fails to load marks every cell.
+    """
     if not values:
         raise ConfigError("sweep requires at least one value")
-    rows = []
+    swept = "n" if base_config.context == "FUZZY_WORD" else "k"
+    cells: list[ExperimentConfig | str] = []  # a config, or why its value is rejected
     for value in values:
-        if base_config.context == "FUZZY_WORD":
-            config = replace(base_config, n=value)
-        else:
-            config = replace(base_config, k=value)
+        try:
+            cells.append(replace(base_config, **{swept: value}))
+        except ConfigError as exc:
+            cells.append(str(exc))
+    configs = [c for c in cells if isinstance(c, ExperimentConfig)]
+    plan, load_error = None, ""
+    if configs:
+        try:
+            plan = _Plan(base_config, _load(base_config, provider), max(map(_size, configs)))
+        except (ProviderError, ConfigError, OSError) as exc:
+            load_error = str(exc)
+    rows = []
+    for value, cell in zip(values, cells):
         row = {
-            "strategy": config.context,
+            "strategy": base_config.context,
             "k_or_n": value,
             "effective_k_mean": "",
             "spBLEU": "",
             "chrF++": "",
-            "error": "",
+            "error": cell if isinstance(cell, str) else load_error,
         }
-        try:
-            report, manifest = run_experiment(config, provider=provider)
-            row["effective_k_mean"] = round(manifest.effective_k_mean, 2)
-            row["spBLEU"] = round(report.corpus_bleu, 2)
-            row["chrF++"] = round(report.corpus_chrf, 2)
-        except (ProviderError, ConfigError, OSError) as exc:
-            row["error"] = str(exc)
+        if not row["error"]:
+            try:
+                report, manifest = _dispatch(cell, plan, resume=True)
+                row["effective_k_mean"] = round(manifest.effective_k_mean, 2)
+                row["spBLEU"] = round(report.corpus_bleu, 2)
+                row["chrF++"] = round(report.corpus_chrf, 2)
+            except (ProviderError, ConfigError, OSError) as exc:
+                row["error"] = str(exc)
         rows.append(row)
     if csv_path is not None:
         write_sweep_csv(csv_path, rows)

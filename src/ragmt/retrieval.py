@@ -13,6 +13,7 @@ import heapq
 import itertools
 import math
 from collections import Counter, defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -529,6 +530,74 @@ class _TokenMatcher:
             self._memo[(tokens[q], threshold)].append((s, 1.0 - d / max(m[q], len(s))))
 
 
+@dataclass
+class FuzzyWordLists:
+    """Per query token, its top pairs by best-token fuzzy similarity, as
+    (pair index, similarity) best first, ties by ascending pair id.
+
+    ``tokens`` is the query's tokens in order, repeats kept, and ``tops``
+    holds each distinct token's list at some n. A token's list at a smaller
+    n is a prefix of it, so ``union`` can serve any n up to that one.
+    """
+
+    pairs: list[ParallelPair]
+    tokens: list[str]
+    tops: dict[str, list[tuple[int, float]]]
+
+    def union(self, n: int) -> list[RetrievedExample]:
+        """The n-prefixes of the token lists, unioned in query-token order and
+        deduplicated by pair id: a pair keeps its first strictly best score
+        and that token."""
+        best_by_id: dict[str, RetrievedExample] = {}
+        for token in self.tokens:
+            for idx, sim in self.tops[token][:n]:
+                pair = self.pairs[idx]
+                existing = best_by_id.get(pair.id)
+                if existing is None or sim > existing.score:
+                    best_by_id[pair.id] = RetrievedExample(
+                        pair=pair, score=sim, strategy="FUZZY_WORD", matched_token=token
+                    )
+        results = list(best_by_id.values())
+        results.sort(key=lambda r: (-r.score, r.pair.id))
+        return results
+
+
+def fuzzy_word_lists(
+    pairs: list[ParallelPair] | _TokenMatcher,
+    query: str,
+    n: int,
+    threshold: float = 0.5,
+) -> FuzzyWordLists:
+    """Each query word's top-n sentences by best-token fuzzy similarity, the
+    lists ``fuzzy_word_retrieve`` unions.
+
+    ``pairs`` may be an index built once over the pool and reused across
+    queries (``_TokenMatcher.over_pairs``); a plain list builds one for this
+    call.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    index = pairs if isinstance(pairs, _TokenMatcher) else _TokenMatcher.over_pairs(pairs)
+    pairs = index.items
+
+    tokens = word_tokenize(query)
+    found = index.matches(tokens, threshold)
+    tops: dict[str, list[tuple[int, float]]] = {}
+    for token in dict.fromkeys(tokens):
+        doc_best: dict[int, float] = {}
+        for s, sim in found[token]:
+            for idx in index.postings[s]:
+                if sim > doc_best.get(idx, -1.0):
+                    doc_best[idx] = sim
+        if threshold <= 0.0:
+            # a pair without tokens scores 0.0, which then qualifies
+            doc_best.update(dict.fromkeys(index.empty, 0.0))
+        tops[token] = heapq.nsmallest(
+            n, doc_best.items(), key=lambda item: (-item[1], pairs[item[0]].id, item[0])
+        )
+    return FuzzyWordLists(pairs=pairs, tokens=tokens, tops=tops)
+
+
 def fuzzy_word_retrieve(
     pairs: list[ParallelPair] | _TokenMatcher,
     query: str,
@@ -545,36 +614,7 @@ def fuzzy_word_retrieve(
     queries (``_TokenMatcher.over_pairs``); a plain list builds one for this
     call.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    index = pairs if isinstance(pairs, _TokenMatcher) else _TokenMatcher.over_pairs(pairs)
-    pairs = index.items
-
-    tokens = word_tokenize(query)
-    found = index.matches(tokens, threshold)
-    best_by_id: dict[str, RetrievedExample] = {}
-    for token in tokens:
-        doc_best: dict[int, float] = {}
-        for s, sim in found[token]:
-            for idx in index.postings[s]:
-                if sim > doc_best.get(idx, -1.0):
-                    doc_best[idx] = sim
-        if threshold <= 0.0:
-            # a pair without tokens scores 0.0, which then qualifies
-            doc_best.update(dict.fromkeys(index.empty, 0.0))
-        top = heapq.nsmallest(
-            n, doc_best.items(), key=lambda item: (-item[1], pairs[item[0]].id, item[0])
-        )
-        for idx, sim in top:
-            pair = pairs[idx]
-            existing = best_by_id.get(pair.id)
-            if existing is None or sim > existing.score:
-                best_by_id[pair.id] = RetrievedExample(
-                    pair=pair, score=sim, strategy="FUZZY_WORD", matched_token=token
-                )
-    results = list(best_by_id.values())
-    results.sort(key=lambda r: (-r.score, r.pair.id))
-    return results
+    return fuzzy_word_lists(pairs, query, n, threshold).union(n)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +628,7 @@ class Retriever:
     index (BM25, the pool's embeddings via ``provider.embed``, the chrF-CW
     n-gram index or the fuzzy token index) is built on the first query and
     reused for every later one. ``gamma`` is CHRF_CW's counterweight.
+    ``prefixes`` serves several sizes of one query from one retrieval.
     """
 
     def __init__(self, strategy: str, pairs: list[ParallelPair], gamma: float = 0.5,
@@ -626,18 +667,32 @@ class Retriever:
 
     def retrieve(self, query: str, size: int) -> list[RetrievedExample]:
         """The examples for one query; ``size`` is k, or n for FUZZY_WORD."""
+        return self.prefixes(query, size)(size)
+
+    def prefixes(self, query: str, size: int) -> Callable[[int], list[RetrievedExample]]:
+        """The examples for one query at every size up to ``size``, retrieved
+        once: a function that gives, for each 1 <= s <= size, exactly what
+        ``retrieve(query, s)`` gives.
+
+        BM25 and DENSE keep sorted top lists, and chrF-CW's greedy loop makes
+        the same first picks at any larger k, so size s takes the first s
+        examples. FUZZY_WORD keeps each query token's list at ``size`` and
+        unions their s-prefixes.
+        """
         if self._index is None:
             self._index = self._build_index()
+        if self.strategy == "FUZZY_WORD":
+            return fuzzy_word_lists(self._index, query, size).union
         if self.strategy == "BM25":
-            return bm25_retrieve(self._index, query, size)
-        if self.strategy == "DENSE":
+            examples = bm25_retrieve(self._index, query, size)
+        elif self.strategy == "DENSE":
             query_vector = self._query_vectors.get(query)
             if query_vector is None:
                 query_vector = self.provider.embed([query]).vectors[0]
-            return dense_retrieve(self._index, query_vector, size)
-        if self.strategy == "CHRF_CW":
-            return chrf_counterweighted_retrieve(self._index, query, size, gamma=self.gamma)
-        return fuzzy_word_retrieve(self._index, query, size)
+            examples = dense_retrieve(self._index, query_vector, size)
+        else:
+            examples = chrf_counterweighted_retrieve(self._index, query, size, gamma=self.gamma)
+        return lambda s: examples[:s]
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,14 @@ class TestRunSweepCompare:
         assert baseline_row["delta_chrF++"] == "+0.00"
 
 
+@pytest.mark.parametrize("values", ["1,,2", "a", "1,2,"])
+def test_sweep_rejects_values_that_are_not_integers(values, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "unread.json", "--values", values])
+    assert exc.value.code == 2  # a usage error, before any file is read
+    assert "--values: expected comma-separated integers" in capsys.readouterr().err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["no-such-command"])

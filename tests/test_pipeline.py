@@ -4,6 +4,7 @@ import json
 import shutil
 import threading
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -636,6 +637,23 @@ class TestSweep:
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == ""  # later cells still run after a failure
 
+    @pytest.mark.parametrize("context, kwargs, values, rejected", [
+        ("BM25", dict(k=1), [0, 2], "k >= 1"),
+        ("FUZZY_WORD", dict(n=1), [2, -1], "n >= 1"),
+    ])
+    def test_value_below_one_marks_its_cell(self, tmp_path, context, kwargs, values, rejected):
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(base_url=server.base_url, model_name="mock-chat")
+            config = base_config(tmp_path, mode="POST_EDIT", context=context,
+                                 provider=provider_config, **kwargs)
+            rows = sweep(config, values)
+        assert [r["k_or_n"] for r in rows] == values
+        for value, row in zip(values, rows):
+            if value < 1:
+                assert rejected in row["error"] and row["chrF++"] == ""
+            else:
+                assert row["error"] == "" and row["chrF++"] != ""
+
     def test_csv_round_trip(self, tmp_path):
         rows = [{"strategy": "BM25", "k_or_n": 5, "effective_k_mean": 5.0,
                  "spBLEU": 12.34, "chrF++": 30.21, "error": ""}]
@@ -643,6 +661,131 @@ class TestSweep:
         loaded = read_sweep_csv(tmp_path / "s.csv")
         assert float(loaded[0]["chrF++"]) == 30.21
         assert loaded[0]["strategy"] == "BM25"
+
+
+class TestEmptyPool:
+    @pytest.mark.parametrize("context", ["STATIC_K", "BM25", "DENSE", "CHRF_CW", "FUZZY_WORD"])
+    def test_rejected_at_load_and_marked_by_sweep(self, tmp_path, context):
+        # the demo corpus cut to its GRAMMAR rows: no pair for an NT pool
+        rows = (DEMO_DATA / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        corpus = tmp_path / "grammar.tsv"
+        corpus.write_text("".join(r + "\n" for r in rows if r.endswith("\tGRAMMAR")),
+                          encoding="utf-8")
+        with MockProviderServer() as server:
+            config = base_config(
+                tmp_path, mode="POST_EDIT", context=context, k=1, n=1,
+                corpus_path=str(corpus), retrieval_corpus="NT",
+                provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                        embedding_model_name="mock-embed"),
+            )
+            with pytest.raises(ConfigError, match="pool is empty"):
+                run_experiment(config)
+            cells = sweep(config, [1, 2])
+            assert server.requests == []
+        assert all("pool is empty" in c["error"] for c in cells)
+
+
+class TestSweepPlan:
+    """A sweep loads, indexes and retrieves once, and each of its cells
+    writes the bytes a single run_experiment of its value writes."""
+
+    # the largest is not last; over the 30 NT pairs random.sample draws
+    # k=8 by another method than k <= 5, and with seed 2 the k=2 and k=3
+    # draws are not the first examples of the k=8 draw
+    VALUES = [3, 1, 8, 2]
+    CELLS = {
+        "STATIC_K": dict(context="STATIC_K", k=1, static_seed=2),
+        "BM25": dict(context="BM25", k=1),
+        "DENSE": dict(context="DENSE", k=1),
+        "CHRF_CW": dict(context="CHRF_CW", k=1, gamma=0.3),
+        "FUZZY_WORD": dict(context="FUZZY_WORD", n=1, retrieval_corpus="NT_PLUS_GRAMMAR"),
+    }
+    RETRIEVE = {
+        "BM25": "bm25_retrieve",
+        "DENSE": "dense_retrieve",
+        "CHRF_CW": "chrf_counterweighted_retrieve",
+        "FUZZY_WORD": "fuzzy_word_lists",
+    }
+
+    def config(self, tmp_path, server, name, out) -> ExperimentConfig:
+        return base_config(
+            tmp_path, mode="POST_EDIT", lexicon_mode="FUZZY_N", lexicon_n=2,
+            output_dir=str(tmp_path / out),
+            provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                    embedding_model_name="mock-embed"),
+            **self.CELLS[name],
+        )
+
+    @staticmethod
+    def files(out) -> list[tuple[str, bytes]]:
+        return [(f.name, f.read_bytes()) for f in sorted(Path(out).iterdir())]
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_sweep_equals_per_cell_runs(self, tmp_path, name):
+        swept = "n" if name == "FUZZY_WORD" else "k"
+        with MockProviderServer() as server:
+            config = self.config(tmp_path, server, name, "sweep")
+            sweep(config, self.VALUES, csv_path=tmp_path / "sweep" / "sweep.csv")
+            # the sweep as it was: one whole run_experiment per value
+            rows = []
+            for value in self.VALUES:
+                cell = replace(self.config(tmp_path, server, name, "cells"), **{swept: value})
+                report, manifest = run_experiment(cell)
+                rows.append({"strategy": name, "k_or_n": value,
+                             "effective_k_mean": round(manifest.effective_k_mean, 2),
+                             "spBLEU": round(report.corpus_bleu, 2),
+                             "chrF++": round(report.corpus_chrf, 2), "error": ""})
+            write_sweep_csv(tmp_path / "cells" / "sweep.csv", rows)
+        files = self.files(tmp_path / "sweep")
+        assert len(files) == 2 * len(self.VALUES) + 1
+        assert files == self.files(tmp_path / "cells")
+
+    @pytest.mark.parametrize("name", sorted(RETRIEVE))
+    def test_one_load_one_index_one_retrieval_per_sentence(self, tmp_path, monkeypatch, name):
+        calls = Counter()
+
+        def count(owner, attr, key=None):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[key(*args) if key else attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for loader in ("load_parallel", "load_lexicon", "load_drafts"):
+            count(pipeline, loader, key=lambda path: Path(path).name)
+        count(pipeline, "build_provider")
+        count(retrieval.Retriever, "_build_index")
+        count(retrieval._TokenMatcher, "over_lexicon")
+        count(retrieval, self.RETRIEVE[name], key=lambda *args: "retrieve")
+        count(retrieval, "lexicon_fuzzy_retrieve")
+        tests = load_parallel(DEMO_DATA / "test.tsv")
+        with MockProviderServer() as server:
+            config = self.config(tmp_path, server, name, "runs")
+            rows = sweep(config, self.VALUES)
+            assert all(r["error"] == "" for r in rows)
+            assert calls == {
+                "test.tsv": 1, "corpus.tsv": 1, "lexicon.tsv": 1, "drafts.tsv": 1,
+                "build_provider": 1, "_build_index": 1, "over_lexicon": 1,
+                "retrieve": len(tests), "lexicon_fuzzy_retrieve": len(tests),
+            }
+            embedded = [r["body"]["input"] for r in server.requests
+                        if r["path"].endswith("/embeddings")]
+            if name == "DENSE":
+                # the pool in one pass, then every query in one batch
+                pool = [p.source_text for p in load_parallel(DEMO_DATA / "corpus.tsv")
+                        if p.origin == "NT"]
+                assert embedded == [pool, [p.source_text for p in tests]]
+            else:
+                assert embedded == []
+
+            # every cell resumes whole: nothing is retrieved or sent
+            server.requests.clear()
+            calls.clear()
+            assert sweep(config, self.VALUES) == rows
+            assert server.requests == []
+            assert calls["retrieve"] == calls["_build_index"] == 0
 
 
 def make_report(chrf, bleu, fingerprint="ts1") -> EvalReport:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from ragmt.retrieval import (
     _GramIndex,
     _TokenMatcher,
     EmbeddingIndex,
+    Retriever,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
     dense_retrieve,
+    fuzzy_word_lists,
     fuzzy_word_retrieve,
     levenshtein,
     lexicon_full,
@@ -322,13 +325,15 @@ class TestDense:
 
 
 # Few letters and spaces: many shared n-grams, exact ties, duplicate texts
-# and texts without any n-gram ("a", " "); "d" is never in a pool.
+# and texts without any n-gram ("a", " a"); "d" is never in a pool, and a
+# pool text is never blank, which ParallelPair rejects.
 _cw_texts = st.text(alphabet="ab cd", min_size=1, max_size=8)
 
 
 @st.composite
 def _cw_pools(draw):
-    texts = draw(st.lists(_cw_texts.map(lambda t: t.replace("d", "a")), min_size=1, max_size=5))
+    texts = draw(st.lists(_cw_texts.map(lambda t: t.replace("d", "a")).filter(str.strip),
+                          min_size=1, max_size=5))
     sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=8))
     order = draw(st.permutations(range(len(sources))))
     return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
@@ -663,6 +668,77 @@ class TestFuzzyIndexProperties:
         assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.0)) == [
             ("p1", 1 - 1 / 7, "father"), ("p2", 0.0, "father")
         ]
+
+
+class _PaletteEmbedder:
+    """An embedding provider that maps the text "v<i>" to palette row i."""
+
+    fingerprint = "palette"
+
+    def __init__(self, palette):
+        self.palette = palette
+
+    def embed(self, texts):
+        return SimpleNamespace(inputs=list(texts),
+                               vectors=[self.palette[int(t[1:])] for t in texts])
+
+
+class TestPrefixProperty:
+    """A query planned once at the largest size and read at a smaller size s
+    equals retrieving at s: ids, exact scores, matched tokens and order. A
+    sweep relies on this to retrieve once for all its cells."""
+
+    @given(st.data(), _pools(), st.integers(1, 6))
+    def test_bm25(self, data, pairs, size):
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = Bm25Index(pairs)
+        retriever = Retriever("BM25", pairs)
+        for _ in range(2):
+            query = data.draw(_queries(vocabulary))
+            prefixes = retriever.prefixes(query, size)
+            for s in range(1, size + 1):
+                assert _fuzzy_rows(prefixes(s)) == _fuzzy_rows(bm25_retrieve(index, query, s))
+
+    @given(st.data(), st.integers(1, 25), st.integers(1, 27))
+    def test_dense_with_ties_at_the_cut(self, data, count, size):
+        # rows drawn from a few directions, so duplicate vectors tie at the
+        # k-th place; ids out of input order
+        palette = _unit_rows(4, 3, seed=5)
+        rows = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        order = data.draw(st.permutations(range(count)))
+        pairs = [ParallelPair(f"p{j:02d}", f"v{row}", "t", "NT") for j, row in zip(order, rows)]
+        index = EmbeddingIndex(pairs, palette[rows], "palette")
+        row = data.draw(st.integers(0, 3))
+        prefixes = Retriever("DENSE", pairs, provider=_PaletteEmbedder(palette)).prefixes(
+            f"v{row}", size)
+        for s in range(1, size + 1):
+            assert _fuzzy_rows(prefixes(s)) == _fuzzy_rows(dense_retrieve(index, palette[row], s))
+
+    @given(st.data(), _cw_pools(), st.sampled_from([0.3, 0.5, 1.0]), st.integers(1, 10))
+    def test_chrf_cw(self, data, pairs, gamma, size):
+        index = _GramIndex(pairs)
+        retriever = Retriever("CHRF_CW", pairs, gamma=gamma)
+        for _ in range(2):
+            query = data.draw(_cw_texts.filter(str.strip))
+            prefixes = retriever.prefixes(query, size)
+            for s in range(1, size + 1):
+                want = chrf_counterweighted_retrieve(index, query, s, gamma=gamma)
+                assert _fuzzy_rows(prefixes(s)) == _fuzzy_rows(want)
+
+    @given(st.data(), _pools(), st.integers(1, 4))
+    def test_fuzzy_word(self, data, pairs, size):
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = _TokenMatcher.over_pairs(pairs)
+        for threshold in (0.0, 0.5, 1.0):
+            query = data.draw(_queries(vocabulary))
+            lists = fuzzy_word_lists(index, query, size, threshold)
+            for s in range(1, size + 1):
+                assert _fuzzy_rows(lists.union(s)) == fuzzy_word_oracle(pairs, query, s, threshold)
+        # the retriever plans at the default threshold, 0.5
+        query = data.draw(_queries(vocabulary))
+        prefixes = Retriever("FUZZY_WORD", pairs).prefixes(query, size)
+        for s in range(1, size + 1):
+            assert _fuzzy_rows(prefixes(s)) == fuzzy_word_oracle(pairs, query, s, 0.5)
 
 
 class TestFuzzyWord:
