@@ -1,9 +1,12 @@
 """Running the full post-editing pipeline offline with replay fixtures.
 
-The provider layer writes one JSON file per chat/embedding exchange, keyed
-by a content hash of the request. A directory of such files doubles as a
-replay source: point ``replay_dir`` at it and the whole pipeline becomes
-bit-reproducible with zero network traffic.
+The provider layer caches each exchange under a content hash of its
+request: one JSON file per chat request, and one ``emb-<hash>.json`` file
+per embedding reply that maps each text's key to its record. A directory of
+such files doubles as a replay source: point ``replay_dir`` at it and the
+whole pipeline becomes bit-reproducible with zero network traffic. The
+fixtures below are hand-written one file per request, chat and embedding
+alike; that older per-text embedding layout is still read.
 
 This demo synthesizes its own fixtures with a toy "post-editor" (it just
 collapses repetition loops in the NMT drafts), then runs the pipeline in

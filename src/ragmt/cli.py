@@ -278,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "retrieve" and args.strategy == "dense" and not args.provider_config:
+        parser.error("retrieve --strategy dense needs --provider-config")
     return args.func(args)
 
 

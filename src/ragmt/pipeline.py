@@ -320,6 +320,9 @@ class _Plan:
                 config.context, inputs.pool, gamma=config.gamma, provider=inputs.provider
             )
         self._lexicon_index: retrieval._TokenMatcher | None = None
+        # FULL: the whole dictionary, one read-only list shared by every sentence
+        self._lexicon_full = (retrieval.lexicon_full(inputs.lexicon)
+                              if config.lexicon_mode == "FULL" else [])
         self._examples: dict[int, Callable[[int], list[retrieval.RetrievedExample]]] = {}
         self._lexicon: dict[int, list[retrieval.RetrievedLexicon]] = {}
         self._static: dict[int, list[retrieval.RetrievedExample]] = {}
@@ -360,10 +363,8 @@ class _Plan:
     def lexicon(self, i: int) -> list[retrieval.RetrievedLexicon]:
         """The lexicon entries of test sentence ``i``; every cell has the same."""
         cfg = self.config
-        if cfg.lexicon_mode == "NONE":
-            return []
-        if cfg.lexicon_mode == "FULL":
-            return retrieval.lexicon_full(self.inputs.lexicon)
+        if cfg.lexicon_mode != "FUZZY_N":
+            return self._lexicon_full
         if i not in self._lexicon:
             if self._lexicon_index is None:
                 self._lexicon_index = retrieval._TokenMatcher.over_lexicon(self.inputs.lexicon)

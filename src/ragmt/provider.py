@@ -1,8 +1,9 @@
 """Chat-completion and embedding access over an OpenAI-compatible wire.
 
 Three layers:
-  * a disk cache keyed by content hash of the request, one JSON file per
-    exchange;
+  * a disk cache keyed by content hash of the request: one JSON file per
+    chat exchange, and one file per embedding reply chunk that maps each
+    of its texts' keys to their records (see ``_JsonStore``);
   * an HTTP provider with exponential-backoff retries (honouring a 429 or
     503 reply's ``Retry-After``) and a bounded in-flight semaphore;
   * a replay provider that serves recorded fixtures (same JSON schema as
@@ -133,11 +134,26 @@ def _unit_normalize(vector: list[float]) -> list[float]:
 
 
 class _JsonStore:
-    """One JSON file per record under a directory, named by content hash."""
+    """Provider records as JSON files under one directory, keyed by the
+    content hash of their request.
+
+    A chat exchange is one file, ``{key}.json``. Embeddings are one file per
+    reply chunk, ``emb-<sha256 of its sorted keys>.json``, mapping each
+    text's key to ``{"request": {"model", "text"}, "vector"}``; ``vector``
+    looks a key up in the chunks read so far. ``read_chunks`` adds the
+    chunk files not read yet in sorted file-name order, and a key's first
+    record wins, so every reader of a directory resolves a key alike and
+    chunks written meanwhile by another process are picked up. Per-text
+    ``{key}.json`` embedding records, the older layout, are still read on a
+    miss but no longer written.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._chunks_read: set[str] = set()
+        self._vectors: dict[str, list[float]] = {}
 
     def get(self, key: str) -> dict | None:
         path = self.directory / f"{key}.json"
@@ -146,17 +162,49 @@ class _JsonStore:
         return json.loads(path.read_text(encoding="utf-8"))
 
     def put(self, key: str, record: dict) -> None:
+        self._write(f"{key}.json", record)
+
+    def _write(self, name: str, record: dict) -> None:
         # a temp file of its own per write, so writers sharing the directory
         # (threads or processes) never clobber each other's partial output;
         # os.replace then swaps in a complete file atomically
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            os.replace(tmp, self.directory / f"{key}.json")
+            os.replace(tmp, self.directory / name)
         except BaseException:
             os.unlink(tmp)
             raise
+
+    def _add(self, name: str, records: dict) -> None:
+        for key, record in records.items():
+            self._vectors.setdefault(key, record["vector"])
+        self._chunks_read.add(name)
+
+    def read_chunks(self) -> None:
+        """Add the embedding chunk files not read yet, in sorted name order."""
+        with self._lock:
+            for path in sorted(self.directory.glob("emb-*.json")):
+                if path.name not in self._chunks_read:
+                    self._add(path.name, json.loads(path.read_text(encoding="utf-8")))
+
+    def put_chunk(self, records: dict[str, dict]) -> None:
+        """Write one embedding reply's records, key -> record, as one file."""
+        digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
+        name = f"emb-{digest}.json"
+        self._write(name, records)
+        with self._lock:
+            self._add(name, records)
+
+    def vector(self, key: str) -> list[float] | None:
+        """The cached vector of an embedding key: from the chunks read so
+        far, else from a per-text record; None when neither holds it."""
+        vector = self._vectors.get(key)
+        if vector is None:
+            record = self.get(key)
+            vector = record["vector"] if record is not None else None
+        return vector
 
 
 class HttpProvider:
@@ -283,14 +331,17 @@ class HttpProvider:
             raise ProviderError("embed() requires at least one text")
         cfg = self.config
         model = cfg.embedding_model_name or cfg.model_name
+        if self.cache is not None:
+            self.cache.read_chunks()
         vectors: dict[str, list[float]] = {}
-        pending: list[str] = []
+        pending: list[tuple[str, str]] = []  # (text, cache key)
         for text in dict.fromkeys(texts):  # distinct texts, first-seen order
-            cached = self.cache.get(embedding_request_key(model, text)) if self.cache else None
+            key = embedding_request_key(model, text)
+            cached = self.cache.vector(key) if self.cache is not None else None
             if cached is not None:
-                vectors[text] = cached["vector"]
+                vectors[text] = cached
             else:
-                pending.append(text)
+                pending.append((text, key))
         # at most max_in_flight chunks outstanding; each reply is handled in
         # chunk order while the later requests are still on the wire
         window: deque = deque()
@@ -300,15 +351,16 @@ class HttpProvider:
                     self._store_embeddings(model, *window.popleft(), vectors)
                 chunk = pending[i : i + cfg.embed_batch_size]
                 window.append((chunk, executor.submit(
-                    self._post, "/embeddings", {"model": model, "input": chunk})))
+                    self._post, "/embeddings",
+                    {"model": model, "input": [text for text, _ in chunk]})))
             while window:
                 self._store_embeddings(model, *window.popleft(), vectors)
         return EmbeddingBatch(inputs=list(texts), vectors=[vectors[t] for t in texts])
 
-    def _store_embeddings(self, model: str, chunk: list[str], reply,
+    def _store_embeddings(self, model: str, chunk: list[tuple[str, str]], reply,
                           vectors: dict[str, list[float]]) -> None:
         """Check one embedding reply and add its unit vectors to ``vectors``
-        and to the cache."""
+        and, as one chunk file, to the cache."""
         data = reply.result()
         try:
             rows = [item["embedding"] for item in data["data"]]
@@ -316,15 +368,13 @@ class HttpProvider:
             raise ProviderError(f"malformed embedding response: {str(data)[:200]}") from None
         if len(rows) != len(chunk):
             raise ProviderError(f"{len(rows)} embeddings returned for {len(chunk)} inputs")
-        for text, row in zip(chunk, rows):
+        records = {}
+        for (text, key), row in zip(chunk, rows):
             vec = _unit_normalize([float(v) for v in row])
             vectors[text] = vec
-            if self.cache is not None:
-                self.cache.put(embedding_request_key(model, text), {
-                    "kind": "embedding",
-                    "request": {"model": model, "text": text},
-                    "vector": vec,
-                })
+            records[key] = {"request": {"model": model, "text": text}, "vector": vec}
+        if self.cache is not None:
+            self.cache.put_chunk(records)
 
 
 class ReplayProvider:
@@ -366,13 +416,13 @@ class ReplayProvider:
         if not texts:
             raise ProviderError("embed() requires at least one text")
         model = self.config.embedding_model_name or self.config.model_name
-        vectors = []
-        for text in texts:
-            record = self.store.get(embedding_request_key(model, text))
-            if record is None:
+        self.store.read_chunks()
+        vectors: dict[str, list[float]] = {}
+        for text in dict.fromkeys(texts):
+            vectors[text] = self.store.vector(embedding_request_key(model, text))
+            if vectors[text] is None:
                 raise ProviderError(f"no replay fixture for embedding of {text[:60]!r}")
-            vectors.append(record["vector"])
-        return EmbeddingBatch(inputs=list(texts), vectors=vectors)
+        return EmbeddingBatch(inputs=list(texts), vectors=[vectors[t] for t in texts])
 
 
 def build_provider(config: ProviderConfig):

@@ -156,6 +156,13 @@ class TestRetrieveCommand:
         assert code == 0
         assert len(results) == 2
 
+    def test_dense_without_provider_config_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", "--strategy", "dense", "--corpus-file", CORPUS,
+                  "--query", "light shines in darkness"])
+        assert exc.value.code == 2
+        assert "--provider-config" in capsys.readouterr().err
+
 
 class TestPromptCommand:
     def test_render_direct(self, capsys):

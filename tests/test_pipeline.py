@@ -14,7 +14,7 @@ import ragmt.provider
 from conftest import DEMO_DATA, REPO_ROOT, make_pairs
 from mock_server import MockProviderServer
 from ragmt import pipeline, retrieval
-from ragmt.corpus import load_parallel
+from ragmt.corpus import load_lexicon, load_parallel
 from ragmt.metrics import EvalReport, SentenceScore, chrf_pp, sentence_bleu
 from ragmt.pipeline import (
     ConfigError,
@@ -552,6 +552,39 @@ class TestDenseQueryBatch:
         assert files == files_one_by_one
 
 
+class TestDenseCache:
+    def test_cold_warm_and_replay(self, tmp_path):
+        pool = {p.source_text for p in load_parallel(DEMO_DATA / "corpus.tsv")
+                if p.origin == "NT"}
+        queries = {p.source_text for p in load_parallel(DEMO_DATA / "test.tsv")}
+        cache = tmp_path / "cache"
+        outputs = {}
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(
+                base_url=server.base_url, model_name="mock-chat",
+                embedding_model_name="mock-embed", embed_batch_size=4, cache_dir=str(cache),
+            )
+            for run in ("cold", "warm"):
+                server.requests.clear()
+                config = base_config(tmp_path, mode="POST_EDIT", context="DENSE", k=3,
+                                     provider=provider_config, output_dir=str(tmp_path / run))
+                run_experiment(config)
+                outputs[run] = sorted((f.name, f.read_bytes()) for f in (tmp_path / run).iterdir())
+                if run == "cold":
+                    # one file per embedding reply, not one per text
+                    assert len(list(cache.glob("emb-*.json"))) == (
+                        -(-len(pool) // 4) + -(-len(queries) // 4))
+            assert server.requests == []
+        config = replace(config, output_dir=str(tmp_path / "replay"),
+                         provider=ProviderConfig(model_name="mock-chat",
+                                                 embedding_model_name="mock-embed",
+                                                 replay_dir=str(cache)))
+        run_experiment(config)
+        outputs["replay"] = sorted((f.name, f.read_bytes()) for f in (tmp_path / "replay").iterdir())
+        assert len(outputs["cold"]) == 2
+        assert outputs["cold"] == outputs["warm"] == outputs["replay"]
+
+
 class TestEmptyDrafts:
     @staticmethod
     def drafts_with_blank(tmp_path) -> str:
@@ -786,6 +819,25 @@ class TestSweepPlan:
             assert sweep(config, self.VALUES) == rows
             assert server.requests == []
             assert calls["retrieve"] == calls["_build_index"] == 0
+
+
+    def test_full_lexicon_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        full = retrieval.lexicon_full
+        monkeypatch.setattr(retrieval, "lexicon_full",
+                            lambda lexicon: calls.append(len(lexicon)) or full(lexicon))
+        entries = len(load_lexicon(DEMO_DATA / "lexicon.tsv"))
+        with MockProviderServer() as server:
+            config = base_config(
+                tmp_path, mode="POST_EDIT", context="BM25", k=1, lexicon_mode="FULL",
+                provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat"),
+            )
+            _, manifest = run_experiment(config)
+            assert calls == [entries]
+            assert {r.lexicon_count for r in manifest.records} == {entries}
+            calls.clear()
+            sweep(replace(config, output_dir=str(tmp_path / "sweep")), self.VALUES)
+            assert calls == [entries]
 
 
 def make_report(chrf, bleu, fingerprint="ts1") -> EvalReport:

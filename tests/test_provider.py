@@ -270,6 +270,109 @@ class TestReplay:
         assert isinstance(build_provider(http_config), HttpProvider)
 
 
+def write_json(path, record) -> None:
+    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+
+
+def replay_of(directory) -> ReplayProvider:
+    return ReplayProvider(ProviderConfig(
+        model_name="mock-chat", embedding_model_name="mock-embed", replay_dir=str(directory)))
+
+
+class TestEmbeddingCache:
+    """Embeddings are cached one file per reply chunk, still keyed by text."""
+
+    TEXTS = [f"text number {i}" for i in range(100)]
+
+    def test_one_file_per_reply_and_warm_rerun(self, tmp_path):
+        with MockProviderServer() as server:
+            cold = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            vectors = cold.embed(self.TEXTS)
+        files = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert len(files) == 4  # ceil(100 / 32), not one per text
+        assert all(name.startswith("emb-") and name.endswith(".json") for name in files)
+        with MockProviderServer() as server:
+            warm = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            assert warm.embed(self.TEXTS) == vectors
+            assert server.requests == []
+        assert replay_of(tmp_path / "cache").embed(self.TEXTS) == vectors
+
+    def test_chunks_written_meanwhile_are_picked_up(self, tmp_path):
+        with MockProviderServer() as server:
+            reader = HttpProvider(make_config(server, tmp_path))
+            reader.embed(["alpha"])
+            HttpProvider(make_config(server, tmp_path)).embed(["beta", "gamma"])
+            server.requests.clear()
+            reader.embed(["gamma", "beta", "alpha"])
+            assert server.requests == []
+
+    def test_providers_share_directory(self, tmp_path):
+        with MockProviderServer() as server:
+            plain = HttpProvider(make_config(server, tmp_path, cache_dir=None))
+            expected = dict(zip(self.TEXTS, plain.embed(self.TEXTS).vectors))
+            # two providers on one cache_dir stand for two processes
+            providers = [HttpProvider(make_config(server, tmp_path, embed_batch_size=4,
+                                                  max_in_flight=2)) for _ in range(2)]
+            subsets = [self.TEXTS[i : i + 40] for i in range(0, 61, 10)]
+            errors: list[Exception] = []
+
+            def embed(provider, texts):
+                try:
+                    got = provider.embed(texts)
+                    assert got.vectors == [expected[t] for t in texts]
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=embed, args=(providers[i % 2], texts))
+                       for i, texts in enumerate(subsets)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert list((tmp_path / "cache").glob("*.tmp")) == []
+            server.requests.clear()
+            third = HttpProvider(make_config(server, tmp_path))
+            assert third.embed(self.TEXTS).vectors == [expected[t] for t in self.TEXTS]
+            assert server.requests == []
+
+    def test_duplicate_key_first_file_in_sorted_order_wins(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        key = embedding_request_key("mock-embed", "alpha")
+        request = {"model": "mock-embed", "text": "alpha"}
+        # written in the reverse of their name order
+        write_json(cache / "emb-1.json", {key: {"request": request, "vector": [0.0, 1.0]}})
+        write_json(cache / "emb-0.json", {key: {"request": request, "vector": [1.0, 0.0]}})
+        with MockProviderServer() as server:
+            live = HttpProvider(make_config(server, tmp_path))
+            assert live.embed(["alpha"]).vectors == [[1.0, 0.0]]
+            assert server.requests == []
+        assert replay_of(cache).embed(["alpha"]).vectors == [[1.0, 0.0]]
+
+    def test_per_text_records_still_read(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        key = embedding_request_key("mock-embed", "alpha")
+        write_json(cache / f"{key}.json", {
+            "kind": "embedding", "request": {"model": "mock-embed", "text": "alpha"},
+            "vector": [0.6, 0.8],
+        })
+        with MockProviderServer() as server:
+            live = HttpProvider(make_config(server, tmp_path))
+            assert live.embed(["alpha", "alpha"]).vectors == [[0.6, 0.8]] * 2
+            assert server.requests == []
+        assert replay_of(cache).embed(["alpha"]).vectors == [[0.6, 0.8]]
+        with pytest.raises(ProviderError, match="no replay fixture"):
+            replay_of(cache).embed(["beta"])
+
+
 def test_json_store_concurrent_writers_share_directory(tmp_path):
     # two stores on one directory stand for two processes sharing a cache_dir
     stores = [_JsonStore(tmp_path), _JsonStore(tmp_path)]
