@@ -280,8 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "retrieve" and args.strategy == "dense" and not args.provider_config:
-        parser.error("retrieve --strategy dense needs --provider-config")
+    if args.command == "retrieve":
+        if args.strategy == "dense" and not args.provider_config:
+            parser.error("retrieve --strategy dense needs --provider-config")
+        if args.k < 1 or args.n < 1:
+            parser.error("retrieve --k and --n must be >= 1")
+        if not 0.0 <= args.gamma <= 1.0:
+            parser.error(f"retrieve --gamma must be in [0, 1], got {args.gamma!r}")
+        if not args.query.strip():
+            parser.error("retrieve --query must not be blank")
     return args.func(args)
 
 

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("DENSE requires a provider for embeddings")
         if self.context == "FUZZY_WORD" and (self.n is None or self.n < 1):
             raise ConfigError("FUZZY_WORD requires n >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma!r}")
         if self.lexicon_mode == "FUZZY_N" and (self.lexicon_n is None or self.lexicon_n < 1):
             raise ConfigError("FUZZY_N requires lexicon_n >= 1")
         if self.lexicon_mode != "NONE" and not self.lexicon_path:

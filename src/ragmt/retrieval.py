@@ -10,16 +10,15 @@ sweeps reproduce exactly.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LexiconEntry, ParallelPair
-from .text import char_ngrams, word_tokenize
+from .text import word_tokenize
 
 
 @dataclass
@@ -155,12 +154,44 @@ def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[Retrieve
 # ChrF-counterweighted greedy retrieval
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and a neighbour mask. np.unique
+    without return_inverse hashes, which is far slower on millions of keys."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each value sits in the ascending ``table``, and whether it is there."""
+    at = np.searchsorted(table, values)
+    found = np.zeros(len(values), dtype=bool)
+    inside = at < len(table)
+    found[inside] = table[at[inside]] == values[inside]
+    return at, found
+
+
 class _GramIndex:
     """The character n-grams (orders n_min..n_max) of a pool's source texts.
 
-    Built once per pool. ``sizes[i]`` is the number of distinct n-grams of
-    pair i. ``ids`` numbers each distinct n-gram, and the pairs holding
-    n-gram g are ``holders[starts[g]:starts[g + 1]]``, ascending. ``texts[i]``
+    Built once per pool, in numpy. Each source text is squeezed as
+    ``char_ngrams`` squeezes it and read as code points. An order-1 id is
+    the character's rank in the pool's alphabet; the order-k id at a
+    position is the rank of (order-(k-1) id there) * (alphabet size) +
+    (order-1 id of its k-th character) among the order's distinct such
+    keys, so equal n-grams get equal ids. Orders n_min..n_max share one id
+    space, offset by order, and ``gram_ids`` reads a query's n-grams
+    through the same chain.
+
+    ``sizes[i]`` is the number of distinct n-grams of pair i, whose ids are
+    ``grams[bounds[i]:bounds[i + 1]]``, ascending. The pairs holding n-gram
+    g are ``holders[starts[g]:starts[g + 1]]``, ascending. ``texts[i]``
     numbers pair i's source text, byte-identical texts alike, and
     ``rank[i]`` is pair i's place in (id, input position) order.
     """
@@ -168,21 +199,38 @@ class _GramIndex:
     def __init__(self, pairs: list[ParallelPair], n_min: int = 2, n_max: int = 6):
         self.pairs = list(pairs)
         self.n_min, self.n_max = n_min, n_max
-        # an unseen n-gram takes the next number on first lookup
-        self.ids: dict[str, int] = defaultdict(itertools.count().__next__)
-        sizes, held = [], []
-        for pair in self.pairs:
-            grams = char_ngrams(pair.source_text, n_min, n_max)
-            sizes.append(len(grams))
-            held.extend(map(self.ids.__getitem__, grams))
-        self.ids.default_factory = None
         n = len(self.pairs)
-        self.sizes = np.array(sizes, dtype=np.intp)
-        held = np.array(held, dtype=np.intp)
-        self.holders = np.repeat(np.arange(n, dtype=np.int32), self.sizes)[
-            np.argsort(held, kind="stable")
-        ]
-        self.starts = np.concatenate(([0], np.cumsum(np.bincount(held, minlength=len(self.ids)))))
+        squeezed = ["".join(p.source_text.split()) for p in self.pairs]
+        lengths = np.fromiter(map(len, squeezed), dtype=np.intp, count=n)
+        alphabet, codes = np.unique(_code_points("".join(squeezed)), return_inverse=True)
+        self._keys = [alphabet]  # per order, the ascending keys its ids rank
+        owner = np.repeat(np.arange(n), lengths)  # each position's pair
+        stop = np.repeat(np.cumsum(lengths), lengths)  # and where its text ends
+        at, ids = np.arange(len(codes)), codes
+        held, total = [], 0  # distinct (n-gram id, pair) postings, as id * n + pair
+        for k in range(1, n_max + 1):
+            if k > 1:
+                # the positions where a k-gram fits in its text, and its id there
+                fits = at + k <= stop
+                at, stop, ids = at[fits], stop[fits], ids[fits]
+                keys, ids = np.unique(ids * len(alphabet) + codes[at + k - 1],
+                                      return_inverse=True)
+                self._keys.append(keys)
+            if k >= n_min:
+                held.append(_sorted_distinct((ids + total) * n + owner[at]))
+                total += len(self._keys[-1])
+        del squeezed, codes, owner, stop, at, ids
+        postings = np.concatenate(held)
+        del held
+        self.holders = (postings % n).astype(np.int32)
+        postings //= n
+        self.starts = np.searchsorted(postings, np.arange(total + 1)).astype(np.int32)
+        self.sizes = np.bincount(self.holders, minlength=n).astype(np.int32)
+        self.bounds = np.concatenate(([0], np.cumsum(self.sizes))).astype(np.int32)
+        # the same postings pair major
+        postings += np.multiply(self.holders, total, dtype=np.int64)
+        postings.sort()
+        self.grams = (postings % total).astype(np.int32)
         distinct: dict[str, int] = {}
         self.texts = np.array(
             [distinct.setdefault(p.source_text, len(distinct)) for p in self.pairs], dtype=np.intp
@@ -190,9 +238,26 @@ class _GramIndex:
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[sorted(range(n), key=lambda i: self.pairs[i].id)] = np.arange(n)
 
-    def holder_counts(self, grams) -> np.ndarray:
+    def gram_ids(self, text: str) -> np.ndarray:
+        """The ids of the pool n-grams that ``text`` holds, ascending.
+        Characters outside the pool's alphabet and n-grams no pair holds
+        drop out."""
+        codes, known = _lookup(self._keys[0], _code_points("".join(text.split())))
+        ids, found = codes, known
+        held, total = [], 0
+        for k, keys in enumerate(self._keys, start=1):
+            if k > 1:
+                chained, fits = ids[:-1], found[:-1] & known[k - 1:]
+                ids, found = _lookup(keys, chained * len(self._keys[0]) + codes[k - 1:])
+                found &= fits
+            if k >= self.n_min:
+                held.append(ids[found] + total)
+                total += len(keys)
+        return _sorted_distinct(np.concatenate(held))
+
+    def holder_counts(self, grams: np.ndarray) -> np.ndarray:
         """Per pair, how many of the n-grams numbered ``grams`` it holds."""
-        held = [self.holders[self.starts[g]:self.starts[g + 1]] for g in grams]
+        held = [self.holders[self.starts[g]:self.starts[g + 1]] for g in grams.tolist()]
         return np.bincount(np.concatenate(held) if held else [], minlength=len(self.pairs))
 
 
@@ -227,21 +292,26 @@ def chrf_counterweighted_retrieve(
 
     ``pairs`` may be an index built once over the pool with the same orders
     and reused across queries (``_GramIndex``); a plain list builds one for
-    this call. Only pairs sharing an n-gram with the query score above 0,
-    and a pick rescores only the holders of the n-grams it decays.
+    this call. The query's n-grams are read as the index's n-gram ids, and a
+    pick reads its pair's ids from the index. Only pairs sharing an n-gram
+    with the query score above 0, and a pick rescores only the holders of
+    the n-grams it decays. ``gamma`` must be in [0, 1].
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
     if not query.strip():
         raise ValueError("query must be non-empty")
     index = pairs if isinstance(pairs, _GramIndex) else _GramIndex(pairs, n_min, n_max)
     if (index.n_min, index.n_max) != (n_min, n_max):
         raise ValueError("the index holds other n-gram orders")
     n = len(index.pairs)
-    # query n-grams some pair holds -> how often each was decayed
-    decays = {index.ids[g]: 0 for g in char_ngrams(query, n_min, n_max) if g in index.ids}
+    # the query n-grams some pair holds, and how often each was decayed
+    query_grams = index.gram_ids(query)
+    decays = np.zeros(len(query_grams), dtype=np.intp)
     # counts[c][i]: pair i's shared n-grams decayed c times, worth weights[c] each
-    counts = [index.holder_counts(decays)]
+    counts = [index.holder_counts(query_grams)]
     weights = [1.0]
     sizes = np.maximum(index.sizes, 1)  # a pair without n-grams shares none and scores 0
     scores = counts[0] * weights[0] / sizes
@@ -262,20 +332,19 @@ def chrf_counterweighted_retrieve(
         chosen_texts[index.texts[best]] = True
         if len(selected) == k:
             break
-        decayed: dict[int, list[int]] = {}  # decay count -> n-grams
-        for g in char_ngrams(pair.source_text, n_min, n_max):
-            gid = index.ids[g]
-            if gid in decays:
-                decayed.setdefault(decays[gid], []).append(gid)
-                decays[gid] += 1
-        if not decayed:
+        shared, hit = _lookup(query_grams,
+                              index.grams[index.bounds[best]:index.bounds[best + 1]])
+        shared = shared[hit]  # where the query n-grams the pick holds sit in query_grams
+        if not len(shared):
             continue
-        while len(counts) <= max(decayed) + 1:
+        before = decays[shared]
+        decays[shared] += 1
+        while len(counts) <= before.max() + 1:
             counts.append(np.zeros(n, dtype=counts[0].dtype))
             weights.append(weights[-1] * gamma)
         touched = np.zeros(n, dtype=bool)
-        for c, grams in decayed.items():
-            moved = index.holder_counts(grams)
+        for c in np.unique(before).tolist():
+            moved = index.holder_counts(query_grams[shared[before == c]])
             counts[c] -= moved
             counts[c + 1] += moved
             touched |= moved > 0

@@ -163,6 +163,32 @@ class TestRetrieveCommand:
         assert exc.value.code == 2
         assert "--provider-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, flags", [
+        ("bm25", ["--k", "0"]),
+        ("chrf-cw", ["--k", "-1"]),
+        ("fuzzy-word", ["--n", "0"]),
+        ("bm25", ["--query", "   "]),
+        ("chrf-cw", ["--query", ""]),
+        ("chrf-cw", ["--gamma", "nan"]),
+        ("chrf-cw", ["--gamma", "-2"]),
+        ("chrf-cw", ["--gamma", "1.5"]),
+    ])
+    def test_bad_values_are_usage_errors(self, capsys, strategy, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", "--strategy", strategy, "--corpus-file", CORPUS,
+                  "--query", "light shines in darkness", *flags])
+        assert exc.value.code == 2
+        assert "retrieve --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["0", "1"])
+    def test_gamma_bounds_are_valid(self, capsys, gamma):
+        code, out = run_cli(
+            capsys, "retrieve", "--strategy", "chrf-cw", "--corpus-file", CORPUS,
+            "--query", "light shines in darkness", "--k", "2", "--gamma", gamma,
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 2
+
 
 class TestPromptCommand:
     def test_render_direct(self, capsys):

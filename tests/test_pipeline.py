@@ -111,6 +111,15 @@ class TestConfigInvariants:
         with pytest.raises(ConfigError, match="DENSE"):
             base_config(tmp_path, context="DENSE", k=2)
 
+    @pytest.mark.parametrize("gamma", [-2.0, -0.01, 1.5, float("nan"), float("inf")])
+    def test_gamma_outside_unit_interval(self, tmp_path, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            base_config(tmp_path, context="CHRF_CW", k=2, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_gamma_bounds_are_valid(self, tmp_path, gamma):
+        assert base_config(tmp_path, context="CHRF_CW", k=2, gamma=gamma).gamma == gamma
+
     def test_config_json_round_trip(self, tmp_path):
         config = base_config(tmp_path, context="FUZZY_WORD", n=5,
                              lexicon_mode="FULL")

@@ -328,12 +328,19 @@ class TestDense:
 # and texts without any n-gram ("a", " a"); "d" is never in a pool, and a
 # pool text is never blank, which ParallelPair rejects.
 _cw_texts = st.text(alphabet="ab cd", min_size=1, max_size=8)
+# Wider: accented, CJK and astral-plane characters, a lone surrogate, and
+# whitespace that str.split() drops ("\t", "\x1c", "\x85", "\u2028",
+# "\u3000"); "d" and "ü" are never in a pool.
+_cw_wide_texts = st.text(alphabet="ab cdé漢\U0001F600\ud800ü\t\x1c\x85\u2028\u3000",
+                         min_size=1, max_size=8)
+_cw_queries = (_cw_texts | _cw_wide_texts).filter(str.strip)
 
 
 @st.composite
 def _cw_pools(draw):
-    texts = draw(st.lists(_cw_texts.map(lambda t: t.replace("d", "a")).filter(str.strip),
-                          min_size=1, max_size=5))
+    alphabet = draw(st.sampled_from([_cw_texts, _cw_wide_texts]))
+    texts = draw(st.lists(alphabet.map(lambda t: t.replace("d", "a").replace("ü", "é"))
+                          .filter(str.strip), min_size=1, max_size=5))
     sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=8))
     order = draw(st.permutations(range(len(sources))))
     return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
@@ -390,7 +397,7 @@ class TestChrfCounterweighted:
     def test_shared_index_matches_oracle(self, data, pairs, gamma, k):
         index = _GramIndex(pairs)
         for _ in range(2):
-            query = data.draw(_cw_texts.filter(str.strip))
+            query = data.draw(_cw_queries)
             want = chrf_cw_dedup_oracle(pairs, query, k, gamma)
             for source in (index, pairs):
                 got = chrf_counterweighted_retrieve(source, query, k, gamma=gamma)
@@ -407,6 +414,18 @@ class TestChrfCounterweighted:
             query = " ".join(rng.choice(WORDS) for _ in range(6))
             got = chrf_counterweighted_retrieve(index, query, 10, gamma=gamma)
             assert [(r.pair.id, r.score) for r in got] == chrf_cw_oracle(pairs, query, 10, gamma)
+
+    @pytest.mark.parametrize("gamma", [-2.0, -0.01, 1.5, float("nan"), float("inf")])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            chrf_counterweighted_retrieve(make_pairs(5, seed=0), "water", 2, gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_gamma_bounds_match_oracle(self, gamma):
+        pairs = make_pairs(40, seed=23)
+        query = "father water light darkness"
+        got = chrf_counterweighted_retrieve(pairs, query, 6, gamma=gamma)
+        assert [(r.pair.id, r.score) for r in got] == chrf_cw_dedup_oracle(pairs, query, 6, gamma)
 
     def test_index_orders_must_match(self):
         with pytest.raises(ValueError, match="orders"):
@@ -441,6 +460,57 @@ print(json.dumps(out))
         ]
         assert runs[0] == runs[1]
         assert len(runs[0]) == 8 and all(len(ids) == 10 for ids in runs[0])
+
+
+def check_gram_index(pairs, queries):
+    """_GramIndex against char_ngrams: per-pair sizes and n-gram lists, each
+    n-gram's holders, and each query's n-gram ids."""
+    index = _GramIndex(pairs)
+    held = [set(char_ngrams(p.source_text, 2, 6)) for p in pairs]
+    pool = set().union(*held)
+    # an n-gram's own id is the highest among the pool n-grams it holds
+    ids = {g: int(index.gram_ids(g).max()) for g in pool}
+    assert sorted(ids.values()) == list(range(len(pool))) == list(range(len(index.starts) - 1))
+    for i, grams in enumerate(held):
+        assert index.sizes[i] == len(char_ngrams(pairs[i].source_text, 2, 6))
+        assert (index.grams[index.bounds[i]:index.bounds[i + 1]].tolist()
+                == sorted(ids[g] for g in grams))
+    for g, gid in ids.items():
+        assert (index.holders[index.starts[gid]:index.starts[gid + 1]].tolist()
+                == [i for i, grams in enumerate(held) if g in grams])
+    for query in queries:
+        assert (index.gram_ids(query).tolist()
+                == sorted(ids[g] for g in set(char_ngrams(query, 2, 6)) & pool))
+
+
+class TestGramIndex:
+    @given(_cw_pools(), st.lists(_cw_queries, max_size=3))
+    def test_matches_char_ngrams(self, pairs, queries):
+        check_gram_index(pairs, queries)
+
+    def test_words_pool(self):
+        pairs = make_pairs(60, seed=29)
+        check_gram_index(pairs, ["father water", "a", "zq", "日本語 ÿ", "wa\u3000ter\x1c"])
+
+    def test_pool_without_ngrams(self):
+        # one character per text: no pair holds an n-gram, so every score is
+        # 0 and the picks follow the id order
+        pairs = [ParallelPair(f"p{j}", text, "t", "NT")
+                 for j, text in zip([3, 0, 2, 1], ["b", " a ", "\U0001F600", "\ud800"])]
+        check_gram_index(pairs, ["ab", "a", "\U0001F600\U0001F600"])
+        got = chrf_counterweighted_retrieve(pairs, "ab b", 4)
+        assert [(r.pair.id, r.score) for r in got] == [(f"p{j}", 0.0) for j in range(4)]
+        check_gram_index([], ["ab"])
+        assert chrf_counterweighted_retrieve([], "ab", 2) == []
+
+    def test_query_without_pool_ngrams(self):
+        # shorter than n_min, or only characters outside the pool's alphabet
+        pairs = make_pairs(20, seed=31)
+        index = _GramIndex(pairs)
+        for query in ["w", "日本語 ÿ"]:
+            assert len(index.gram_ids(query)) == 0
+            got = chrf_counterweighted_retrieve(index, query, 3)
+            assert [(r.pair.id, r.score) for r in got] == chrf_cw_dedup_oracle(pairs, query, 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +789,7 @@ class TestPrefixProperty:
         index = _GramIndex(pairs)
         retriever = Retriever("CHRF_CW", pairs, gamma=gamma)
         for _ in range(2):
-            query = data.draw(_cw_texts.filter(str.strip))
+            query = data.draw(_cw_queries)
             prefixes = retriever.prefixes(query, size)
             for s in range(1, size + 1):
                 want = chrf_counterweighted_retrieve(index, query, s, gamma=gamma)
