@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import metrics, retrieval
-from .corpus import LexiconEntry, ParallelPair, load_lexicon, load_parallel
+from .corpus import CorpusError, LexiconEntry, ParallelPair, load_lexicon, load_parallel
 from .metrics import ChrfParams, EvalReport, WhitespaceTokenizer
 from .prompt import (
     DHAO_PROFILE,
@@ -561,7 +561,7 @@ def sweep(
     if configs:
         try:
             plan = _Plan(base_config, _load(base_config, provider), max(map(_size, configs)))
-        except (ProviderError, ConfigError, OSError) as exc:
+        except (ProviderError, ConfigError, CorpusError, UnicodeDecodeError, OSError) as exc:
             load_error = str(exc)
     rows = []
     for value, cell in zip(values, cells):

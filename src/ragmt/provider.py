@@ -10,6 +10,9 @@ Three layers:
     the cache) and never touches the network, making whole-pipeline runs
     bit-reproducible.
 
+``requests`` is imported when an ``HttpProvider`` is built, so replay runs
+and offline commands never load it.
+
 Concurrency: ``ProviderConfig.max_in_flight`` bounds the requests one
 ``HttpProvider`` has on the wire at once, whichever threads send them.
 ``HttpProvider.embed`` posts its ``embed_batch_size`` chunks through a
@@ -33,9 +36,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
-from requests.adapters import HTTPAdapter
 
 from .prompt import RenderedPrompt
 
@@ -140,12 +140,13 @@ class _JsonStore:
     A chat exchange is one file, ``{key}.json``. Embeddings are one file per
     reply chunk, ``emb-<sha256 of its sorted keys>.json``, mapping each
     text's key to ``{"request": {"model", "text"}, "vector"}``; ``vector``
-    looks a key up in the chunks read so far. ``read_chunks`` adds the
-    chunk files not read yet in sorted file-name order, and a key's first
-    record wins, so every reader of a directory resolves a key alike and
-    chunks written meanwhile by another process are picked up. Per-text
-    ``{key}.json`` embedding records, the older layout, are still read on a
-    miss but no longer written.
+    looks a key up in the chunks read so far. ``read_chunks`` lists the
+    directory and adds the chunk files not read yet in sorted file-name
+    order, and a key's first record wins, so every reader of a directory
+    resolves a key alike and chunks written meanwhile by another process
+    are picked up. Per-text ``{key}.json`` embedding records, the older
+    layout, are still read on a miss, if that listing held them, but no
+    longer written.
     """
 
     def __init__(self, directory: str | Path):
@@ -154,6 +155,7 @@ class _JsonStore:
         self._lock = threading.Lock()
         self._chunks_read: set[str] = set()
         self._vectors: dict[str, list[float]] = {}
+        self._listed: frozenset[str] = frozenset()  # file names at the last read_chunks
 
     def get(self, key: str) -> dict | None:
         path = self.directory / f"{key}.json"
@@ -183,11 +185,14 @@ class _JsonStore:
         self._chunks_read.add(name)
 
     def read_chunks(self) -> None:
-        """Add the embedding chunk files not read yet, in sorted name order."""
+        """List the directory once: add the embedding chunk files not read
+        yet, in sorted name order, and keep the listing for ``vector``."""
         with self._lock:
-            for path in sorted(self.directory.glob("emb-*.json")):
-                if path.name not in self._chunks_read:
-                    self._add(path.name, json.loads(path.read_text(encoding="utf-8")))
+            self._listed = frozenset(os.listdir(self.directory))
+            for name in sorted(n for n in self._listed - self._chunks_read
+                               if n.startswith("emb-") and n.endswith(".json")):
+                path = self.directory / name
+                self._add(name, json.loads(path.read_text(encoding="utf-8")))
 
     def put_chunk(self, records: dict[str, dict]) -> None:
         """Write one embedding reply's records, key -> record, as one file."""
@@ -199,11 +204,11 @@ class _JsonStore:
 
     def vector(self, key: str) -> list[float] | None:
         """The cached vector of an embedding key: from the chunks read so
-        far, else from a per-text record; None when neither holds it."""
+        far, else from a per-text record in the last listing; None when
+        neither holds it."""
         vector = self._vectors.get(key)
-        if vector is None:
-            record = self.get(key)
-            vector = record["vector"] if record is not None else None
+        if vector is None and f"{key}.json" in self._listed:
+            vector = self.get(key)["vector"]
         return vector
 
 
@@ -214,6 +219,9 @@ class HttpProvider:
     def __init__(self, config: ProviderConfig):
         if not config.base_url:
             raise ProviderError("base_url is required for the HTTP provider")
+        import requests
+        from requests.adapters import HTTPAdapter
+
         self.config = config
         self.cache = _JsonStore(config.cache_dir) if config.cache_dir else None
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
@@ -237,6 +245,8 @@ class HttpProvider:
         return headers
 
     def _post(self, endpoint: str, body: dict) -> dict:
+        import requests
+
         url = self.config.base_url.rstrip("/") + endpoint
         last_error: ProviderError | None = None
         delay = 0.0

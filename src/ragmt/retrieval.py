@@ -161,7 +161,9 @@ def _code_points(text: str) -> np.ndarray:
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending: a sort and a neighbour mask. np.unique
-    without return_inverse hashes, which is far slower on millions of keys."""
+    without return_inverse hashes, which is far slower on millions of keys,
+    and asks ``np.ma.is_masked`` first, which imports ``numpy.ma`` (~15 ms)
+    into a process that has no other use for it."""
     values = np.sort(values)
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -343,7 +345,7 @@ def chrf_counterweighted_retrieve(
             counts.append(np.zeros(n, dtype=counts[0].dtype))
             weights.append(weights[-1] * gamma)
         touched = np.zeros(n, dtype=bool)
-        for c in np.unique(before).tolist():
+        for c in _sorted_distinct(before).tolist():
             moved = index.holder_counts(query_grams[shared[before == c]])
             counts[c] -= moved
             counts[c + 1] += moved
@@ -458,7 +460,8 @@ class _TokenMatcher:
     token of the lookup are skipped: the edit distance is at least the
     length difference, so the skip is exact. Tokens longer than 64
     characters take the scalar ``_bit_distance`` path. Lookups are memoised
-    per (token, threshold) for the matcher's life.
+    per (token, threshold) for the matcher's life, and the reach of each
+    string length per (token length, threshold).
     """
 
     def __init__(self, items: list, strings_per_item):
@@ -486,6 +489,7 @@ class _TokenMatcher:
         self._columns = [codes[starts[:n] + j] for j, n in enumerate(self._longer)]
         self._distinct_lengths = sorted(set(self._lengths.tolist()))
         self._memo: dict[tuple[str, float], list[tuple[str, float]]] = {}
+        self._reach_rows: dict[tuple[int, float], np.ndarray] = {}
 
     @classmethod
     def over_pairs(cls, pairs: list[ParallelPair]) -> "_TokenMatcher":
@@ -512,11 +516,22 @@ class _TokenMatcher:
                 self._memo[(token, threshold)] = self._scan(token, threshold)
         return {t: self._memo[(t, threshold)] for t in tokens}
 
+    def _reach_row(self, m: int, threshold: float) -> np.ndarray:
+        """row[L]: distances below it keep a token of length m and a string
+        of length L similar enough, for each indexed length L; 0 elsewhere."""
+        row = self._reach_rows.get((m, threshold))
+        if row is None:
+            row = np.zeros(len(self._longer) + 1, dtype=np.intp)  # lengths 0..longest
+            for length in self._distinct_lengths:
+                row[length] = _reach(threshold, max(m, length))
+            self._reach_rows[(m, threshold)] = row
+        return row
+
     def _scan(self, token: str, threshold: float) -> list[tuple[str, float]]:
         """One token against each string of a length it may match, in Python."""
         m = len(token)
         masks = _pattern_masks(token)
-        reach = {L: _reach(threshold, max(m, L)) for L in self._distinct_lengths}
+        reach = self._reach_row(m, threshold).tolist()
         found = []
         for s in self._strings:
             if abs(m - len(s)) < reach[len(s)]:
@@ -528,20 +543,19 @@ class _TokenMatcher:
     def _lookup(self, tokens: list[str], threshold: float) -> None:
         """Memoise the matches of tokens of at most 64 characters, all at once."""
         m = [len(t) for t in tokens]
-        top = max(max(m), self._distinct_lengths[-1])
         # reach[q, L]: distances below it keep tokens[q] and a string of
         # length L similar enough; similarities are computed in Python only,
-        # as normalized_levenshtein computes them. The type holds every
-        # token's bits and every distance, so all the steps run in it.
-        word = _uint_of(max(max(m), (top + 1).bit_length()))
-        reach = np.zeros((len(tokens), top + 1), dtype=word)
-        for q, mq in enumerate(m):
-            for length in self._distinct_lengths:
-                reach[q, length] = _reach(threshold, max(mq, length))
-        keep = np.zeros(top + 1, dtype=bool)
-        for length in self._distinct_lengths:
-            keep[length] = any(abs(mq - length) < reach[q, length] for q, mq in enumerate(m))
+        # as normalized_levenshtein computes them. A string length is kept
+        # when its length difference to some token is below that reach.
+        reach = np.stack([self._reach_row(mq, threshold) for mq in m])
+        span = np.abs(np.array(m)[:, None] - np.arange(reach.shape[1]))
+        keep = (span < reach).any(axis=0)
         rows = np.flatnonzero(keep[self._lengths])  # ascending, so still longest first
+        # the type holds every token's bits and every distance, so all the
+        # steps run in it
+        top = max(max(m), self._distinct_lengths[-1])
+        word = _uint_of(max(max(m), (top + 1).bit_length()))
+        reach = reach.astype(word)
         for token in tokens:
             self._memo[(token, threshold)] = []
         if not len(rows):

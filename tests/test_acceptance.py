@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+import requests
 
-import ragmt.provider
 from conftest import GOLDEN_DIR, REPO_ROOT, make_pairs
 from ragmt.analysis import build_vocab, oov_rate
 from ragmt.corpus import ParallelPair
@@ -222,7 +222,7 @@ def test_criterion_5_replay_determinism(tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise AssertionError("NMT_ONLY issued a network request")
 
-        monkeypatch.setattr(ragmt.provider.requests.Session, "post", explode)
+        monkeypatch.setattr(requests.Session, "post", explode)
         report, manifest = run_experiment(base_config(tmp_path))
         assert len(manifest.records) == 10
 

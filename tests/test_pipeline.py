@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -9,8 +12,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import requests
 
-import ragmt.provider
 from conftest import DEMO_DATA, REPO_ROOT, make_pairs
 from mock_server import MockProviderServer
 from ragmt import pipeline, retrieval
@@ -205,7 +208,7 @@ class TestNmtOnly:
         def explode(*args, **kwargs):
             raise AssertionError("network touched in NMT_ONLY mode")
 
-        monkeypatch.setattr(ragmt.provider.requests.Session, "post", explode)
+        monkeypatch.setattr(requests.Session, "post", explode)
         report, _ = run_experiment(base_config(tmp_path))
         assert 0.0 < report.corpus_chrf < 100.0
 
@@ -725,6 +728,63 @@ class TestEmptyPool:
             cells = sweep(config, [1, 2])
             assert server.requests == []
         assert all("pool is empty" in c["error"] for c in cells)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("field, content", [
+        ("corpus_path", b"only-one-column\n"),
+        ("lexicon_path", b"only-one-column\n"),
+        ("corpus_path", b"MAT.1.1\t\xff not utf-8\tx\tNT\n"),
+    ], ids=["corpus", "lexicon", "corpus-bytes"])
+    def test_sweep_marks_every_cell(self, tmp_path, field, content):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(content)
+        config = replay_config(tmp_path, str(tmp_path / "fixtures"), {
+            "mode": "POST_EDIT", "context": "BM25", "k": 1,
+            "lexicon_mode": "FUZZY_N", "lexicon_n": 1, field: str(bad),
+        })
+        rows = sweep(config, [1, 2])
+        assert [r["k_or_n"] for r in rows] == [1, 2]
+        assert all(r["error"] and r["chrF++"] == "" for r in rows)
+        assert list(Path(config.output_dir).glob("manifest-*.json")) == []
+
+
+class TestImportFootprint:
+    """Replay runs and the CLI import neither ``requests`` (only an
+    HttpProvider needs it) nor ``numpy.ma`` (nothing in the package does)."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import ragmt.cli\n"
+        "from ragmt.pipeline import ExperimentConfig, run_experiment\n"
+        "for path in sys.argv[1:]:\n"
+        "    run_experiment(ExperimentConfig.load(path), resume=False)\n"
+        "print(sorted(m for m in ('requests', 'numpy.ma') if m in sys.modules))\n"
+    )
+
+    def test_replay_of_every_context_loads_neither(self, tmp_path):
+        fixtures = str(tmp_path / "fixtures")
+        runs = [dict(mode="POST_EDIT", context=context, lexicon_mode=lexicon, lexicon_n=2,
+                     **({"n": 2} if context == "FUZZY_WORD" else
+                        {} if context == "NONE" else {"k": 2}))
+                for context in pipeline.CONTEXTS for lexicon in ("FULL", "FUZZY_N")]
+        with MockProviderServer() as server:
+            live = ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                  embedding_model_name="mock-embed", cache_dir=fixtures)
+            for kwargs in runs:
+                run_experiment(base_config(tmp_path, provider=live, **kwargs), resume=False)
+        paths = []
+        for i, kwargs in enumerate(runs):
+            path = tmp_path / f"replay-{i}.json"
+            path.write_text(json.dumps(replay_config(tmp_path, fixtures, kwargs).to_dict()),
+                            encoding="utf-8")
+            paths.append(str(path))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *paths], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestSweepPlan:

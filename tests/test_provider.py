@@ -373,6 +373,33 @@ class TestEmbeddingCache:
             replay_of(cache).embed(["beta"])
 
 
+    def test_directory_listed_once_per_embed(self, tmp_path, monkeypatch):
+        # per-text records for half the texts: the misses are told apart by
+        # one listing of the directory, not by a lookup each
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        unit = [1.0] + [0.0] * 7  # the mock's embeddings have 8 dimensions
+        for text in self.TEXTS[:50]:
+            key = embedding_request_key("mock-embed", text)
+            write_json(cache / f"{key}.json", {
+                "kind": "embedding", "request": {"model": "mock-embed", "text": text},
+                "vector": unit,
+            })
+        listings, reads = [], []
+        listdir, get = ragmt.provider.os.listdir, _JsonStore.get
+        monkeypatch.setattr(ragmt.provider.os, "listdir",
+                            lambda path: listings.append(path) or listdir(path))
+        monkeypatch.setattr(_JsonStore, "get",
+                            lambda store, key: reads.append(key) or get(store, key))
+        with MockProviderServer() as server:
+            provider = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            vectors = provider.embed(self.TEXTS).vectors
+            assert len(server.requests) == 2  # ceil(50 / 32)
+        assert vectors[:50] == [unit] * 50
+        assert [str(p) for p in listings] == [str(cache)]
+        assert len(reads) == 50
+
+
 def test_json_store_concurrent_writers_share_directory(tmp_path):
     # two stores on one directory stand for two processes sharing a cache_dir
     stores = [_JsonStore(tmp_path), _JsonStore(tmp_path)]

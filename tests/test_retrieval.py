@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, WORDS, make_pairs
@@ -20,6 +20,7 @@ from ragmt.corpus import LexiconEntry, ParallelPair, load_parallel
 from ragmt.retrieval import (
     Bm25Index,
     _GramIndex,
+    _sorted_distinct,
     _TokenMatcher,
     EmbeddingIndex,
     Retriever,
@@ -484,6 +485,19 @@ def check_gram_index(pairs, queries):
 
 
 class TestGramIndex:
+    @given(st.sampled_from([np.int32, np.int64]).flatmap(lambda dtype: st.lists(
+        st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+        | st.integers(-3, 3),  # duplicate-heavy
+        max_size=40,
+    ).map(lambda values: np.array(values, dtype=dtype))))
+    @example(np.array([], dtype=np.int32))
+    @example(np.array([], dtype=np.int64))
+    def test_sorted_distinct_equals_unique(self, values):
+        got = _sorted_distinct(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
     @given(_cw_pools(), st.lists(_cw_queries, max_size=3))
     def test_matches_char_ngrams(self, pairs, queries):
         check_gram_index(pairs, queries)
