@@ -21,6 +21,8 @@ from pathlib import Path
 from ragmt.corpus import load_parallel
 from ragmt.retrieval import (
     Bm25Index,
+    GramIndex,
+    TokenIndex,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
     fuzzy_word_retrieve,
@@ -48,19 +50,20 @@ def show(title, results, limit=5):
 
 
 # ---------------------------------------------------------------------------
-# BM25: strong on exact content words, blind to near-misses.
+# BM25: strong on exact content words, blind to near-misses. Each strategy
+# builds its index once per pool and reuses it for every query.
 
-index = Bm25Index(pool)
-show("BM25, k=5:", bm25_retrieve(index, QUERY, 5))
+show("BM25, k=5:", bm25_retrieve(Bm25Index(pool), QUERY, 5))
 
 # ---------------------------------------------------------------------------
 # chrF-counterweighted: the gamma penalty spreads picks across different
 # phrasings. Compare gamma=1 (no penalty) with the default gamma=0.5.
 
+grams = GramIndex(pool)
 show("chrF-counterweighted, k=5, gamma=1.0 (no diversity penalty):",
-     chrf_counterweighted_retrieve(pool, QUERY, 5, gamma=1.0))
+     chrf_counterweighted_retrieve(grams, QUERY, 5, gamma=1.0))
 show("chrF-counterweighted, k=5, gamma=0.5:",
-     chrf_counterweighted_retrieve(pool, QUERY, 5))
+     chrf_counterweighted_retrieve(grams, QUERY, 5))
 
 # ---------------------------------------------------------------------------
 # Fuzzy word matching: up to n examples per query token, deduplicated.
@@ -68,9 +71,10 @@ show("chrF-counterweighted, k=5, gamma=0.5:",
 
 tokens = word_tokenize(QUERY)
 print(f"query has {len(tokens)} tokens: {tokens}\n")
+words = TokenIndex.over_pairs(pool)
 for n in (1, 2, 3):
-    results = fuzzy_word_retrieve(pool, QUERY, n)
+    results = fuzzy_word_retrieve(words, QUERY, n)
     print(f"fuzzy-word n={n}: effective k = {len(results)} "
           f"(cap is n x tokens = {n * len(tokens)})")
 print()
-show("fuzzy-word n=2, top hits:", fuzzy_word_retrieve(pool, QUERY, 2))
+show("fuzzy-word n=2, top hits:", fuzzy_word_retrieve(words, QUERY, 2))

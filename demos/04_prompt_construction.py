@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ragmt.corpus import load_lexicon, load_parallel
 from ragmt.prompt import ContextBundle, parse_prompt, render_direct, render_postedit
-from ragmt.retrieval import fuzzy_word_retrieve, lexicon_fuzzy_retrieve
+from ragmt.retrieval import TokenIndex, fuzzy_word_retrieve, lexicon_fuzzy_retrieve
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -40,8 +40,8 @@ print()
 # ---------------------------------------------------------------------------
 # Retrieval fills the bundle: fuzzy-word examples plus fuzzy glossary hits.
 
-examples = fuzzy_word_retrieve(pairs, SOURCE, 1)[:3]
-gloss = lexicon_fuzzy_retrieve(lexicon, SOURCE, 1)[:4]
+examples = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), SOURCE, 1)[:3]
+gloss = lexicon_fuzzy_retrieve(TokenIndex.over_lexicon(lexicon), SOURCE, 1)[:4]
 bundle = ContextBundle(examples=examples, lexicon=gloss)
 
 postedit = render_postedit(SOURCE, DRAFT, bundle)

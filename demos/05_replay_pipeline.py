@@ -25,6 +25,7 @@ from ragmt.prompt import ContextBundle, render_postedit
 from ragmt.provider import ProviderConfig, ReplayProvider, chat_request_key, embedding_request_key
 from ragmt.retrieval import (
     EmbeddingIndex,
+    TokenIndex,
     dense_retrieve,
     fuzzy_word_retrieve,
     lexicon_full,
@@ -80,9 +81,10 @@ lexicon = load_lexicon(DATA / "lexicon.tsv")
 drafts = load_drafts(DATA / "drafts.tsv")
 test_pairs = load_parallel(DATA / "test.tsv")
 
+words = TokenIndex.over_pairs(pool)  # built once, shared by every sentence
 for pair in test_pairs:
     bundle = ContextBundle(
-        examples=fuzzy_word_retrieve(pool, pair.source_text, 2),
+        examples=fuzzy_word_retrieve(words, pair.source_text, 2),
         lexicon=lexicon_full(lexicon),
     )
     rendered = render_postedit(pair.source_text, drafts[pair.id], bundle)
@@ -154,7 +156,7 @@ provider = ReplayProvider(ProviderConfig(
     replay_dir=str(FIXTURES),
 ))
 matrix = provider.embed([p.source_text for p in pool]).vectors
-index = EmbeddingIndex(pool, matrix, provider.fingerprint)
+index = EmbeddingIndex(pool, matrix)
 hits = dense_retrieve(index, provider.embed([query]).vectors[0], 3)
 print("dense retrieval (replayed embeddings) for:", query)
 for r in hits:

@@ -13,6 +13,11 @@ from . import analysis, corpus, metrics, pipeline, retrieval
 from .prompt import ContextBundle, render_direct, render_postedit
 from .provider import ProviderConfig, build_provider
 
+# What a config or the input files it names can fail to load with: bad
+# input, reported as a usage error rather than a traceback
+_INPUT_ERRORS = (pipeline.ConfigError, corpus.CorpusError, json.JSONDecodeError,
+                 UnicodeDecodeError, OSError)
+
 STRATEGY_NAMES = {
     "bm25": "BM25",
     "dense": "DENSE",
@@ -289,6 +294,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"retrieve --gamma must be in [0, 1], got {args.gamma!r}")
         if not args.query.strip():
             parser.error("retrieve --query must not be blank")
+    if args.command in ("run", "sweep"):
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            parser.error(f"{args.command} --config {args.config}: {exc}")
     return args.func(args)
 
 

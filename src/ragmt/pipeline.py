@@ -3,7 +3,7 @@
 A run goes through three stages. Load reads and checks the inputs, hashes
 them and builds the provider. Plan retrieves each test sentence's examples
 and lexicon entries, once per sweep: at the sweep's largest k or n, with
-one retriever and one lexicon matcher, as the first cell reaches each
+one retriever and one lexicon index, as the first cell reaches each
 sentence. Dispatch runs one cell: render each prompt on the calling
 thread, send it to the provider from a pool of ``max_in_flight`` worker
 threads (or score the supplied draft directly in NMT_ONLY mode), then
@@ -303,7 +303,7 @@ def _size(config: ExperimentConfig) -> int | None:
 class _Plan:
     """Plan stage: each test sentence's examples and lexicon entries,
     retrieved once for all the cells of a sweep, by one retriever and one
-    lexicon matcher.
+    lexicon index.
 
     Examples are retrieved at ``size``, the largest any cell asks for, and
     each cell reads its own size from them (``Retriever.prefixes``). A
@@ -321,7 +321,7 @@ class _Plan:
             self._retriever = retrieval.Retriever(
                 config.context, inputs.pool, gamma=config.gamma, provider=inputs.provider
             )
-        self._lexicon_index: retrieval._TokenMatcher | None = None
+        self._lexicon_index: retrieval.TokenIndex | None = None
         # FULL: the whole dictionary, one read-only list shared by every sentence
         self._lexicon_full = (retrieval.lexicon_full(inputs.lexicon)
                               if config.lexicon_mode == "FULL" else [])
@@ -369,7 +369,7 @@ class _Plan:
             return self._lexicon_full
         if i not in self._lexicon:
             if self._lexicon_index is None:
-                self._lexicon_index = retrieval._TokenMatcher.over_lexicon(self.inputs.lexicon)
+                self._lexicon_index = retrieval.TokenIndex.over_lexicon(self.inputs.lexicon)
             self._lexicon[i] = retrieval.lexicon_fuzzy_retrieve(
                 self._lexicon_index, self.inputs.test_pairs[i].source_text, cfg.lexicon_n
             )

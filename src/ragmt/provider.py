@@ -233,10 +233,6 @@ class HttpProvider:
         self._count_lock = threading.Lock()
         self.request_count = 0
 
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.config.base_url}|{self.config.model_name}|{self.config.embedding_model_name}"
-
     def _headers(self) -> dict:
         key = os.environ.get(self.config.api_key_env, "")
         headers = {"Content-Type": "application/json"}
@@ -400,10 +396,6 @@ class ReplayProvider:
         self.config = config
         self.store = _JsonStore(config.replay_dir)
         self.request_count = 0  # stays 0: replay never issues network calls
-
-    @property
-    def fingerprint(self) -> str:
-        return f"replay|{self.config.model_name}|{self.config.embedding_model_name}"
 
     def complete(self, prompt: RenderedPrompt) -> ChatExchange:
         cfg = self.config

@@ -3,8 +3,9 @@
 Four sentence strategies (BM25, dense cosine, diversity-aware character
 n-gram greedy, word-level fuzzy matching), served through one
 ``Retriever``, plus lexicon retrieval (fuzzy top-n and full dictionary).
-All retrievers are deterministic; ties break by ascending pair id so
-sweeps reproduce exactly.
+Each retriever is one call on an index built once over its pool or
+lexicon. All retrievers are deterministic; ties break by ascending pair
+id so sweeps reproduce exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Bm25Index:
     """Inverted-index BM25 over tokenized source texts.
 
     idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), the standard Okapi+1 form.
+    ``norms[i]`` is k1 * (1 - b + b * |doc i| / avgdl), the length term of
+    document i's BM25 denominator.
     """
 
     def __init__(self, pairs: list[ParallelPair], k1: float = 1.5, b: float = 0.75):
@@ -53,13 +56,13 @@ class Bm25Index:
             raise ValueError("b must be in [0, 1]")
         self.pairs = list(pairs)
         self.k1 = k1
-        self.b = b
-        self.doc_tokens = [word_tokenize(p.source_text) for p in self.pairs]
-        self.doc_lens = [len(toks) for toks in self.doc_tokens]
-        self.avgdl = (sum(self.doc_lens) / len(self.doc_lens)) if self.pairs else 0.0
+        doc_tokens = [word_tokenize(p.source_text) for p in self.pairs]
+        avgdl = sum(map(len, doc_tokens)) / len(doc_tokens) if self.pairs else 0.0
+        self.norms = [k1 * (1.0 - b + b * len(toks) / avgdl) if avgdl else 0.0
+                      for toks in doc_tokens]
         # term -> {doc_index: term frequency}
         self.postings: dict[str, dict[int, int]] = {}
-        for idx, toks in enumerate(self.doc_tokens):
+        for idx, toks in enumerate(doc_tokens):
             for term, tf in Counter(toks).items():
                 self.postings.setdefault(term, {})[idx] = tf
         n = len(self.pairs)
@@ -68,41 +71,31 @@ class Bm25Index:
             for term, docs in self.postings.items()
         }
 
-    def score_document(self, query_tokens: list[str], doc_index: int) -> float:
-        dl = self.doc_lens[doc_index]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else 0.0
-        score = 0.0
-        for term in query_tokens:
-            docs = self.postings.get(term)
-            if not docs:
-                continue
-            tf = docs.get(doc_index, 0)
-            if tf:
-                score += self.idf[term] * tf * (self.k1 + 1.0) / (tf + norm)
-        return score
-
 
 def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[RetrievedExample]:
-    """Top-k by BM25 score; zero-score documents are dropped."""
+    """Top-k by BM25 score; zero-score documents are dropped.
+
+    One pass over the query tokens' postings: each token, repeats included,
+    adds its weight to the documents holding it, in query order, so every
+    score is the same float sum as the per-document formula. Ties break by
+    pair id, then input position.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.pairs:
         raise ValueError("BM25 index is empty")
-    query_tokens = word_tokenize(query)
-    # only documents sharing a term can score > 0
-    candidates: set[int] = set()
-    for term in set(query_tokens):
-        candidates.update(index.postings.get(term, ()))
-    scored = [
-        (index.score_document(query_tokens, idx), idx)
-        for idx in candidates
-    ]
-    scored = [(s, idx) for s, idx in scored if s > 0.0]
-    scored.sort(key=lambda item: (-item[0], index.pairs[item[1]].id))
-    return [
-        RetrievedExample(pair=index.pairs[idx], score=s, strategy="BM25")
-        for s, idx in scored[:k]
-    ]
+    k1 = index.k1
+    scores: dict[int, float] = {}
+    for term in word_tokenize(query):
+        docs = index.postings.get(term)
+        if not docs:
+            continue
+        idf = index.idf[term]
+        for idx, tf in docs.items():
+            scores[idx] = scores.get(idx, 0.0) + idf * tf * (k1 + 1.0) / (tf + index.norms[idx])
+    top = heapq.nsmallest(k, ((s, idx) for idx, s in scores.items() if s > 0.0),
+                          key=lambda item: (-item[0], index.pairs[item[1]].id, item[1]))
+    return [RetrievedExample(pair=index.pairs[idx], score=s, strategy="BM25") for s, idx in top]
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +105,7 @@ def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[RetrievedExample
 class EmbeddingIndex:
     """Unit-normalized embedding matrix aligned with a pair list."""
 
-    def __init__(self, pairs: list[ParallelPair], vectors: np.ndarray, provider_fingerprint: str):
+    def __init__(self, pairs: list[ParallelPair], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(pairs):
             raise ValueError(
@@ -124,7 +117,6 @@ class EmbeddingIndex:
         self.pairs = list(pairs)
         self.vectors = vectors
         self.dimension = vectors.shape[1]
-        self.provider_fingerprint = provider_fingerprint
 
 
 def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[RetrievedExample]:
@@ -179,17 +171,17 @@ def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return at, found
 
 
-class _GramIndex:
-    """The character n-grams (orders n_min..n_max) of a pool's source texts.
+class GramIndex:
+    """The character n-grams (orders 2..6, chrF++'s) of a pool's source texts.
 
     Built once per pool, in numpy. Each source text is squeezed as
     ``char_ngrams`` squeezes it and read as code points. An order-1 id is
     the character's rank in the pool's alphabet; the order-k id at a
     position is the rank of (order-(k-1) id there) * (alphabet size) +
     (order-1 id of its k-th character) among the order's distinct such
-    keys, so equal n-grams get equal ids. Orders n_min..n_max share one id
-    space, offset by order, and ``gram_ids`` reads a query's n-grams
-    through the same chain.
+    keys, so equal n-grams get equal ids. Orders 2..6 share one id space,
+    offset by order, and ``gram_ids`` reads a query's n-grams through the
+    same chain.
 
     ``sizes[i]`` is the number of distinct n-grams of pair i, whose ids are
     ``grams[bounds[i]:bounds[i + 1]]``, ascending. The pairs holding n-gram
@@ -198,9 +190,10 @@ class _GramIndex:
     ``rank[i]`` is pair i's place in (id, input position) order.
     """
 
-    def __init__(self, pairs: list[ParallelPair], n_min: int = 2, n_max: int = 6):
+    n_min, n_max = 2, 6
+
+    def __init__(self, pairs: list[ParallelPair]):
         self.pairs = list(pairs)
-        self.n_min, self.n_max = n_min, n_max
         n = len(self.pairs)
         squeezed = ["".join(p.source_text.split()) for p in self.pairs]
         lengths = np.fromiter(map(len, squeezed), dtype=np.intp, count=n)
@@ -210,7 +203,7 @@ class _GramIndex:
         stop = np.repeat(np.cumsum(lengths), lengths)  # and where its text ends
         at, ids = np.arange(len(codes)), codes
         held, total = [], 0  # distinct (n-gram id, pair) postings, as id * n + pair
-        for k in range(1, n_max + 1):
+        for k in range(1, self.n_max + 1):
             if k > 1:
                 # the positions where a k-gram fits in its text, and its id there
                 fits = at + k <= stop
@@ -218,7 +211,7 @@ class _GramIndex:
                 keys, ids = np.unique(ids * len(alphabet) + codes[at + k - 1],
                                       return_inverse=True)
                 self._keys.append(keys)
-            if k >= n_min:
+            if k >= self.n_min:
                 held.append(_sorted_distinct((ids + total) * n + owner[at]))
                 total += len(self._keys[-1])
         del squeezed, codes, owner, stop, at, ids
@@ -273,12 +266,7 @@ def _first(scores: np.ndarray, rank: np.ndarray, mask: np.ndarray) -> int | None
 
 
 def chrf_counterweighted_retrieve(
-    pairs: list[ParallelPair] | _GramIndex,
-    query: str,
-    k: int,
-    gamma: float = 0.5,
-    n_min: int = 2,
-    n_max: int = 6,
+    index: GramIndex, query: str, k: int, gamma: float = 0.5
 ) -> list[RetrievedExample]:
     """Greedy diverse selection by character n-gram overlap with the query.
 
@@ -292,12 +280,10 @@ def chrf_counterweighted_retrieve(
     selected one is skipped while any distinct candidate still has positive
     score. Ties break by ascending pair id.
 
-    ``pairs`` may be an index built once over the pool with the same orders
-    and reused across queries (``_GramIndex``); a plain list builds one for
-    this call. The query's n-grams are read as the index's n-gram ids, and a
-    pick reads its pair's ids from the index. Only pairs sharing an n-gram
-    with the query score above 0, and a pick rescores only the holders of
-    the n-grams it decays. ``gamma`` must be in [0, 1].
+    The query's n-grams are read as the index's n-gram ids, and a pick reads
+    its pair's ids from the index. Only pairs sharing an n-gram with the
+    query score above 0, and a pick rescores only the holders of the
+    n-grams it decays. ``gamma`` must be in [0, 1].
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -305,9 +291,6 @@ def chrf_counterweighted_retrieve(
         raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
     if not query.strip():
         raise ValueError("query must be non-empty")
-    index = pairs if isinstance(pairs, _GramIndex) else _GramIndex(pairs, n_min, n_max)
-    if (index.n_min, index.n_max) != (n_min, n_max):
-        raise ValueError("the index holds other n-gram orders")
     n = len(index.pairs)
     # the query n-grams some pair holds, and how often each was decayed
     query_grams = index.gram_ids(query)
@@ -442,11 +425,13 @@ def _uint_of(bits: int) -> np.dtype:
                 if np.dtype(t).itemsize * 8 >= bits)
 
 
-class _TokenMatcher:
+class TokenIndex:
     """Distinct strings of a pool or lexicon, indexed for fuzzy lookups.
 
     ``postings`` maps each string to the indices of the items carrying it,
-    in input order; ``empty`` lists the items that carry none. The strings
+    in input order; ``empty`` lists the items that carry none. ``top`` ranks
+    items by their best match, ties by ``tie_key(item)``, then input
+    position: that order is fixed here, as one rank per item. The strings
     are kept longest first and coded by their alphabet, one code array per
     character position: column j holds position j of every string longer
     than j, so the strings still being read at column j are a prefix.
@@ -460,12 +445,16 @@ class _TokenMatcher:
     token of the lookup are skipped: the edit distance is at least the
     length difference, so the skip is exact. Tokens longer than 64
     characters take the scalar ``_bit_distance`` path. Lookups are memoised
-    per (token, threshold) for the matcher's life, and the reach of each
+    per (token, threshold) for the index's life, and the reach of each
     string length per (token length, threshold).
     """
 
-    def __init__(self, items: list, strings_per_item):
+    def __init__(self, items: list, strings_per_item, tie_key: Callable):
         self.items = list(items)
+        self._rank = [0] * len(self.items)
+        for r, i in enumerate(sorted(range(len(self.items)),
+                                     key=lambda i: tie_key(self.items[i]))):
+            self._rank[i] = r
         self.postings: dict[str, list[int]] = {}
         self.empty: list[int] = []
         for idx, strings in enumerate(strings_per_item):
@@ -492,14 +481,38 @@ class _TokenMatcher:
         self._reach_rows: dict[tuple[int, float], np.ndarray] = {}
 
     @classmethod
-    def over_pairs(cls, pairs: list[ParallelPair]) -> "_TokenMatcher":
-        """Distinct source-side ``word_tokenize`` types of each pair."""
-        return cls(pairs, (set(word_tokenize(p.source_text)) for p in pairs))
+    def over_pairs(cls, pairs: list[ParallelPair]) -> "TokenIndex":
+        """Distinct source-side ``word_tokenize`` types of each pair; ties by
+        pair id."""
+        return cls(pairs, (set(word_tokenize(p.source_text)) for p in pairs),
+                   lambda p: p.id)
 
     @classmethod
-    def over_lexicon(cls, lexicon: list[LexiconEntry]) -> "_TokenMatcher":
-        """The lowered headword of each entry."""
-        return cls(lexicon, ((e.source_word.lower(),) for e in lexicon))
+    def over_lexicon(cls, lexicon: list[LexiconEntry]) -> "TokenIndex":
+        """The lowered headword of each entry; ties by headword as written."""
+        return cls(lexicon, ((e.source_word.lower(),) for e in lexicon),
+                   lambda e: e.source_word)
+
+    def top(self, tokens: list[str], n: int,
+            threshold: float) -> dict[str, list[tuple[int, float]]]:
+        """Per distinct token, in first-seen order, its n best items as
+        (item index, similarity), best first. An item scores the best
+        similarity among its strings that match the token; at a threshold
+        <= 0 an item without strings scores 0.0, which then qualifies."""
+        found = self.matches(tokens, threshold)
+        tops = {}
+        for token in dict.fromkeys(tokens):
+            best: dict[int, float] = {}
+            for s, sim in found[token]:
+                for idx in self.postings[s]:
+                    if sim > best.get(idx, -1.0):
+                        best[idx] = sim
+            if threshold <= 0.0:
+                best.update(dict.fromkeys(self.empty, 0.0))
+            tops[token] = heapq.nsmallest(
+                n, best.items(), key=lambda item: (-item[1], self._rank[item[0]])
+            )
+        return tops
 
     def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
         """Per token, the indexed strings s with normalized_levenshtein(token,
@@ -646,58 +659,27 @@ class FuzzyWordLists:
 
 
 def fuzzy_word_lists(
-    pairs: list[ParallelPair] | _TokenMatcher,
-    query: str,
-    n: int,
-    threshold: float = 0.5,
+    index: TokenIndex, query: str, n: int, threshold: float = 0.5
 ) -> FuzzyWordLists:
     """Each query word's top-n sentences by best-token fuzzy similarity, the
-    lists ``fuzzy_word_retrieve`` unions.
-
-    ``pairs`` may be an index built once over the pool and reused across
-    queries (``_TokenMatcher.over_pairs``); a plain list builds one for this
-    call.
-    """
+    lists ``fuzzy_word_retrieve`` unions; ``index`` is
+    ``TokenIndex.over_pairs`` of the pool."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    index = pairs if isinstance(pairs, _TokenMatcher) else _TokenMatcher.over_pairs(pairs)
-    pairs = index.items
-
     tokens = word_tokenize(query)
-    found = index.matches(tokens, threshold)
-    tops: dict[str, list[tuple[int, float]]] = {}
-    for token in dict.fromkeys(tokens):
-        doc_best: dict[int, float] = {}
-        for s, sim in found[token]:
-            for idx in index.postings[s]:
-                if sim > doc_best.get(idx, -1.0):
-                    doc_best[idx] = sim
-        if threshold <= 0.0:
-            # a pair without tokens scores 0.0, which then qualifies
-            doc_best.update(dict.fromkeys(index.empty, 0.0))
-        tops[token] = heapq.nsmallest(
-            n, doc_best.items(), key=lambda item: (-item[1], pairs[item[0]].id, item[0])
-        )
-    return FuzzyWordLists(pairs=pairs, tokens=tokens, tops=tops)
+    return FuzzyWordLists(pairs=index.items, tokens=tokens, tops=index.top(tokens, n, threshold))
 
 
 def fuzzy_word_retrieve(
-    pairs: list[ParallelPair] | _TokenMatcher,
-    query: str,
-    n: int,
-    threshold: float = 0.5,
+    index: TokenIndex, query: str, n: int, threshold: float = 0.5
 ) -> list[RetrievedExample]:
     """Per query word, the top-n sentences by best-token fuzzy similarity.
 
     Results are unioned across query words and deduplicated by pair id
     (keeping the highest score and its matched token), so the effective
     volume scales with sentence length: at most n * len(query tokens).
-
-    ``pairs`` may be an index built once over the pool and reused across
-    queries (``_TokenMatcher.over_pairs``); a plain list builds one for this
-    call.
     """
-    return fuzzy_word_lists(pairs, query, n, threshold).union(n)
+    return fuzzy_word_lists(index, query, n, threshold).union(n)
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +714,10 @@ class Retriever:
             return Bm25Index(self.pairs)
         if self.strategy == "DENSE":
             batch = self.provider.embed([p.source_text for p in self.pairs])
-            return EmbeddingIndex(self.pairs, batch.vectors, self.provider.fingerprint)
+            return EmbeddingIndex(self.pairs, batch.vectors)
         if self.strategy == "FUZZY_WORD":
-            return _TokenMatcher.over_pairs(self.pairs)
-        return _GramIndex(self.pairs)
+            return TokenIndex.over_pairs(self.pairs)
+        return GramIndex(self.pairs)
 
     def prepare(self, queries: list[str]) -> None:
         """For DENSE, build the index and embed all ``queries`` in one
@@ -783,31 +765,21 @@ class Retriever:
 
 
 def lexicon_fuzzy_retrieve(
-    lexicon: list[LexiconEntry] | _TokenMatcher,
-    query: str,
-    n: int,
-    threshold: float = 0.5,
+    index: TokenIndex, query: str, n: int, threshold: float = 0.5
 ) -> list[RetrievedLexicon]:
-    """Per query word, the top-n lexicon entries by fuzzy headword match.
+    """Per query word, the top-n lexicon entries by fuzzy headword match;
+    ``index`` is ``TokenIndex.over_lexicon`` of the lexicon.
 
-    Entries tied on (score, headword) keep their input order. ``lexicon``
-    may be an index built once over the headwords and reused across queries
-    (``_TokenMatcher.over_lexicon``); a plain list builds one for this call.
+    Entries tied on (score, headword) keep their input order. The lists are
+    deduplicated by (headword, pos, target): an entry keeps its first
+    strictly best score and that query word.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    index = lexicon if isinstance(lexicon, _TokenMatcher) else _TokenMatcher.over_lexicon(lexicon)
-    entries = index.items
-    tokens = word_tokenize(query)
-    found = index.matches(tokens, threshold)
     best: dict[tuple, RetrievedLexicon] = {}
-    for token in tokens:
-        scored = [(idx, sim) for s, sim in found[token] for idx in index.postings[s]]
-        top = heapq.nsmallest(
-            n, scored, key=lambda item: (-item[1], entries[item[0]].source_word, item[0])
-        )
+    for token, top in index.top(word_tokenize(query), n, threshold).items():
         for idx, sim in top:
-            entry = entries[idx]
+            entry = index.items[idx]
             key = (entry.source_word, entry.pos, entry.target_word)
             if key not in best or sim > best[key].score:
                 best[key] = RetrievedLexicon(entry=entry, score=sim, query_word=token)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import DEMO_DATA
+from conftest import DEMO_DATA, REPO_ROOT
 from mock_server import MockProviderServer
 from ragmt.cli import main
 from ragmt.pipeline import ExperimentConfig, run_experiment
@@ -276,6 +279,48 @@ class TestRunSweepCompare:
         assert code == 0
         baseline_row = next(r for r in table if r["label"] == reports[0].stem)
         assert baseline_row["delta_chrF++"] == "+0.00"
+
+
+class TestBadRunInput:
+    """A config, or an input file it names, that fails to load is a one-line
+    usage error (exit 2) for run and sweep, before any manifest is written."""
+
+    CONFIG = dict(mode="NMT_ONLY", context="BM25", k=1, corpus_path=CORPUS,
+                  lexicon_path=LEXICON, test_path=TEST, draft_path=DRAFTS, output_dir="runs")
+
+    @staticmethod
+    def ragmt(cwd, *argv) -> subprocess.CompletedProcess:
+        """``python -m ragmt.cli`` in a fresh interpreter, as a shell runs it."""
+        path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run([sys.executable, "-m", "ragmt.cli", *argv], cwd=cwd,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"mode": "BOGUS"}),
+        ("run", {"corpus_path": "two-columns.tsv"}),
+        ("run", {"corpus_path": "latin-1.tsv"}),
+        ("run", {"corpus_path": "missing.tsv"}),
+        ("run", "{not json"),
+        ("run", None),
+        ("sweep", {"mode": "BOGUS"}),
+        ("sweep", None),
+    ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
+            "missing-config", "sweep-bogus-mode", "sweep-missing-config"])
+    def test_is_usage_error(self, tmp_path, command, config):
+        (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")
+        (tmp_path / "latin-1.tsv").write_bytes("GEN.1.1\tcafé\tt\tNT\n".encode("latin-1"))
+        if isinstance(config, dict):
+            config = json.dumps({**self.CONFIG, **config})
+        if config is not None:
+            (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        values = ["--values", "1,2", "--csv", "sweep.csv"] if command == "sweep" else []
+        result = self.ragmt(tmp_path, command, "--config", "config.json", *values)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith(
+            f"ragmt: error: {command} --config config.json: ")
+        assert not list(tmp_path.rglob("manifest-*.json"))
 
 
 @pytest.mark.parametrize("values", ["1,,2", "a", "1,2,"])

@@ -250,7 +250,9 @@ class TestPostEditReplay:
         from ragmt.corpus import load_lexicon, load_parallel
         from ragmt.pipeline import _prompt_hash
         from ragmt.prompt import ContextBundle, render_postedit
-        from ragmt.retrieval import RetrievedExample, fuzzy_word_retrieve, lexicon_fuzzy_retrieve
+        from ragmt.retrieval import (
+            RetrievedExample, TokenIndex, fuzzy_word_retrieve, lexicon_fuzzy_retrieve,
+        )
 
         fixtures = record_fixtures(tmp_path, self.KWARGS)
         config = replay_config(tmp_path, fixtures, self.KWARGS)
@@ -260,12 +262,13 @@ class TestPostEditReplay:
         pool = [p for p in pool_all if p.origin in ("NT", "GRAMMAR")]
         lexicon = load_lexicon(config.lexicon_path)
         drafts = load_drafts(config.draft_path)
+        words, headwords = TokenIndex.over_pairs(pool), TokenIndex.over_lexicon(lexicon)
         for record in manifest.records:
-            examples = fuzzy_word_retrieve(pool, record.source, config.n)
+            examples = fuzzy_word_retrieve(words, record.source, config.n)
             assert [e.pair.id for e in examples] == record.retrieved_ids
             bundle = ContextBundle(
                 examples=examples,
-                lexicon=lexicon_fuzzy_retrieve(lexicon, record.source, config.lexicon_n),
+                lexicon=lexicon_fuzzy_retrieve(headwords, record.source, config.lexicon_n),
             )
             rendered = render_postedit(record.source, drafts[record.id], bundle)
             assert _prompt_hash(rendered.system, rendered.user) == record.prompt_hash
@@ -448,8 +451,6 @@ class TestConcurrentDispatch:
         release = threading.Event()
 
         class BlockingProvider:
-            fingerprint = "blocking"
-
             def __init__(self):
                 self.calls = 0
                 self.lock = threading.Lock()
@@ -521,13 +522,13 @@ def test_corpus_fingerprint_sensitivity(tmp_path):
 
 def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):
     built = []
-    init = retrieval._TokenMatcher.__init__
+    init = retrieval.TokenIndex.__init__
 
-    def counting_init(self, items, strings_per_item):
+    def counting_init(self, items, *rest):
         built.append(type(items[0]).__name__)
-        init(self, items, strings_per_item)
+        init(self, items, *rest)
 
-    monkeypatch.setattr(retrieval._TokenMatcher, "__init__", counting_init)
+    monkeypatch.setattr(retrieval.TokenIndex, "__init__", counting_init)
     config = base_config(tmp_path, context="FUZZY_WORD", n=2,
                          lexicon_mode="FUZZY_N", lexicon_n=2)
     _, manifest = run_experiment(config, resume=False)
@@ -859,7 +860,7 @@ class TestSweepPlan:
             count(pipeline, loader, key=lambda path: Path(path).name)
         count(pipeline, "build_provider")
         count(retrieval.Retriever, "_build_index")
-        count(retrieval._TokenMatcher, "over_lexicon")
+        count(retrieval.TokenIndex, "over_lexicon")
         count(retrieval, self.RETRIEVE[name], key=lambda *args: "retrieve")
         count(retrieval, "lexicon_fuzzy_retrieve")
         tests = load_parallel(DEMO_DATA / "test.tsv")

@@ -19,10 +19,10 @@ from conftest import REPO_ROOT, WORDS, make_pairs
 from ragmt.corpus import LexiconEntry, ParallelPair, load_parallel
 from ragmt.retrieval import (
     Bm25Index,
-    _GramIndex,
-    _sorted_distinct,
-    _TokenMatcher,
     EmbeddingIndex,
+    GramIndex,
+    TokenIndex,
+    _sorted_distinct,
     Retriever,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
@@ -218,6 +218,33 @@ def chrf_cw_dedup_oracle(pairs, query, k, gamma):
 
 
 # ---------------------------------------------------------------------------
+# Drawn pools and queries
+
+
+# Words with non-ASCII and upper-case letters, and a punctuation-only word
+# that tokenizes to nothing; few letters, so fuzzy matches are common.
+_words = st.text(alphabet="abcéñÉ", min_size=1, max_size=6) | st.just("!!")
+_texts = st.lists(_words, min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def _pools(draw):
+    """Pairs with ids out of input order, token-less and duplicate source texts."""
+    texts = draw(st.lists(_texts, min_size=1, max_size=6))
+    sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=10))
+    order = draw(st.permutations(range(len(sources))))
+    return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
+
+
+@st.composite
+def _queries(draw, vocabulary):
+    """Queries mixing pool words, repeated tokens and unseen words."""
+    words = draw(st.lists(st.sampled_from(vocabulary) | _words, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
+    return " ".join(words + repeats)
+
+
+# ---------------------------------------------------------------------------
 # BM25
 
 
@@ -242,10 +269,18 @@ class TestBm25:
         for _ in range(20):
             query = " ".join(rng.choice(WORDS) for _ in range(6))
             got = [(r.score, r.pair.id) for r in bm25_retrieve(index, query, 10)]
-            want = bm25_oracle(pairs, query, 10)
-            assert [g[1] for g in got] == [w[1] for w in want]
-            for g, w in zip(got, want):
-                assert g[0] == pytest.approx(w[0])
+            assert got == bm25_oracle(pairs, query, 10)
+
+    @given(st.data(), _pools(), st.integers(1, 6))
+    def test_matches_oracle_on_drawn_pools(self, data, pairs, k):
+        # repeated query tokens count twice, token-less and duplicate texts,
+        # ids out of input order, queries with no hit
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = Bm25Index(pairs)
+        for _ in range(3):
+            query = data.draw(_queries(vocabulary))
+            got = [(r.score, r.pair.id) for r in bm25_retrieve(index, query, k)]
+            assert got == bm25_oracle(pairs, query, k)
 
     def test_prefix_property(self):
         pairs = make_pairs(100, seed=9)
@@ -273,7 +308,7 @@ class TestDense:
     def test_stored_row_scores_one(self):
         pairs = make_pairs(10, seed=0)
         vectors = _unit_rows(10, 8, seed=1)
-        index = EmbeddingIndex(pairs, vectors, "test")
+        index = EmbeddingIndex(pairs, vectors)
         results = dense_retrieve(index, vectors[4], 1)
         assert results[0].pair.id == pairs[4].id
         assert results[0].score == pytest.approx(1.0)
@@ -281,7 +316,7 @@ class TestDense:
     def test_orthogonal_query_stable_id_order(self):
         pairs = [ParallelPair(f"p{i}", f"s{i}", f"t{i}", "NT") for i in range(4)]
         vectors = np.eye(5)[:4]
-        index = EmbeddingIndex(pairs, vectors, "test")
+        index = EmbeddingIndex(pairs, vectors)
         results = dense_retrieve(index, np.eye(5)[4], 4)
         assert [r.pair.id for r in results] == ["p0", "p1", "p2", "p3"]
         assert all(r.score == 0.0 for r in results)
@@ -289,7 +324,7 @@ class TestDense:
     def test_matches_exhaustive_oracle(self):
         pairs = make_pairs(50, seed=2)
         vectors = _unit_rows(50, 16, seed=3)
-        index = EmbeddingIndex(pairs, vectors, "test")
+        index = EmbeddingIndex(pairs, vectors)
         rng = np.random.default_rng(4)
         for _ in range(10):
             q = rng.normal(size=16)
@@ -306,19 +341,19 @@ class TestDense:
         rows = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
         order = data.draw(st.permutations(range(size)))
         pairs = [ParallelPair(f"p{j:02d}", "s", "t", "NT") for j in order]
-        index = EmbeddingIndex(pairs, palette[rows], "t")
+        index = EmbeddingIndex(pairs, palette[rows])
         query = palette[data.draw(st.integers(0, 3))]
         got = [(r.pair.id, r.score) for r in dense_retrieve(index, query, k)]
         assert got == dense_sort_oracle(index, query, k)
 
     def test_dimension_mismatch_names_both(self):
-        index = EmbeddingIndex(make_pairs(5, seed=0), _unit_rows(5, 8, 0), "t")
+        index = EmbeddingIndex(make_pairs(5, seed=0), _unit_rows(5, 8, 0))
         with pytest.raises(ValueError, match="3.*8"):
             dense_retrieve(index, np.ones(3) / math.sqrt(3), 2)
 
     def test_non_unit_vectors_rejected(self):
         with pytest.raises(ValueError, match="unit-normalized"):
-            EmbeddingIndex(make_pairs(2, seed=0), np.ones((2, 4)), "t")
+            EmbeddingIndex(make_pairs(2, seed=0), np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +386,7 @@ class TestChrfCounterweighted:
     def test_k1_equals_plain_top1(self):
         pairs = make_pairs(30, seed=7)
         query = "father water light darkness"
-        got = chrf_counterweighted_retrieve(pairs, query, 1)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), query, 1)
         plain = chrf_cw_oracle(pairs, query, 1, gamma=1.0)
         assert got[0].pair.id == plain[0][0]
 
@@ -362,7 +397,8 @@ class TestChrfCounterweighted:
             ParallelPair("a2", "the light of the world", "t", "NT"),
             ParallelPair("b", "the light shines", "t", "NT"),
         ]
-        got = chrf_counterweighted_retrieve(pairs, "the light of the world", 2, gamma=0.5)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), "the light of the world", 2,
+                                            gamma=0.5)
         texts = [r.pair.source_text for r in got]
         assert len(set(texts)) == 2
         assert "the light shines" in texts
@@ -370,7 +406,7 @@ class TestChrfCounterweighted:
     def test_matches_reference_greedy(self):
         pairs = make_pairs(10, seed=11)
         query = "father mother water light sea"
-        got = chrf_counterweighted_retrieve(pairs, query, 3, gamma=0.5)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), query, 3, gamma=0.5)
         want = chrf_cw_oracle(pairs, query, 3, gamma=0.5)
         assert [(r.pair.id) for r in got] == [w[0] for w in want]
         for r, w in zip(got, want):
@@ -379,37 +415,37 @@ class TestChrfCounterweighted:
     def test_gamma_one_is_plain_ranking(self):
         pairs = make_pairs(40, seed=13)
         query = "shepherd sheep mountain river"
-        got = chrf_counterweighted_retrieve(pairs, query, 10, gamma=1.0)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), query, 10, gamma=1.0)
         want = chrf_cw_oracle(pairs, query, 10, gamma=1.0)
         assert [r.pair.id for r in got] == [w[0] for w in want]
 
     def test_prefix_property(self):
         pairs = make_pairs(30, seed=17)
         query = "voice word heart"
-        small = chrf_counterweighted_retrieve(pairs, query, 4)
-        large = chrf_counterweighted_retrieve(pairs, query, 5)
+        index = GramIndex(pairs)
+        small = chrf_counterweighted_retrieve(index, query, 4)
+        large = chrf_counterweighted_retrieve(index, query, 5)
         assert [r.pair.id for r in small] == [r.pair.id for r in large][:4]
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
-            chrf_counterweighted_retrieve(make_pairs(5, seed=0), "  ", 2)
+            chrf_counterweighted_retrieve(GramIndex(make_pairs(5, seed=0)), "  ", 2)
 
     @given(st.data(), _cw_pools(), st.sampled_from([0.3, 0.5, 0.7, 1.0]), st.integers(1, 10))
     def test_shared_index_matches_oracle(self, data, pairs, gamma, k):
-        index = _GramIndex(pairs)
+        index = GramIndex(pairs)
         for _ in range(2):
             query = data.draw(_cw_queries)
-            want = chrf_cw_dedup_oracle(pairs, query, k, gamma)
-            for source in (index, pairs):
-                got = chrf_counterweighted_retrieve(source, query, k, gamma=gamma)
-                assert [(r.pair.id, r.score) for r in got] == want
+            got = chrf_counterweighted_retrieve(index, query, k, gamma=gamma)
+            assert [(r.pair.id, r.score) for r in got] == chrf_cw_dedup_oracle(pairs, query, k,
+                                                                                gamma)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.7])
     def test_matches_oracle_exactly_off_powers_of_two(self, gamma):
         # weights that are not powers of two round differently when summed
         # in another order, so exact scores pin the summation order
         pairs = make_pairs(150, seed=19)
-        index = _GramIndex(pairs)
+        index = GramIndex(pairs)
         rng = random.Random(gamma)
         for _ in range(3):
             query = " ".join(rng.choice(WORDS) for _ in range(6))
@@ -419,18 +455,15 @@ class TestChrfCounterweighted:
     @pytest.mark.parametrize("gamma", [-2.0, -0.01, 1.5, float("nan"), float("inf")])
     def test_gamma_outside_unit_interval_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            chrf_counterweighted_retrieve(make_pairs(5, seed=0), "water", 2, gamma=gamma)
+            chrf_counterweighted_retrieve(GramIndex(make_pairs(5, seed=0)), "water", 2,
+                                          gamma=gamma)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_gamma_bounds_match_oracle(self, gamma):
         pairs = make_pairs(40, seed=23)
         query = "father water light darkness"
-        got = chrf_counterweighted_retrieve(pairs, query, 6, gamma=gamma)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), query, 6, gamma=gamma)
         assert [(r.pair.id, r.score) for r in got] == chrf_cw_dedup_oracle(pairs, query, 6, gamma)
-
-    def test_index_orders_must_match(self):
-        with pytest.raises(ValueError, match="orders"):
-            chrf_counterweighted_retrieve(_GramIndex(make_pairs(5, seed=0)), "water", 2, n_max=4)
 
     def test_scores_do_not_depend_on_the_hash_seed(self):
         # gamma 0.3 and 0.7 give weights whose float sums round differently
@@ -438,17 +471,19 @@ class TestChrfCounterweighted:
         script = f"""
 import json, random
 from ragmt.corpus import ParallelPair
-from ragmt.retrieval import chrf_counterweighted_retrieve
+from ragmt.retrieval import GramIndex, chrf_counterweighted_retrieve
 rng = random.Random(0)
 words = {WORDS!r}
-pairs = [ParallelPair(f"d{{i:03d}}", " ".join(rng.choice(words) for _ in range(8)), "t", "NT")
-         for i in range(150)]
+index = GramIndex([
+    ParallelPair(f"d{{i:03d}}", " ".join(rng.choice(words) for _ in range(8)), "t", "NT")
+    for i in range(150)
+])
 out = []
 for gamma in (0.3, 0.7):
     for _ in range(4):
         query = " ".join(rng.choice(words) for _ in range(6))
         out.append([(r.pair.id, r.score.hex())
-                    for r in chrf_counterweighted_retrieve(pairs, query, 10, gamma=gamma)])
+                    for r in chrf_counterweighted_retrieve(index, query, 10, gamma=gamma)])
 print(json.dumps(out))
 """
         path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
@@ -464,9 +499,9 @@ print(json.dumps(out))
 
 
 def check_gram_index(pairs, queries):
-    """_GramIndex against char_ngrams: per-pair sizes and n-gram lists, each
+    """GramIndex against char_ngrams: per-pair sizes and n-gram lists, each
     n-gram's holders, and each query's n-gram ids."""
-    index = _GramIndex(pairs)
+    index = GramIndex(pairs)
     held = [set(char_ngrams(p.source_text, 2, 6)) for p in pairs]
     pool = set().union(*held)
     # an n-gram's own id is the highest among the pool n-grams it holds
@@ -512,15 +547,15 @@ class TestGramIndex:
         pairs = [ParallelPair(f"p{j}", text, "t", "NT")
                  for j, text in zip([3, 0, 2, 1], ["b", " a ", "\U0001F600", "\ud800"])]
         check_gram_index(pairs, ["ab", "a", "\U0001F600\U0001F600"])
-        got = chrf_counterweighted_retrieve(pairs, "ab b", 4)
+        got = chrf_counterweighted_retrieve(GramIndex(pairs), "ab b", 4)
         assert [(r.pair.id, r.score) for r in got] == [(f"p{j}", 0.0) for j in range(4)]
         check_gram_index([], ["ab"])
-        assert chrf_counterweighted_retrieve([], "ab", 2) == []
+        assert chrf_counterweighted_retrieve(GramIndex([]), "ab", 2) == []
 
     def test_query_without_pool_ngrams(self):
         # shorter than n_min, or only characters outside the pool's alphabet
         pairs = make_pairs(20, seed=31)
-        index = _GramIndex(pairs)
+        index = GramIndex(pairs)
         for query in ["w", "日本語 ÿ"]:
             assert len(index.gram_ids(query)) == 0
             got = chrf_counterweighted_retrieve(index, query, 3)
@@ -573,29 +608,6 @@ class TestLevenshtein:
         b = a[:start] + insert + a[stop:]
         assert levenshtein(a, b) == edit_distance_oracle(a, b)
         assert levenshtein(b, a) == edit_distance_oracle(a, b)
-
-
-# Words with non-ASCII and upper-case letters, and a punctuation-only word
-# that tokenizes to nothing; few letters, so fuzzy matches are common.
-_words = st.text(alphabet="abcéñÉ", min_size=1, max_size=6) | st.just("!!")
-_texts = st.lists(_words, min_size=1, max_size=5).map(" ".join)
-
-
-@st.composite
-def _pools(draw):
-    """Pairs with ids out of input order, token-less and duplicate source texts."""
-    texts = draw(st.lists(_texts, min_size=1, max_size=6))
-    sources = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=10))
-    order = draw(st.permutations(range(len(sources))))
-    return [ParallelPair(f"p{j:02d}", src, "t", "NT") for j, src in zip(order, sources)]
-
-
-@st.composite
-def _queries(draw, vocabulary):
-    """Queries mixing pool words, repeated tokens and unseen words."""
-    words = draw(st.lists(st.sampled_from(vocabulary) | _words, max_size=6))
-    repeats = draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
-    return " ".join(words + repeats)
 
 
 _thresholds = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=4)
@@ -664,12 +676,11 @@ class TestFuzzyIndexProperties:
     @given(st.data(), _pools(), st.integers(1, 4), _thresholds)
     def test_fuzzy_word_shared_index_matches_oracle(self, data, pairs, n, thresholds):
         vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
-        index = _TokenMatcher.over_pairs(pairs)
+        index = TokenIndex.over_pairs(pairs)
         for threshold in thresholds:
             query = data.draw(_queries(vocabulary))
             want = fuzzy_word_oracle(pairs, query, n, threshold)
             assert _fuzzy_rows(fuzzy_word_retrieve(index, query, n, threshold)) == want
-            assert _fuzzy_rows(fuzzy_word_retrieve(pairs, query, n, threshold)) == want
 
     @given(
         st.data(),
@@ -682,22 +693,21 @@ class TestFuzzyIndexProperties:
         _thresholds,
     )
     def test_lexicon_shared_index_matches_oracle(self, data, lexicon, n, thresholds):
-        index = _TokenMatcher.over_lexicon(lexicon)
+        index = TokenIndex.over_lexicon(lexicon)
         for threshold in thresholds:
             query = data.draw(_queries([e.source_word for e in lexicon]))
             want = [(s, id(e), tok) for s, e, tok in lexicon_fuzzy_oracle(lexicon, query, n,
                                                                            threshold)]
             assert _lexicon_rows(lexicon_fuzzy_retrieve(index, query, n, threshold)) == want
-            assert _lexicon_rows(lexicon_fuzzy_retrieve(lexicon, query, n, threshold)) == want
 
     @given(st.data(), _match_pools(), st.integers(1, 3), _thresholds)
     def test_batched_matcher_matches_oracle(self, data, pairs, n, thresholds):
         # one pool matcher and one lexicon matcher over the same words, each
         # reused across queries and thresholds
-        index = _TokenMatcher.over_pairs(pairs)
+        index = TokenIndex.over_pairs(pairs)
         types = sorted({t for p in pairs for t in word_tokenize(p.source_text)})
         lexicon = [LexiconEntry(t, "x") for t in types] or [LexiconEntry("a", "x")]
-        lexicon_index = _TokenMatcher.over_lexicon(lexicon)
+        lexicon_index = TokenIndex.over_lexicon(lexicon)
         vocabulary = [t for p in pairs for t in p.source_text.split()]
         for threshold in thresholds:
             query = data.draw(_match_queries(vocabulary))
@@ -717,7 +727,7 @@ class TestFuzzyIndexProperties:
         # them, for tokens up to 64 characters (numpy) and over (Python)
         words = [_LONG[:n] for n in range(60, 75)] + [_LONG[:66] + "é", "ab" * 40]
         pairs = [ParallelPair(f"p{i:02d}", w, "t", "NT") for i, w in enumerate(words)]
-        index = _TokenMatcher.over_pairs(pairs)
+        index = TokenIndex.over_pairs(pairs)
         tokens = words + [_LONG[:70] + "zz", "é" * 65]
         distances = {(t, w): edit_distance_oracle(t, w) for t in tokens for w in words}
         for threshold in (0.0, 0.5, 0.97, 1.0):
@@ -736,14 +746,14 @@ class TestFuzzyIndexProperties:
         types = sorted({t for p in pool for t in word_tokenize(p.source_text)})
         tokens = sorted({t for p in load_parallel(paths["test"])
                          for t in word_tokenize(p.source_text)})
-        found = _TokenMatcher.over_pairs(pool).matches(tokens, 0.5)
+        found = TokenIndex.over_pairs(pool).matches(tokens, 0.5)
         assert len(tokens) > 50 and len(types) > 200
         for token in tokens:
             assert sorted(found[token]) == brute_matches(token, types, 0.5)
 
     def test_memo_keyed_by_threshold(self):
         pairs = [ParallelPair("p1", "fathers", "t", "NT"), ParallelPair("p2", "!!", "t", "NT")]
-        index = _TokenMatcher.over_pairs(pairs)
+        index = TokenIndex.over_pairs(pairs)
         assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 1.0)) == []
         assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.5)) == [
             ("p1", 1 - 1 / 7, "father")
@@ -756,8 +766,6 @@ class TestFuzzyIndexProperties:
 
 class _PaletteEmbedder:
     """An embedding provider that maps the text "v<i>" to palette row i."""
-
-    fingerprint = "palette"
 
     def __init__(self, palette):
         self.palette = palette
@@ -791,7 +799,7 @@ class TestPrefixProperty:
         rows = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
         order = data.draw(st.permutations(range(count)))
         pairs = [ParallelPair(f"p{j:02d}", f"v{row}", "t", "NT") for j, row in zip(order, rows)]
-        index = EmbeddingIndex(pairs, palette[rows], "palette")
+        index = EmbeddingIndex(pairs, palette[rows])
         row = data.draw(st.integers(0, 3))
         prefixes = Retriever("DENSE", pairs, provider=_PaletteEmbedder(palette)).prefixes(
             f"v{row}", size)
@@ -800,7 +808,7 @@ class TestPrefixProperty:
 
     @given(st.data(), _cw_pools(), st.sampled_from([0.3, 0.5, 1.0]), st.integers(1, 10))
     def test_chrf_cw(self, data, pairs, gamma, size):
-        index = _GramIndex(pairs)
+        index = GramIndex(pairs)
         retriever = Retriever("CHRF_CW", pairs, gamma=gamma)
         for _ in range(2):
             query = data.draw(_cw_queries)
@@ -812,7 +820,7 @@ class TestPrefixProperty:
     @given(st.data(), _pools(), st.integers(1, 4))
     def test_fuzzy_word(self, data, pairs, size):
         vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
-        index = _TokenMatcher.over_pairs(pairs)
+        index = TokenIndex.over_pairs(pairs)
         for threshold in (0.0, 0.5, 1.0):
             query = data.draw(_queries(vocabulary))
             lists = fuzzy_word_lists(index, query, size, threshold)
@@ -832,26 +840,27 @@ class TestFuzzyWord:
             ParallelPair("p2", "the mother sang", "t", "NT"),
             ParallelPair("p3", "unrelated xyzzy qwerty", "t", "NT"),
         ]
-        results = fuzzy_word_retrieve(pairs, "father mother", 1)
+        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father mother", 1)
         assert {r.pair.id for r in results} == {"p1", "p2"}
         assert all(r.score == 1.0 for r in results)
 
     def test_father_fathers_similarity(self):
         pairs = [ParallelPair("p1", "the fathers spoke", "t", "NT")]
-        results = fuzzy_word_retrieve(pairs, "father", 1)
+        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father", 1)
         assert results[0].score == pytest.approx(6 / 7)
         assert results[0].matched_token == "father"
 
     def test_below_threshold_excluded(self):
         pairs = [ParallelPair("p1", "xyzzy", "t", "NT")]
-        assert fuzzy_word_retrieve(pairs, "mother", 5) == []
+        assert fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "mother", 5) == []
 
     def test_matches_bruteforce_oracle(self):
         pairs = make_pairs(150, seed=31)
+        index = TokenIndex.over_pairs(pairs)
         rng = random.Random(37)
         for _ in range(5):
             query = " ".join(rng.choice(WORDS) for _ in range(4))
-            got = [(r.score, r.pair.id) for r in fuzzy_word_retrieve(pairs, query, 3)]
+            got = [(r.score, r.pair.id) for r in fuzzy_word_retrieve(index, query, 3)]
             want = fuzzy_oracle(pairs, query, 3)
             assert [g[1] for g in got] == [w[1] for w in want]
             for g, w in zip(got, want):
@@ -861,20 +870,20 @@ class TestFuzzyWord:
         pairs = make_pairs(200, seed=41)
         query = "father mother water light sea stone"
         n = 10
-        results = fuzzy_word_retrieve(pairs, query, n)
+        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), query, n)
         assert len(results) <= n * len(word_tokenize(query))
         assert all(r.score >= 0.5 for r in results)
 
 
 class TestLexiconRetrieval:
     def test_exact_headword_first(self, demo_lexicon):
-        results = lexicon_fuzzy_retrieve(demo_lexicon, "father", 3)
+        results = lexicon_fuzzy_retrieve(TokenIndex.over_lexicon(demo_lexicon), "father", 3)
         assert results[0].entry.source_word == "father"
         assert results[0].score == 1.0
 
     def test_no_padding_when_few_matches(self):
         lex = [LexiconEntry("father", "ama"), LexiconEntry("xqzw", "zzz")]
-        results = lexicon_fuzzy_retrieve(lex, "father", 10)
+        results = lexicon_fuzzy_retrieve(TokenIndex.over_lexicon(lex), "father", 10)
         assert len(results) == 1
 
     def test_matches_bruteforce_oracle(self):
@@ -884,7 +893,7 @@ class TestLexiconRetrieval:
             for i, _ in enumerate(range(20))
         ]
         query = "father waters lighted"
-        got = lexicon_fuzzy_retrieve(lex, query, 3)
+        got = lexicon_fuzzy_retrieve(TokenIndex.over_lexicon(lex), query, 3)
         # brute force over all (token, entry) pairs
         best = {}
         for token in word_tokenize(query):
