@@ -1,10 +1,11 @@
 """Running the full post-editing pipeline offline with replay fixtures.
 
-The provider layer caches each exchange under a content hash of its
-request: one JSON file per chat request, and one ``emb-<hash>.json`` file
-per embedding reply that maps each text's key to its record. A directory of
-such files doubles as a replay source: point ``replay_dir`` at it and the
-whole pipeline becomes bit-reproducible with zero network traffic. The
+The provider reads every request from a record directory, keyed by a
+content hash of the request: one JSON file per chat request, and one
+``emb-<hash>.json`` file per embedding reply that maps each text's key to
+its record. A live run writes its misses there as its cache; point
+``replay_dir`` at such a directory and the same provider never sends, so
+the whole pipeline becomes bit-reproducible with zero network traffic. The
 fixtures below are hand-written one file per request, chat and embedding
 alike; that older per-text embedding layout is still read.
 
@@ -22,7 +23,7 @@ from pathlib import Path
 from ragmt.corpus import load_lexicon, load_parallel
 from ragmt.pipeline import ExperimentConfig, compare, load_drafts, run_experiment
 from ragmt.prompt import ContextBundle, render_postedit
-from ragmt.provider import ProviderConfig, ReplayProvider, chat_request_key, embedding_request_key
+from ragmt.provider import Provider, ProviderConfig, chat_request_key, embedding_request_key
 from ragmt.retrieval import (
     EmbeddingIndex,
     TokenIndex,
@@ -126,7 +127,7 @@ print()
 # ---------------------------------------------------------------------------
 # Dense retrieval through the same fixture mechanism: store one embedding
 # record per sentence (a toy character-histogram vector) and query the
-# index through a ReplayProvider.
+# index through a provider with replay_dir set.
 
 import math  # noqa: E402
 
@@ -151,7 +152,7 @@ for text in [p.source_text for p in pool] + [query]:
         json.dumps(record, sort_keys=True, ensure_ascii=False), encoding="utf-8"
     )
 
-provider = ReplayProvider(ProviderConfig(
+provider = Provider(ProviderConfig(
     model_name=MODEL, embedding_model_name=EMBED_MODEL,
     replay_dir=str(FIXTURES),
 ))
@@ -161,5 +162,5 @@ hits = dense_retrieve(index, provider.embed([query]).vectors[0], 3)
 print("dense retrieval (replayed embeddings) for:", query)
 for r in hits:
     print(f"  {r.score:7.4f}  {r.pair.id:<10} {r.pair.source_text}")
-print(f"\nnetwork requests issued by the replay provider: {provider.request_count}")
+print(f"\nnetwork requests issued in replay: {provider.request_count}")
 print(f"work dir (fixtures, manifests, reports): {WORK}")

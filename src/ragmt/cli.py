@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import analysis, corpus, metrics, pipeline, retrieval
 from .prompt import ContextBundle, render_direct, render_postedit
-from .provider import ProviderConfig, build_provider
+from .provider import Provider, ProviderConfig
 
 # What a config or the input files it names can fail to load with: bad
 # input, reported as a usage error rather than a traceback
@@ -111,9 +111,8 @@ def _cmd_retrieve(args) -> int:
     strategy = STRATEGY_NAMES[args.strategy]
     provider = None
     if args.provider_config:
-        provider = build_provider(ProviderConfig.from_dict(
-            json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
-        ))
+        data = json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
+        provider = Provider(ProviderConfig(**data))
     retriever = retrieval.Retriever(strategy, pool, gamma=args.gamma, provider=provider)
     results = retriever.retrieve(args.query, args.n if strategy == "FUZZY_WORD" else args.k)
     _emit([

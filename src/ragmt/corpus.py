@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,18 @@ ORIGINS = ("NT", "OT", "GRAMMAR")
 
 class CorpusError(ValueError):
     """Raised for malformed corpus or lexicon files."""
+
+
+@contextmanager
+def naming_errors(path, error: type[ValueError] = CorpusError):
+    """Re-raise an ``error`` raised in the block, or a failure to decode
+    ``path`` as UTF-8, as an ``error`` whose message starts with ``path``."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc})") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -160,7 +173,7 @@ def load_parallel(path: str | Path, fmt: str | None = None) -> list[ParallelPair
     fmt = _detect_format(path, fmt)
     pairs: list[ParallelPair] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with naming_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -213,7 +226,7 @@ def load_lexicon(path: str | Path, fmt: str | None = None) -> list[LexiconEntry]
     fmt = _detect_format(path, fmt)
     entries: list[LexiconEntry] = []
     seen: dict[tuple, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with naming_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -22,14 +22,16 @@ import hashlib
 import json
 import random
 import statistics
+import typing
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import metrics, retrieval
-from .corpus import CorpusError, LexiconEntry, ParallelPair, load_lexicon, load_parallel
+from .corpus import (CorpusError, LexiconEntry, ParallelPair, load_lexicon, load_parallel,
+                     naming_errors)
 from .metrics import ChrfParams, EvalReport, WhitespaceTokenizer
 from .prompt import (
     DHAO_PROFILE,
@@ -38,7 +40,7 @@ from .prompt import (
     render_direct,
     render_postedit,
 )
-from .provider import ProviderConfig, ProviderError, build_provider
+from .provider import Provider, ProviderConfig, ProviderError
 
 MODES = ("NMT_ONLY", "DIRECT_LLM", "POST_EDIT")
 CONTEXTS = ("NONE", "STATIC_K", "BM25", "DENSE", "CHRF_CW", "FUZZY_WORD")
@@ -110,11 +112,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        provider = data.pop("provider", None)
-        if provider is not None:
-            provider = ProviderConfig.from_dict(provider)
-        return cls(provider=provider, **data)
+        """A config from its JSON object; anything invalid is a ``ConfigError``."""
+        data = _checked(cls, data, "config")
+        if data.get("provider") is not None:
+            provider = _checked(ProviderConfig, data["provider"], "provider")
+            try:
+                data["provider"] = ProviderConfig(**provider)
+            except ValueError as exc:
+                raise ConfigError(f"provider: {exc}") from None
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -135,6 +141,29 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(identity, sort_keys=True, ensure_ascii=False).encode()
         ).hexdigest()[:16]
+
+
+def _checked(cls, data, what: str) -> dict:
+    """``data``, checked to be a JSON object of ``cls``'s fields, each of its
+    declared type; a float may be given as an int, a nested config as an
+    object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{what} field {f.name!r} is missing")
+            continue
+        allowed = tuple(dict if is_dataclass(t) else t
+                        for t in typing.get_args(hints[f.name]) or (hints[f.name],))
+        allowed += (int,) if float in allowed else ()
+        if isinstance(data[f.name], bool) or not isinstance(data[f.name], allowed):
+            raise ConfigError(f"{what} field {f.name!r} must be {f.type}, got {data[f.name]!r}")
+    return dict(data)
 
 
 def final_preset(**overrides) -> dict:
@@ -225,14 +254,14 @@ def _pairs_hash(pairs: list[ParallelPair]) -> str:
 def load_drafts(path: str | Path) -> dict[str, str]:
     """Draft file: ``id \\t hypothesis`` per line."""
     drafts: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with naming_errors(path, ConfigError), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             cols = line.split("\t")
             if len(cols) != 2:
-                raise ConfigError(f"draft file line {lineno}: expected 2 columns")
+                raise ConfigError(f"line {lineno}: expected 2 TSV columns, got {len(cols)}")
             drafts[cols[0]] = cols[1]
     return drafts
 
@@ -279,7 +308,7 @@ def _load(config: ExperimentConfig, provider) -> _Inputs:
             raise ConfigError(f"POST_EDIT needs a non-empty draft; empty for ids: {empty[:5]}")
 
     if config.mode != "NMT_ONLY" and provider is None:
-        provider = build_provider(config.provider)
+        provider = Provider(config.provider)
     return _Inputs(
         test_pairs=test_pairs,
         pool=pool,
@@ -561,7 +590,7 @@ def sweep(
     if configs:
         try:
             plan = _Plan(base_config, _load(base_config, provider), max(map(_size, configs)))
-        except (ProviderError, ConfigError, CorpusError, UnicodeDecodeError, OSError) as exc:
+        except (ProviderError, ConfigError, CorpusError, OSError) as exc:
             load_error = str(exc)
     rows = []
     for value, cell in zip(values, cells):

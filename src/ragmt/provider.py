@@ -1,26 +1,28 @@
 """Chat-completion and embedding access over an OpenAI-compatible wire.
 
-Three layers:
-  * a disk cache keyed by content hash of the request: one JSON file per
-    chat exchange, and one file per embedding reply chunk that maps each
-    of its texts' keys to their records (see ``_JsonStore``);
-  * an HTTP provider with exponential-backoff retries (honouring a 429 or
-    503 reply's ``Retry-After``) and a bounded in-flight semaphore;
-  * a replay provider that serves recorded fixtures (same JSON schema as
-    the cache) and never touches the network, making whole-pipeline runs
-    bit-reproducible.
+Two parts:
+  * ``_JsonStore``, the record directory: records keyed by the content hash
+    of their request, one JSON file per chat exchange, and one file per
+    embedding reply chunk that maps each of its texts' keys to their
+    records;
+  * ``Provider``, which answers every ``complete`` and ``embed`` call from
+    that directory first: ``replay_dir`` if set, else ``cache_dir``. With
+    ``replay_dir`` a miss is an error and nothing is sent, which makes
+    whole-pipeline runs replay bit-identically offline; a live run's cache
+    directory serves as a replay directory unchanged. Otherwise a miss is
+    posted to ``base_url`` with exponential-backoff retries (honouring a
+    429 or 503 reply's ``Retry-After``) and written back to ``cache_dir``.
 
-``requests`` is imported when an ``HttpProvider`` is built, so replay runs
-and offline commands never load it.
+``requests`` is imported only when a provider without ``replay_dir`` is
+built, so replay runs and offline commands never load it.
 
 Concurrency: ``ProviderConfig.max_in_flight`` bounds the requests one
-``HttpProvider`` has on the wire at once, whichever threads send them.
-``HttpProvider.embed`` posts its ``embed_batch_size`` chunks through a
-window of that many outstanding requests and handles each reply (parse,
-normalise, cache) in chunk order as it arrives. ``pipeline.run_experiment``
-calls ``complete`` from that many worker threads. Both providers may be
-called from several threads at once; results never depend on the order in
-which replies arrive.
+provider has on the wire at once, whichever threads send them. ``embed``
+posts its ``embed_batch_size`` chunks through a window of that many
+outstanding requests and handles each reply (parse, normalise, cache) in
+chunk order as it arrives. ``complete`` is called from the worker threads
+of ``pipeline.run_experiment`` and of each ``sweep`` cell, that many at
+once. Results never depend on the order in which replies arrive.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class ProviderConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProviderConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -212,18 +210,24 @@ class _JsonStore:
         return vector
 
 
-class HttpProvider:
-    """OpenAI-compatible HTTP client with caching, retries, and a
-    bounded-concurrency semaphore; safe to call from several threads."""
+class Provider:
+    """OpenAI-compatible client over a record directory: every call reads
+    the directory first, and only a provider without ``replay_dir`` sends
+    its misses, with retries and a bounded-concurrency semaphore. Safe to
+    call from several threads."""
 
     def __init__(self, config: ProviderConfig):
+        self.config = config
+        directory = config.replay_dir or config.cache_dir
+        self.store = _JsonStore(directory) if directory else None
+        self.request_count = 0  # stays 0 in replay: nothing is ever sent
+        if config.replay_dir:
+            return
         if not config.base_url:
-            raise ProviderError("base_url is required for the HTTP provider")
+            raise ProviderError("base_url is required without replay_dir")
         import requests
         from requests.adapters import HTTPAdapter
 
-        self.config = config
-        self.cache = _JsonStore(config.cache_dir) if config.cache_dir else None
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._session = requests.Session()
         # urllib3 keeps 10 connections per host by default and discards the rest
@@ -231,7 +235,6 @@ class HttpProvider:
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
         self._count_lock = threading.Lock()
-        self.request_count = 0
 
     def _headers(self) -> dict:
         key = os.environ.get(self.config.api_key_env, "")
@@ -282,23 +285,21 @@ class HttpProvider:
 
     def complete(self, prompt: RenderedPrompt) -> ChatExchange:
         cfg = self.config
-        request = {
-            "model": cfg.model_name,
-            "temperature": cfg.temperature,
-            "system": prompt.system,
-            "user": prompt.user,
-        }
         key = chat_request_key(cfg.model_name, cfg.temperature, prompt.system, prompt.user)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return ChatExchange(
-                    request=cached["request"],
-                    response_text=cached["response_text"],
-                    latency=cached.get("latency", 0.0),
-                    token_usage=cached.get("token_usage"),
-                    cache_hit=True,
-                )
+        record = self.store.get(key) if self.store is not None else None
+        if record is not None:
+            return ChatExchange(
+                request=record["request"],
+                response_text=record["response_text"],
+                latency=record.get("latency", 0.0),
+                token_usage=record.get("token_usage"),
+                cache_hit=True,
+            )
+        if cfg.replay_dir:
+            raise ProviderError(
+                f"no replay fixture for chat request {key} "
+                f"(model={cfg.model_name!r}, user={prompt.user[:60]!r}...)"
+            )
         body = {
             "model": cfg.model_name,
             "messages": [
@@ -317,15 +318,16 @@ class HttpProvider:
         if not isinstance(text, str) or not text.strip():
             raise ProviderError("empty response")
         exchange = ChatExchange(
-            request=request,
+            request={"model": cfg.model_name, "temperature": cfg.temperature,
+                     "system": prompt.system, "user": prompt.user},
             response_text=text,
             latency=latency,
             token_usage=data.get("usage"),
         )
-        if self.cache is not None:
-            self.cache.put(key, {
+        if self.store is not None:
+            self.store.put(key, {
                 "kind": "chat",
-                "request": request,
+                "request": exchange.request,
                 "response_text": text,
                 "latency": latency,
                 "token_usage": exchange.token_usage,
@@ -337,15 +339,17 @@ class HttpProvider:
             raise ProviderError("embed() requires at least one text")
         cfg = self.config
         model = cfg.embedding_model_name or cfg.model_name
-        if self.cache is not None:
-            self.cache.read_chunks()
+        if self.store is not None:
+            self.store.read_chunks()
         vectors: dict[str, list[float]] = {}
         pending: list[tuple[str, str]] = []  # (text, cache key)
         for text in dict.fromkeys(texts):  # distinct texts, first-seen order
             key = embedding_request_key(model, text)
-            cached = self.cache.vector(key) if self.cache is not None else None
+            cached = self.store.vector(key) if self.store is not None else None
             if cached is not None:
                 vectors[text] = cached
+            elif cfg.replay_dir:
+                raise ProviderError(f"no replay fixture for embedding of {text[:60]!r}")
             else:
                 pending.append((text, key))
         # at most max_in_flight chunks outstanding; each reply is handled in
@@ -379,55 +383,8 @@ class HttpProvider:
             vec = _unit_normalize([float(v) for v in row])
             vectors[text] = vec
             records[key] = {"request": {"model": model, "text": text}, "vector": vec}
-        if self.cache is not None:
-            self.cache.put_chunk(records)
+        if self.store is not None:
+            self.store.put_chunk(records)
 
 
-class ReplayProvider:
-    """Serves recorded exchanges from a fixture directory; never goes online.
-
-    Fixture files use the cache schema, so a cache directory produced by a
-    live run can be dropped in as a replay source unchanged.
-    """
-
-    def __init__(self, config: ProviderConfig):
-        if not config.replay_dir:
-            raise ProviderError("replay provider requires replay_dir")
-        self.config = config
-        self.store = _JsonStore(config.replay_dir)
-        self.request_count = 0  # stays 0: replay never issues network calls
-
-    def complete(self, prompt: RenderedPrompt) -> ChatExchange:
-        cfg = self.config
-        key = chat_request_key(cfg.model_name, cfg.temperature, prompt.system, prompt.user)
-        record = self.store.get(key)
-        if record is None:
-            raise ProviderError(
-                f"no replay fixture for chat request {key} "
-                f"(model={cfg.model_name!r}, user={prompt.user[:60]!r}...)"
-            )
-        return ChatExchange(
-            request=record["request"],
-            response_text=record["response_text"],
-            latency=record.get("latency", 0.0),
-            token_usage=record.get("token_usage"),
-            cache_hit=True,
-        )
-
-    def embed(self, texts: list[str]) -> EmbeddingBatch:
-        if not texts:
-            raise ProviderError("embed() requires at least one text")
-        model = self.config.embedding_model_name or self.config.model_name
-        self.store.read_chunks()
-        vectors: dict[str, list[float]] = {}
-        for text in dict.fromkeys(texts):
-            vectors[text] = self.store.vector(embedding_request_key(model, text))
-            if vectors[text] is None:
-                raise ProviderError(f"no replay fixture for embedding of {text[:60]!r}")
-        return EmbeddingBatch(inputs=list(texts), vectors=[vectors[t] for t in texts])
-
-
-def build_provider(config: ProviderConfig):
-    if config.replay_dir:
-        return ReplayProvider(config)
-    return HttpProvider(config)
+build_provider = Provider  # the name perfbench/child.py imports

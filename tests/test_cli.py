@@ -296,19 +296,38 @@ class TestBadRunInput:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
 
-    @pytest.mark.parametrize("command, config", [
-        ("run", {"mode": "BOGUS"}),
-        ("run", {"corpus_path": "two-columns.tsv"}),
-        ("run", {"corpus_path": "latin-1.tsv"}),
-        ("run", {"corpus_path": "missing.tsv"}),
-        ("run", "{not json"),
-        ("run", None),
-        ("sweep", {"mode": "BOGUS"}),
-        ("sweep", None),
+    @pytest.mark.parametrize("command, config, named", [
+        ("run", {"mode": "BOGUS"}, ""),
+        ("run", {"corpus_path": "two-columns.tsv"}, "two-columns.tsv"),
+        ("run", {"corpus_path": "latin-1.tsv"}, "latin-1.tsv"),
+        ("run", {"corpus_path": "missing.tsv"}, ""),
+        ("run", "{not json", ""),
+        ("run", None, ""),
+        ("sweep", {"mode": "BOGUS"}, ""),
+        ("sweep", None, ""),
+        ("run", {"typo_field": 1}, "'typo_field'"),
+        ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "fixtures", "typo": 1}},
+         "'typo'"),
+        ("run", "[1, 2]", "JSON object"),
+        ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "fixtures",
+                                                     "temperature": -1}}, "temperature"),
+        ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "fixtures",
+                                                     "max_in_flight": 0}}, "max_in_flight"),
+        ("run", {"k": "3"}, "'k'"),
+        ("run", {"k": True}, "'k'"),
+        ("run", '{"context": "NONE"}', "'mode'"),
+        ("sweep", {"typo_field": 1}, "'typo_field'"),
+        ("run", {"lexicon_path": "latin-1.tsv", "lexicon_mode": "FULL"}, "latin-1.tsv"),
+        ("run", {"draft_path": "latin-1.tsv"}, "latin-1.tsv"),
+        ("run", {"draft_path": "three-columns.tsv"}, "three-columns.tsv"),
     ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
-            "missing-config", "sweep-bogus-mode", "sweep-missing-config"])
-    def test_is_usage_error(self, tmp_path, command, config):
+            "missing-config", "sweep-bogus-mode", "sweep-missing-config", "unknown-field",
+            "unknown-provider-field", "json-array", "negative-temperature",
+            "no-requests-in-flight", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
+            "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line"])
+    def test_is_usage_error(self, tmp_path, command, config, named):
         (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")
+        (tmp_path / "three-columns.tsv").write_text("GEN.1.1\tdraft\textra\n", encoding="utf-8")
         (tmp_path / "latin-1.tsv").write_bytes("GEN.1.1\tcafé\tt\tNT\n".encode("latin-1"))
         if isinstance(config, dict):
             config = json.dumps({**self.CONFIG, **config})
@@ -318,8 +337,9 @@ class TestBadRunInput:
         result = self.ragmt(tmp_path, command, "--config", "config.json", *values)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert result.stderr.splitlines()[-1].startswith(
-            f"ragmt: error: {command} --config config.json: ")
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith(f"ragmt: error: {command} --config config.json: ")
+        assert named in last
         assert not list(tmp_path.rglob("manifest-*.json"))
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import string
+import sys
+import types
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from ragmt.metrics import (
     ChrfParams,
     EvalReport,
+    SentencePieceTokenizer,
     WhitespaceTokenizer,
     chrf_pp,
     corpus_bleu,
@@ -298,3 +301,47 @@ def test_whitespace_tokenizer_round_trip():
     tok = WhitespaceTokenizer()
     tokens = tok.tokenize("a b  c")
     assert tok.tokenize(" ".join(tokens)) == tokens
+
+
+def _pieces(text: str) -> list[str]:
+    """Two-character pieces, each word's first marked as SentencePiece marks it."""
+    return [("\u2581" if i == 0 else "") + word[i : i + 2]
+            for word in text.split() for i in range(0, len(word), 2)]
+
+
+class TestSentencePieceTokenizer:
+    """The subword tokenizer over a stub ``sentencepiece`` module, which is
+    an optional dependency."""
+
+    def test_evaluate_tokenizes_through_it(self, monkeypatch):
+        encoded, loaded = [], []
+
+        class Processor:
+            def __init__(self, model_file):
+                loaded.append(model_file)
+
+            def encode(self, text, out_type):
+                assert out_type is str
+                encoded.append(text)
+                return _pieces(text)
+
+        monkeypatch.setitem(sys.modules, "sentencepiece",
+                            types.SimpleNamespace(SentencePieceProcessor=Processor))
+        tokenizer = SentencePieceTokenizer("models/spm.model")
+        assert loaded == ["models/spm.model"]
+        pairs = FIXTURE_PAIRS[:4]
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        report = evaluate([str(i) for i in range(len(pairs))], hyps, refs, tokenizer=tokenizer)
+        assert report.bleu_label == "spBLEU"
+        assert report.metadata["tokenizer"] == "sentencepiece:spm.model"
+        assert sorted(encoded) == sorted(hyps + refs)
+        # BLEU over the pieces, not over the words
+        spaced = [[" ".join(_pieces(t)) for t in texts] for texts in (hyps, refs)]
+        assert report.corpus_bleu == corpus_bleu(*spaced)
+        assert report.corpus_bleu != corpus_bleu(hyps, refs)
+
+    def test_missing_module_names_the_fallback(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sentencepiece", None)  # import fails
+        with pytest.raises(RuntimeError, match="use the whitespace tokenizer"):
+            SentencePieceTokenizer("models/spm.model")

@@ -751,8 +751,9 @@ class TestMalformedInput:
 
 
 class TestImportFootprint:
-    """Replay runs and the CLI import neither ``requests`` (only an
-    HttpProvider needs it) nor ``numpy.ma`` (nothing in the package does)."""
+    """Replay runs and the CLI import neither ``requests`` (only a provider
+    without ``replay_dir`` needs it) nor ``numpy.ma`` (nothing in the
+    package does)."""
 
     SCRIPT = (
         "import sys\n"
@@ -858,7 +859,7 @@ class TestSweepPlan:
 
         for loader in ("load_parallel", "load_lexicon", "load_drafts"):
             count(pipeline, loader, key=lambda path: Path(path).name)
-        count(pipeline, "build_provider")
+        count(pipeline, "Provider")
         count(retrieval.Retriever, "_build_index")
         count(retrieval.TokenIndex, "over_lexicon")
         count(retrieval, self.RETRIEVE[name], key=lambda *args: "retrieve")
@@ -870,7 +871,7 @@ class TestSweepPlan:
             assert all(r["error"] == "" for r in rows)
             assert calls == {
                 "test.tsv": 1, "corpus.tsv": 1, "lexicon.tsv": 1, "drafts.tsv": 1,
-                "build_provider": 1, "_build_index": 1, "over_lexicon": 1,
+                "Provider": 1, "_build_index": 1, "over_lexicon": 1,
                 "retrieve": len(tests), "lexicon_fuzzy_retrieve": len(tests),
             }
             embedded = [r["body"]["input"] for r in server.requests

@@ -4,6 +4,7 @@ import json
 import logging
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,12 +14,10 @@ from ragmt.prompt import RenderedPrompt
 from ragmt.provider import (
     ChatExchange,
     EmbeddingBatch,
-    HttpProvider,
+    Provider,
     ProviderConfig,
     ProviderError,
-    ReplayProvider,
     _JsonStore,
-    build_provider,
     chat_request_key,
     embedding_request_key,
 )
@@ -42,7 +41,7 @@ def make_config(server, tmp_path, **overrides) -> ProviderConfig:
 class TestComplete:
     def test_success_and_usage(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             exchange = provider.complete(PROMPT)
             assert exchange.response_text == "echo:translate this"
             assert exchange.cache_hit is False
@@ -50,7 +49,7 @@ class TestComplete:
 
     def test_cache_warm_repeat_no_network(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             provider.complete(PROMPT)
             count_after_first = len(server.requests)
             second = provider.complete(PROMPT)
@@ -61,7 +60,7 @@ class TestComplete:
     def test_two_429_then_success(self, tmp_path):
         with MockProviderServer() as server:
             server.status_script = [429, 429]
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             exchange = provider.complete(PROMPT)
             assert exchange.response_text.startswith("echo:")
             assert len(server.requests) == 3
@@ -69,7 +68,7 @@ class TestComplete:
     def test_exhausted_retries_carries_status(self, tmp_path):
         with MockProviderServer() as server:
             server.status_script = [503] * 10
-            provider = HttpProvider(make_config(server, tmp_path, max_retries=2))
+            provider = Provider(make_config(server, tmp_path, max_retries=2))
             with pytest.raises(ProviderError) as err:
                 provider.complete(PROMPT)
             assert err.value.status == 503
@@ -78,7 +77,7 @@ class TestComplete:
     def test_4xx_is_immediate(self, tmp_path):
         with MockProviderServer() as server:
             server.status_script = [401]
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             with pytest.raises(ProviderError) as err:
                 provider.complete(PROMPT)
             assert err.value.status == 401
@@ -86,7 +85,7 @@ class TestComplete:
 
     def test_in_flight_bound(self, tmp_path):
         with MockProviderServer(response_delay=0.05) as server:
-            provider = HttpProvider(make_config(server, tmp_path, max_in_flight=2))
+            provider = Provider(make_config(server, tmp_path, max_in_flight=2))
             prompts = [
                 RenderedPrompt(system="s", user=f"query {i}", mode="direct")
                 for i in range(8)
@@ -106,7 +105,7 @@ class TestComplete:
         # more threads than cores and a short switch interval, so an unguarded
         # ``request_count += 1`` would lose updates
         with MockProviderServer(response_delay=0.02) as server:
-            provider = HttpProvider(make_config(server, tmp_path, max_in_flight=16))
+            provider = Provider(make_config(server, tmp_path, max_in_flight=16))
             prompts = [
                 RenderedPrompt(system="s", user=f"query {i}", mode="direct")
                 for i in range(16)
@@ -146,7 +145,7 @@ class TestRetryAfter:
         with MockProviderServer() as server:
             server.status_script = [status]
             server.retry_after = header
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             assert provider.complete(PROMPT).response_text.startswith("echo:")
         assert sleeps == [slept]
 
@@ -155,7 +154,7 @@ class TestRetryAfter:
         monkeypatch.setattr(ragmt.provider.time, "sleep", sleeps.append)
         with MockProviderServer() as server:
             server.status_script = [429, 503, 429]
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             provider.complete(PROMPT)
         assert sleeps == [0.01, 0.02, 0.04]
 
@@ -163,7 +162,7 @@ class TestRetryAfter:
 class TestEmbed:
     def test_unit_normalized_and_aligned(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             batch = provider.embed(["alpha", "beta"])
             assert isinstance(batch, EmbeddingBatch)
             for vec in batch.vectors:
@@ -171,13 +170,13 @@ class TestEmbed:
 
     def test_duplicate_texts_identical_vectors(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             batch = provider.embed(["same text", "other", "same text"])
             assert batch.vectors[0] == batch.vectors[2]
 
     def test_chunking_request_count(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            provider = Provider(make_config(server, tmp_path, embed_batch_size=32))
             texts = [f"text number {i}" for i in range(100)]
             provider.embed(texts)
             embed_requests = [r for r in server.requests if r["path"].endswith("/embeddings")]
@@ -186,7 +185,7 @@ class TestEmbed:
     def test_duplicates_sent_once_and_aligned(self, tmp_path):
         texts = ["b", "a", "b", "c", "a", "a"]
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path, cache_dir=None,
+            provider = Provider(make_config(server, tmp_path, cache_dir=None,
                                                 embed_batch_size=1))
             batch = provider.embed(texts)
             sent = [r["body"]["input"] for r in server.requests]
@@ -200,7 +199,7 @@ class TestEmbed:
         batches = {}
         for in_flight in (1, 4):
             with MockProviderServer(response_delay=0.05) as server:
-                provider = HttpProvider(make_config(
+                provider = Provider(make_config(
                     server, tmp_path / str(in_flight), embed_batch_size=4,
                     max_in_flight=in_flight))
                 batches[in_flight] = provider.embed(texts)
@@ -209,13 +208,13 @@ class TestEmbed:
         assert batches[1] == batches[4]
         # every vector reached the cache: a second call sends nothing
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path / "4"))
+            provider = Provider(make_config(server, tmp_path / "4"))
             assert provider.embed(texts) == batches[4]
             assert server.requests == []
 
     def test_embedding_cache_hits(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             provider.embed(["cached text"])
             n = len(server.requests)
             again = provider.embed(["cached text"])
@@ -224,7 +223,7 @@ class TestEmbed:
 
     def test_empty_input_rejected(self, tmp_path):
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path))
+            provider = Provider(make_config(server, tmp_path))
             with pytest.raises(ProviderError):
                 provider.embed([])
 
@@ -233,7 +232,7 @@ class TestReplay:
     def _record_fixture(self, tmp_path) -> ProviderConfig:
         # a live run's cache directory doubles as the replay fixture dir
         with MockProviderServer() as server:
-            live = HttpProvider(make_config(server, tmp_path))
+            live = Provider(make_config(server, tmp_path))
             live.complete(PROMPT)
             live.embed(["alpha"])
         return ProviderConfig(
@@ -244,38 +243,57 @@ class TestReplay:
 
     def test_replays_recorded_bytes(self, tmp_path):
         config = self._record_fixture(tmp_path)
-        replay = ReplayProvider(config)
+        replay = Provider(config)
         exchange = replay.complete(PROMPT)
         assert exchange.response_text == "echo:translate this"
         assert replay.request_count == 0
 
     def test_replay_is_deterministic(self, tmp_path):
         config = self._record_fixture(tmp_path)
-        replay = ReplayProvider(config)
+        replay = Provider(config)
         a = replay.embed(["alpha"])
         b = replay.embed(["alpha"])
         assert a.vectors == b.vectors
 
     def test_missing_fixture_errors(self, tmp_path):
         config = self._record_fixture(tmp_path)
-        replay = ReplayProvider(config)
+        replay = Provider(config)
         other = RenderedPrompt(system="sys", user="unseen request", mode="direct")
         with pytest.raises(ProviderError, match="no replay fixture"):
             replay.complete(other)
 
-    def test_build_provider_dispatch(self, tmp_path):
+    def test_replay_with_live_base_url_never_sends(self, tmp_path):
         config = self._record_fixture(tmp_path)
-        assert isinstance(build_provider(config), ReplayProvider)
-        http_config = ProviderConfig(base_url="http://localhost:1", model_name="m")
-        assert isinstance(build_provider(http_config), HttpProvider)
+        with MockProviderServer() as server:
+            replay = Provider(replace(config, base_url=server.base_url))
+            assert replay.complete(PROMPT).response_text == "echo:translate this"
+            warm = Provider(make_config(server, tmp_path))
+            assert replay.embed(["alpha", "alpha"]).vectors == warm.embed(["alpha"]).vectors * 2
+            other = RenderedPrompt(system="sys", user="unseen request", mode="direct")
+            with pytest.raises(ProviderError, match="no replay fixture"):
+                replay.complete(other)
+            with pytest.raises(ProviderError, match="no replay fixture"):
+                replay.embed(["alpha", "unseen text"])
+            assert server.requests == []
+        assert replay.request_count == 0
+
+    def test_replay_equals_warm_cache_hit(self, tmp_path):
+        with MockProviderServer() as server:
+            live = Provider(make_config(server, tmp_path))
+            live.complete(PROMPT)
+            warm = live.complete(PROMPT)
+            assert len(server.requests) == 1
+        replayed = replay_of(tmp_path / "cache").complete(PROMPT)
+        assert warm.cache_hit and replayed.cache_hit
+        assert replayed == warm
 
 
 def write_json(path, record) -> None:
     path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
 
 
-def replay_of(directory) -> ReplayProvider:
-    return ReplayProvider(ProviderConfig(
+def replay_of(directory) -> Provider:
+    return Provider(ProviderConfig(
         model_name="mock-chat", embedding_model_name="mock-embed", replay_dir=str(directory)))
 
 
@@ -286,32 +304,32 @@ class TestEmbeddingCache:
 
     def test_one_file_per_reply_and_warm_rerun(self, tmp_path):
         with MockProviderServer() as server:
-            cold = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            cold = Provider(make_config(server, tmp_path, embed_batch_size=32))
             vectors = cold.embed(self.TEXTS)
         files = sorted(p.name for p in (tmp_path / "cache").iterdir())
         assert len(files) == 4  # ceil(100 / 32), not one per text
         assert all(name.startswith("emb-") and name.endswith(".json") for name in files)
         with MockProviderServer() as server:
-            warm = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            warm = Provider(make_config(server, tmp_path, embed_batch_size=32))
             assert warm.embed(self.TEXTS) == vectors
             assert server.requests == []
         assert replay_of(tmp_path / "cache").embed(self.TEXTS) == vectors
 
     def test_chunks_written_meanwhile_are_picked_up(self, tmp_path):
         with MockProviderServer() as server:
-            reader = HttpProvider(make_config(server, tmp_path))
+            reader = Provider(make_config(server, tmp_path))
             reader.embed(["alpha"])
-            HttpProvider(make_config(server, tmp_path)).embed(["beta", "gamma"])
+            Provider(make_config(server, tmp_path)).embed(["beta", "gamma"])
             server.requests.clear()
             reader.embed(["gamma", "beta", "alpha"])
             assert server.requests == []
 
     def test_providers_share_directory(self, tmp_path):
         with MockProviderServer() as server:
-            plain = HttpProvider(make_config(server, tmp_path, cache_dir=None))
+            plain = Provider(make_config(server, tmp_path, cache_dir=None))
             expected = dict(zip(self.TEXTS, plain.embed(self.TEXTS).vectors))
             # two providers on one cache_dir stand for two processes
-            providers = [HttpProvider(make_config(server, tmp_path, embed_batch_size=4,
+            providers = [Provider(make_config(server, tmp_path, embed_batch_size=4,
                                                   max_in_flight=2)) for _ in range(2)]
             subsets = [self.TEXTS[i : i + 40] for i in range(0, 61, 10)]
             errors: list[Exception] = []
@@ -338,7 +356,7 @@ class TestEmbeddingCache:
             assert errors == []
             assert list((tmp_path / "cache").glob("*.tmp")) == []
             server.requests.clear()
-            third = HttpProvider(make_config(server, tmp_path))
+            third = Provider(make_config(server, tmp_path))
             assert third.embed(self.TEXTS).vectors == [expected[t] for t in self.TEXTS]
             assert server.requests == []
 
@@ -351,7 +369,7 @@ class TestEmbeddingCache:
         write_json(cache / "emb-1.json", {key: {"request": request, "vector": [0.0, 1.0]}})
         write_json(cache / "emb-0.json", {key: {"request": request, "vector": [1.0, 0.0]}})
         with MockProviderServer() as server:
-            live = HttpProvider(make_config(server, tmp_path))
+            live = Provider(make_config(server, tmp_path))
             assert live.embed(["alpha"]).vectors == [[1.0, 0.0]]
             assert server.requests == []
         assert replay_of(cache).embed(["alpha"]).vectors == [[1.0, 0.0]]
@@ -365,7 +383,7 @@ class TestEmbeddingCache:
             "vector": [0.6, 0.8],
         })
         with MockProviderServer() as server:
-            live = HttpProvider(make_config(server, tmp_path))
+            live = Provider(make_config(server, tmp_path))
             assert live.embed(["alpha", "alpha"]).vectors == [[0.6, 0.8]] * 2
             assert server.requests == []
         assert replay_of(cache).embed(["alpha"]).vectors == [[0.6, 0.8]]
@@ -392,7 +410,7 @@ class TestEmbeddingCache:
         monkeypatch.setattr(_JsonStore, "get",
                             lambda store, key: reads.append(key) or get(store, key))
         with MockProviderServer() as server:
-            provider = HttpProvider(make_config(server, tmp_path, embed_batch_size=32))
+            provider = Provider(make_config(server, tmp_path, embed_batch_size=32))
             vectors = provider.embed(self.TEXTS).vectors
             assert len(server.requests) == 2  # ceil(50 / 32)
         assert vectors[:50] == [unit] * 50
