@@ -11,10 +11,10 @@ from pathlib import Path
 
 from . import analysis, corpus, metrics, pipeline, retrieval
 from .prompt import ContextBundle, render_direct, render_postedit
-from .provider import Provider, ProviderConfig
+from .provider import Provider
 
-# What a config or the input files it names can fail to load with: bad
-# input, reported as a usage error rather than a traceback
+# What a config, or an input file it or a command names, can fail to load
+# with: bad input, reported as a usage error rather than a traceback
 _INPUT_ERRORS = (pipeline.ConfigError, corpus.CorpusError, json.JSONDecodeError,
                  UnicodeDecodeError, OSError)
 
@@ -105,14 +105,14 @@ def _cmd_analyze_termfreq(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    pairs = corpus.load_parallel(args.corpus_file)
-    wanted = ("NT",) if args.corpus == "nt" else ("NT", "GRAMMAR")
-    pool = [p for p in pairs if p.origin in wanted]
     strategy = STRATEGY_NAMES[args.strategy]
+    retrieval_corpus = "NT" if args.corpus == "nt" else "NT_PLUS_GRAMMAR"
+    pool = pipeline.load_pool(args.corpus_file, retrieval_corpus, strategy)
     provider = None
     if args.provider_config:
-        data = json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
-        provider = Provider(ProviderConfig(**data))
+        with corpus.naming_errors(args.provider_config, pipeline.ConfigError):
+            data = json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
+            provider = Provider(pipeline.provider_config_from_dict(data))
     retriever = retrieval.Retriever(strategy, pool, gamma=args.gamma, provider=provider)
     results = retriever.retrieve(args.query, args.n if strategy == "FUZZY_WORD" else args.k)
     _emit([
@@ -135,7 +135,7 @@ def _cmd_prompt_render(args) -> int:
         rendered = render_postedit(args.source, args.draft, bundle)
     else:
         rendered = render_direct(args.source, bundle)
-    # --dry-run prints the exact bytes that would be sent
+    # the exact bytes that would be sent
     sys.stdout.write("--- system ---\n")
     sys.stdout.write(rendered.system)
     sys.stdout.write("\n--- user ---\n")
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["direct", "postedit"], required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--draft", default="")
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_prompt_render)
 
     p = sub.add_parser("score", help="chrF++/BLEU scoring")
@@ -293,11 +292,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"retrieve --gamma must be in [0, 1], got {args.gamma!r}")
         if not args.query.strip():
             parser.error("retrieve --query must not be blank")
-    if args.command in ("run", "sweep"):
+    if args.command in ("run", "sweep", "retrieve"):
         try:
             return args.func(args)
         except _INPUT_ERRORS as exc:
-            parser.error(f"{args.command} --config {args.config}: {exc}")
+            where = "" if args.command == "retrieve" else f" --config {args.config}"
+            parser.error(f"{args.command}{where}: {exc}")
     return args.func(args)
 
 

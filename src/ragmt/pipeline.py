@@ -115,11 +115,7 @@ class ExperimentConfig:
         """A config from its JSON object; anything invalid is a ``ConfigError``."""
         data = _checked(cls, data, "config")
         if data.get("provider") is not None:
-            provider = _checked(ProviderConfig, data["provider"], "provider")
-            try:
-                data["provider"] = ProviderConfig(**provider)
-            except ValueError as exc:
-                raise ConfigError(f"provider: {exc}") from None
+            data["provider"] = provider_config_from_dict(data["provider"])
         return cls(**data)
 
     @classmethod
@@ -141,6 +137,15 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(identity, sort_keys=True, ensure_ascii=False).encode()
         ).hexdigest()[:16]
+
+
+def provider_config_from_dict(data) -> ProviderConfig:
+    """A provider config from its JSON object; anything invalid is a ``ConfigError``."""
+    data = _checked(ProviderConfig, data, "provider")
+    try:
+        return ProviderConfig(**data)
+    except ValueError as exc:
+        raise ConfigError(f"provider: {exc}") from None
 
 
 def _checked(cls, data, what: str) -> dict:
@@ -279,6 +284,17 @@ class _Inputs:
     provider: object
 
 
+def load_pool(path: str, retrieval_corpus: str, context: str) -> list[ParallelPair]:
+    """The pairs of the corpus at ``path`` that a ``retrieval_corpus`` pool
+    (NT or NT_PLUS_GRAMMAR) holds; an empty pool is a ``ConfigError``."""
+    wanted = ("NT",) if retrieval_corpus == "NT" else ("NT", "GRAMMAR")
+    pool = [p for p in load_parallel(path) if p.origin in wanted]
+    if not pool:
+        raise ConfigError(f"{context}: the retrieval pool is empty "
+                          f"(no {' or '.join(wanted)} pairs in {path})")
+    return pool
+
+
 def _load(config: ExperimentConfig, provider) -> _Inputs:
     """Load stage: read and check the inputs, hash them and build the
     provider, before any request. ``config`` may be any cell of a sweep,
@@ -286,16 +302,8 @@ def _load(config: ExperimentConfig, provider) -> _Inputs:
     test_pairs = load_parallel(config.test_path)
     if not test_pairs:
         raise ConfigError("test set is empty")
-    pool: list[ParallelPair] = []
-    if config.context != "NONE":
-        all_pairs = load_parallel(config.corpus_path)
-        wanted = ("NT",) if config.retrieval_corpus == "NT" else ("NT", "GRAMMAR")
-        pool = [p for p in all_pairs if p.origin in wanted]
-        if not pool:
-            raise ConfigError(
-                f"{config.context}: the retrieval pool is empty "
-                f"(no {' or '.join(wanted)} pairs in {config.corpus_path})"
-            )
+    pool = ([] if config.context == "NONE"
+            else load_pool(config.corpus_path, config.retrieval_corpus, config.context))
     lexicon = load_lexicon(config.lexicon_path) if config.lexicon_mode != "NONE" else []
     drafts = load_drafts(config.draft_path) if config.draft_path else {}
     missing = [p.id for p in test_pairs if p.id not in drafts]

@@ -4,13 +4,13 @@ Four sentence strategies (BM25, dense cosine, diversity-aware character
 n-gram greedy, word-level fuzzy matching), served through one
 ``Retriever``, plus lexicon retrieval (fuzzy top-n and full dictionary).
 Each retriever is one call on an index built once over its pool or
-lexicon. All retrievers are deterministic; ties break by ascending pair
-id so sweeps reproduce exactly.
+lexicon. All retrievers rank by one rule, ``_top`` over the index's
+``_rank``: best score first, ties by ascending pair id, then input
+position, so sweeps reproduce exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from collections.abc import Callable
@@ -38,64 +38,76 @@ class RetrievedLexicon:
 
 
 # ---------------------------------------------------------------------------
+# Ranking
+
+
+def _rank(keys) -> np.ndarray:
+    """Each item's place in (key, input position) order."""
+    keys = list(keys)
+    return np.argsort(np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp))
+
+
+def _top(scores: np.ndarray, rank: np.ndarray, k: int, keep=None) -> np.ndarray:
+    """The indices of the k highest ``scores`` among ``keep`` (a mask; all
+    when None), best first, ties to the lower ``rank``."""
+    at = np.arange(len(scores)) if keep is None else np.flatnonzero(keep)
+    if k < len(at):
+        # every index scoring at least the k-th best, so ties at the cut all compete
+        values = scores[at]
+        at = at[values >= np.partition(values, len(at) - k)[len(at) - k]]
+    return at[np.lexsort((rank[at], -scores[at]))[:k]]
+
+
+# ---------------------------------------------------------------------------
 # BM25
 
 
 class Bm25Index:
-    """Inverted-index BM25 over tokenized source texts.
+    """Inverted-index BM25 over tokenized source texts, k1 = 1.5, b = 0.75.
 
-    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), the standard Okapi+1 form.
-    ``norms[i]`` is k1 * (1 - b + b * |doc i| / avgdl), the length term of
-    document i's BM25 denominator.
+    ``postings[t]`` is (the documents holding term t, ascending, and each
+    one's weight idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |doc| /
+    avgdl))), with idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), the
+    standard Okapi+1 form.
     """
 
-    def __init__(self, pairs: list[ParallelPair], k1: float = 1.5, b: float = 0.75):
-        if k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+    def __init__(self, pairs: list[ParallelPair]):
+        k1, b = 1.5, 0.75
         self.pairs = list(pairs)
-        self.k1 = k1
+        self.rank = _rank(p.id for p in self.pairs)
         doc_tokens = [word_tokenize(p.source_text) for p in self.pairs]
         avgdl = sum(map(len, doc_tokens)) / len(doc_tokens) if self.pairs else 0.0
-        self.norms = [k1 * (1.0 - b + b * len(toks) / avgdl) if avgdl else 0.0
-                      for toks in doc_tokens]
-        # term -> {doc_index: term frequency}
-        self.postings: dict[str, dict[int, int]] = {}
+        norms = [k1 * (1.0 - b + b * len(toks) / avgdl) if avgdl else 0.0
+                 for toks in doc_tokens]
+        # term -> [(doc index, term frequency)]
+        counts: dict[str, list[tuple[int, int]]] = {}
         for idx, toks in enumerate(doc_tokens):
             for term, tf in Counter(toks).items():
-                self.postings.setdefault(term, {})[idx] = tf
+                counts.setdefault(term, []).append((idx, tf))
         n = len(self.pairs)
-        self.idf = {
-            term: math.log((n - len(docs) + 0.5) / (len(docs) + 0.5) + 1.0)
-            for term, docs in self.postings.items()
-        }
+        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for term, held in counts.items():
+            idf = math.log((n - len(held) + 0.5) / (len(held) + 0.5) + 1.0)
+            self.postings[term] = (np.array([d for d, _ in held], dtype=np.intp), np.array(
+                [idf * tf * (k1 + 1.0) / (tf + norms[d]) for d, tf in held]))
 
 
 def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[RetrievedExample]:
     """Top-k by BM25 score; zero-score documents are dropped.
 
-    One pass over the query tokens' postings: each token, repeats included,
-    adds its weight to the documents holding it, in query order, so every
-    score is the same float sum as the per-document formula. Ties break by
-    pair id, then input position.
+    Each query token, repeats included, adds its postings' weights to the
+    documents holding it, in query order, so every score is the same float
+    sum as the per-document formula.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not index.pairs:
-        raise ValueError("BM25 index is empty")
-    k1 = index.k1
-    scores: dict[int, float] = {}
+    scores = np.zeros(len(index.pairs))
     for term in word_tokenize(query):
-        docs = index.postings.get(term)
-        if not docs:
-            continue
-        idf = index.idf[term]
-        for idx, tf in docs.items():
-            scores[idx] = scores.get(idx, 0.0) + idf * tf * (k1 + 1.0) / (tf + index.norms[idx])
-    top = heapq.nsmallest(k, ((s, idx) for idx, s in scores.items() if s > 0.0),
-                          key=lambda item: (-item[0], index.pairs[item[1]].id, item[1]))
-    return [RetrievedExample(pair=index.pairs[idx], score=s, strategy="BM25") for s, idx in top]
+        if term in index.postings:
+            docs, weights = index.postings[term]
+            scores[docs] += weights
+    return [RetrievedExample(pair=index.pairs[i], score=float(scores[i]), strategy="BM25")
+            for i in _top(scores, index.rank, k, keep=scores > 0.0).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +127,7 @@ class EmbeddingIndex:
         if not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("embedding vectors must be unit-normalized")
         self.pairs = list(pairs)
+        self.rank = _rank(p.id for p in self.pairs)
         self.vectors = vectors
         self.dimension = vectors.shape[1]
 
@@ -130,16 +143,8 @@ def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[Retrieve
             f"!= index dimension {index.dimension}"
         )
     scores = index.vectors @ q
-    candidates = range(len(scores))
-    if k < len(scores):
-        # every index scoring at least the k-th best, so ties at the cut all compete
-        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
-        candidates = np.flatnonzero(scores >= kth)
-    order = sorted(candidates, key=lambda i: (-scores[i], index.pairs[i].id))
-    return [
-        RetrievedExample(pair=index.pairs[i], score=float(scores[i]), strategy="DENSE")
-        for i in order[:k]
-    ]
+    return [RetrievedExample(pair=index.pairs[i], score=float(scores[i]), strategy="DENSE")
+            for i in _top(scores, index.rank, k).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +235,7 @@ class GramIndex:
         self.texts = np.array(
             [distinct.setdefault(p.source_text, len(distinct)) for p in self.pairs], dtype=np.intp
         )
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[sorted(range(n), key=lambda i: self.pairs[i].id)] = np.arange(n)
+        self.rank = _rank(p.id for p in self.pairs)
 
     def gram_ids(self, text: str) -> np.ndarray:
         """The ids of the pool n-grams that ``text`` holds, ascending.
@@ -256,15 +260,6 @@ class GramIndex:
         return np.bincount(np.concatenate(held) if held else [], minlength=len(self.pairs))
 
 
-def _first(scores: np.ndarray, rank: np.ndarray, mask: np.ndarray) -> int | None:
-    """The pair in ``mask`` with the highest score, ties to the lowest rank."""
-    candidates = np.flatnonzero(mask)
-    if not len(candidates):
-        return None
-    top = candidates[scores[candidates] == scores[candidates].max()]
-    return int(top[np.argmin(rank[top])])
-
-
 def chrf_counterweighted_retrieve(
     index: GramIndex, query: str, k: int, gamma: float = 0.5
 ) -> list[RetrievedExample]:
@@ -278,7 +273,7 @@ def chrf_counterweighted_retrieve(
     shared query n-gram once, steering later picks toward uncovered
     material. A candidate whose source text is byte-identical to an already
     selected one is skipped while any distinct candidate still has positive
-    score. Ties break by ascending pair id.
+    score. Ties break by ascending pair id, then input position.
 
     The query's n-grams are read as the index's n-gram ids, and a pick reads
     its pair's ids from the index. Only pairs sharing an n-gram with the
@@ -306,11 +301,10 @@ def chrf_counterweighted_retrieve(
     selected: list[RetrievedExample] = []
     while len(selected) < min(k, n):
         dup = chosen_texts[index.texts] if gamma < 1.0 else np.zeros(n, dtype=bool)
-        best = _first(scores, index.rank, open_ & ~dup)
-        best_dup = _first(scores, index.rank, open_ & dup)
-        if best is None or (scores[best] <= 0.0 and best_dup is not None
-                            and scores[best_dup] > 0.0):
+        best, best_dup = (_top(scores, index.rank, 1, keep=open_ & m) for m in (~dup, dup))
+        if not len(best) or scores[best[0]] <= 0.0 < scores[best_dup].max(initial=0.0):
             best = best_dup
+        best = int(best[0])
         pair = index.pairs[best]
         selected.append(RetrievedExample(pair=pair, score=float(scores[best]), strategy="CHRF_CW"))
         open_[best] = False
@@ -429,9 +423,8 @@ class TokenIndex:
     """Distinct strings of a pool or lexicon, indexed for fuzzy lookups.
 
     ``postings`` maps each string to the indices of the items carrying it,
-    in input order; ``empty`` lists the items that carry none. ``top`` ranks
-    items by their best match, ties by ``tie_key(item)``, then input
-    position: that order is fixed here, as one rank per item. The strings
+    ascending. ``top`` ranks items by their best match, ties by ``rank``,
+    each item's place in (``tie_key(item)``, input position) order. The strings
     are kept longest first and coded by their alphabet, one code array per
     character position: column j holds position j of every string longer
     than j, so the strings still being read at column j are a prefix.
@@ -451,17 +444,12 @@ class TokenIndex:
 
     def __init__(self, items: list, strings_per_item, tie_key: Callable):
         self.items = list(items)
-        self._rank = [0] * len(self.items)
-        for r, i in enumerate(sorted(range(len(self.items)),
-                                     key=lambda i: tie_key(self.items[i]))):
-            self._rank[i] = r
-        self.postings: dict[str, list[int]] = {}
-        self.empty: list[int] = []
+        self.rank = _rank(map(tie_key, self.items))
+        postings: dict[str, list[int]] = {}
         for idx, strings in enumerate(strings_per_item):
-            if not strings:
-                self.empty.append(idx)
             for s in strings:
-                self.postings.setdefault(s, []).append(idx)
+                postings.setdefault(s, []).append(idx)
+        self.postings = {s: np.array(held) for s, held in postings.items()}
         # stable: equal lengths keep first-seen order
         self._strings = sorted(self.postings, key=len, reverse=True)
         self._lengths = np.array([len(s) for s in self._strings], dtype=np.intp)
@@ -502,16 +490,15 @@ class TokenIndex:
         found = self.matches(tokens, threshold)
         tops = {}
         for token in dict.fromkeys(tokens):
-            best: dict[int, float] = {}
-            for s, sim in found[token]:
-                for idx in self.postings[s]:
-                    if sim > best.get(idx, -1.0):
-                        best[idx] = sim
-            if threshold <= 0.0:
-                best.update(dict.fromkeys(self.empty, 0.0))
-            tops[token] = heapq.nsmallest(
-                n, best.items(), key=lambda item: (-item[1], self._rank[item[0]])
-            )
+            # similarities are >= 0, so at a threshold <= 0 every string
+            # matches and every item qualifies, one without strings at 0.0
+            best = np.full(len(self.items), 0.0 if threshold <= 0.0 else -1.0)
+            if found[token]:
+                strings, sims = zip(*found[token])
+                held = [self.postings[s] for s in strings]
+                np.maximum.at(best, np.concatenate(held), np.repeat(sims, list(map(len, held))))
+            top = _top(best, self.rank, n, keep=best >= 0.0)
+            tops[token] = list(zip(top.tolist(), best[top].tolist()))
         return tops
 
     def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
@@ -629,7 +616,7 @@ class TokenIndex:
 @dataclass
 class FuzzyWordLists:
     """Per query token, its top pairs by best-token fuzzy similarity, as
-    (pair index, similarity) best first, ties by ascending pair id.
+    (pair index, similarity) best first, ties by pair id, then input position.
 
     ``tokens`` is the query's tokens in order, repeats kept, and ``tops``
     holds each distinct token's list at some n. A token's list at a smaller

@@ -183,6 +183,31 @@ class TestRetrieveCommand:
         assert exc.value.code == 2
         assert "retrieve --" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, flags, named", [
+        ("dense", ["--provider-config", "typo.json"],
+         "typo.json: unknown provider field(s): 'typo'"),
+        ("dense", ["--provider-config", "missing.json"], "missing.json"),
+        ("bm25", ["--corpus-file", "missing.tsv"], "missing.tsv"),
+        ("bm25", ["--corpus-file", "grammar.tsv"], "BM25: the retrieval pool is empty"),
+        ("chrf-cw", ["--corpus-file", "grammar.tsv"], "CHRF_CW: the retrieval pool is empty"),
+        ("fuzzy-word", ["--corpus-file", "grammar.tsv"], "(no NT pairs in grammar.tsv)"),
+    ], ids=["unknown-provider-field", "missing-provider-config", "missing-corpus",
+            "bm25-empty-pool", "chrf-cw-empty-pool", "fuzzy-word-empty-pool"])
+    def test_bad_input_is_usage_error(self, tmp_path, monkeypatch, capsys, strategy, flags,
+                                      named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "typo.json").write_text(json.dumps({"replay_dir": "fixtures", "typo": 1}),
+                                            encoding="utf-8")
+        (tmp_path / "grammar.tsv").write_text("GRM.1\tI eat rice.\tt\tGRAMMAR\n",
+                                              encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", "--strategy", strategy, "--corpus-file", CORPUS,
+                  "--query", "I am eating rice", *flags])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("ragmt: error: retrieve: ")
+        assert named in last
+
     @pytest.mark.parametrize("gamma", ["0", "1"])
     def test_gamma_bounds_are_valid(self, capsys, gamma):
         code, out = run_cli(
@@ -196,7 +221,7 @@ class TestRetrieveCommand:
 class TestPromptCommand:
     def test_render_direct(self, capsys):
         code, out = run_cli(capsys, "prompt", "render", "--mode", "direct",
-                            "--source", "God is love.", "--dry-run")
+                            "--source", "God is love.")
         assert code == 0
         assert "--- system ---" in out
         assert "Source text (English): God is love." in out

@@ -24,6 +24,8 @@ from ragmt.retrieval import (
     TokenIndex,
     _sorted_distinct,
     Retriever,
+    _rank,
+    _top,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
     dense_retrieve,
@@ -117,21 +119,27 @@ def fuzzy_oracle(pairs, query, n, threshold=0.5):
     return sorted(((s, pid) for pid, s in best.items()), key=lambda r: (-r[0], r[1]))
 
 
+def fuzzy_token_oracle(pairs, token, n, threshold):
+    """One query token's top-n pairs as (similarity, pair id), best first,
+    ties by pair id, then input position."""
+    scored = []
+    for p in pairs:
+        sims = [
+            1 - edit_distance_oracle(token, t) / max(len(token), len(t))
+            for t in set(word_tokenize(p.source_text))
+        ]
+        sim = max(sims, default=0.0)
+        if sim >= threshold:
+            scored.append((sim, p.id))
+    scored.sort(key=lambda r: (-r[0], r[1]))
+    return scored[:n]
+
+
 def fuzzy_word_oracle(pairs, query, n, threshold):
     """fuzzy_oracle, also keeping the query token each pair was kept for."""
     best = {}
     for token in word_tokenize(query):
-        scored = []
-        for p in pairs:
-            sims = [
-                1 - edit_distance_oracle(token, t) / max(len(token), len(t))
-                for t in set(word_tokenize(p.source_text))
-            ]
-            sim = max(sims, default=0.0)
-            if sim >= threshold:
-                scored.append((sim, p.id))
-        scored.sort(key=lambda r: (-r[0], r[1]))
-        for sim, pid in scored[:n]:
+        for sim, pid in fuzzy_token_oracle(pairs, token, n, threshold):
             if pid not in best or sim > best[pid][0]:
                 best[pid] = (sim, token)
     ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
@@ -242,6 +250,54 @@ def _queries(draw, vocabulary):
     words = draw(st.lists(st.sampled_from(vocabulary) | _words, max_size=6))
     repeats = draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
     return " ".join(words + repeats)
+
+
+class _SharedId(str):
+    """A pair id that other pairs of a pool may share, tagged with its pair's
+    input position. It compares and hashes as the plain id, so equal ids
+    still tie and merge, but a result shows which of the equal-id pairs it
+    is."""
+
+    def __new__(cls, value, pos):
+        self = super().__new__(cls, value)
+        self.pos = pos
+        return self
+
+
+@st.composite
+def _duplicate_id_pools(draw, pools):
+    """A pool from ``pools`` whose pairs take their ids from three:
+    ``load_parallel`` rejects such a pool, but the index API accepts it."""
+    pairs = draw(pools)
+    ids = draw(st.lists(st.sampled_from("abc"), min_size=len(pairs), max_size=len(pairs)))
+    return [ParallelPair(_SharedId(i, pos), p.source_text, p.target_text, p.origin)
+            for pos, (i, p) in enumerate(zip(ids, pairs))]
+
+
+# ---------------------------------------------------------------------------
+# The ranking rule
+
+
+class TestTop:
+    """``_top`` over a ``_rank`` is the one rule every retriever cuts its top
+    list with: best score first, ties by key, then input position."""
+
+    @given(st.data(), st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0]), max_size=12))
+    def test_matches_sorted_oracle(self, data, scores):
+        n = len(scores)
+        keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        keep = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+        k = data.draw(st.integers(1, n + 2))
+        kept = [i for i in range(n) if keep is None or keep[i]]
+        want = sorted(kept, key=lambda i: (-scores[i], keys[i], i))[:k]
+        got = _top(np.array(scores, dtype=np.float64), _rank(keys), k,
+                   keep=None if keep is None else np.array(keep, dtype=bool))
+        assert got.tolist() == want
+
+    def test_empty_input(self):
+        assert _rank([]).tolist() == []
+        assert _top(np.zeros(0), _rank([]), 3).tolist() == []
+        assert _top(np.ones(2), _rank("ab"), 1, keep=np.zeros(2, dtype=bool)).tolist() == []
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +887,55 @@ class TestPrefixProperty:
         prefixes = Retriever("FUZZY_WORD", pairs).prefixes(query, size)
         for s in range(1, size + 1):
             assert _fuzzy_rows(prefixes(s)) == fuzzy_word_oracle(pairs, query, s, 0.5)
+
+
+class TestDuplicateIds:
+    """Pairs sharing an id tie by input position, exactly as in the
+    brute-force oracles."""
+
+    @given(st.data(), _duplicate_id_pools(_pools()), st.integers(1, 6))
+    def test_bm25(self, data, pairs, k):
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = Bm25Index(pairs)
+        for _ in range(3):
+            query = data.draw(_queries(vocabulary))
+            got = [(r.score, r.pair.id, r.pair.id.pos) for r in bm25_retrieve(index, query, k)]
+            assert got == [(s, i, i.pos) for s, i in bm25_oracle(pairs, query, k)]
+
+    @given(st.data(), st.integers(1, 25), st.integers(1, 27))
+    def test_dense(self, data, size, k):
+        palette = _unit_rows(4, 3, seed=5)
+        rows = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        ids = data.draw(st.lists(st.sampled_from("abc"), min_size=size, max_size=size))
+        pairs = [ParallelPair(_SharedId(i, pos), "s", "t", "NT") for pos, i in enumerate(ids)]
+        index = EmbeddingIndex(pairs, palette[rows])
+        query = palette[data.draw(st.integers(0, 3))]
+        got = [(r.pair.id, r.pair.id.pos, r.score) for r in dense_retrieve(index, query, k)]
+        assert got == [(i, i.pos, s) for i, s in dense_sort_oracle(index, query, k)]
+
+    @given(st.data(), _duplicate_id_pools(_cw_pools()), st.sampled_from([0.5, 1.0]),
+           st.integers(1, 10))
+    def test_chrf_cw(self, data, pairs, gamma, k):
+        index = GramIndex(pairs)
+        for _ in range(2):
+            query = data.draw(_cw_queries)
+            got = chrf_counterweighted_retrieve(index, query, k, gamma=gamma)
+            assert [(r.pair.id, r.pair.id.pos, r.score) for r in got] == [
+                (i, i.pos, s) for i, s in chrf_cw_dedup_oracle(pairs, query, k, gamma)]
+
+    @given(st.data(), _duplicate_id_pools(_pools()), st.integers(1, 4), _thresholds)
+    def test_fuzzy_word(self, data, pairs, n, thresholds):
+        # each token's list ties by input position; the union merges equal ids
+        vocabulary = [t for p in pairs for t in p.source_text.split()] or ["a"]
+        index = TokenIndex.over_pairs(pairs)
+        for threshold in thresholds:
+            query = data.draw(_queries(vocabulary))
+            lists = fuzzy_word_lists(index, query, n, threshold)
+            for token in lists.tokens:
+                got = [(sim, pairs[i].id, i) for i, sim in lists.tops[token]]
+                assert got == [(s, i, i.pos) for s, i in fuzzy_token_oracle(pairs, token, n,
+                                                                             threshold)]
+            assert _fuzzy_rows(lists.union(n)) == fuzzy_word_oracle(pairs, query, n, threshold)
 
 
 class TestFuzzyWord:
