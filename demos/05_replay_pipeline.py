@@ -156,6 +156,8 @@ provider = Provider(ProviderConfig(
     model_name=MODEL, embedding_model_name=EMBED_MODEL,
     replay_dir=str(FIXTURES),
 ))
+# .vectors is one (pool size × 16) float64 array of unit rows, in pool
+# order; the index adopts it without a copy
 matrix = provider.embed([p.source_text for p in pool]).vectors
 index = EmbeddingIndex(pool, matrix)
 hits = dense_retrieve(index, provider.embed([query]).vectors[0], 3)

@@ -27,13 +27,16 @@ class CorpusError(ValueError):
 @contextmanager
 def naming_errors(path, error: type[ValueError] = CorpusError):
     """Re-raise an ``error`` raised in the block, or a failure to decode
-    ``path`` as UTF-8, as an ``error`` whose message starts with ``path``."""
+    ``path`` as UTF-8 or as JSON, as an ``error`` whose message starts with
+    ``path``."""
     try:
         yield
     except error as exc:
         raise error(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not JSON ({exc})") from None
 
 
 @dataclass(frozen=True, order=True)

@@ -143,9 +143,12 @@ def provider_config_from_dict(data) -> ProviderConfig:
     """A provider config from its JSON object; anything invalid is a ``ConfigError``."""
     data = _checked(ProviderConfig, data, "provider")
     try:
-        return ProviderConfig(**data)
+        config = ProviderConfig(**data)
     except ValueError as exc:
         raise ConfigError(f"provider: {exc}") from None
+    if not config.base_url and not config.replay_dir:
+        raise ConfigError("provider: base_url is required without replay_dir")
+    return config
 
 
 def _checked(cls, data, what: str) -> dict:

@@ -13,6 +13,12 @@ Two parts:
     posted to ``base_url`` with exponential-backoff retries (honouring a
     429 or 503 reply's ``Retry-After``) and written back to ``cache_dir``.
 
+Embeddings travel as float64 arrays: each reply is checked and
+normalised as one (m × d) matrix, the record directory keeps one matrix
+per chunk file it reads, and ``embed`` returns one (n × d) matrix, which
+``retrieval.EmbeddingIndex`` adopts without a copy. The files hold the
+same JSON as when vectors were lists of floats, byte for byte.
+
 ``requests`` is imported only when a provider without ``replay_dir`` is
 built, so replay runs and offline commands never load it.
 
@@ -36,8 +42,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .prompt import RenderedPrompt
 
@@ -82,19 +91,25 @@ class ChatExchange:
     cache_hit: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingBatch:
+    """The unit vectors of ``inputs``: one C-contiguous (n × d) float64
+    array whose row i belongs to input i. Two batches are equal when their
+    inputs are and their vectors hold the same values."""
+
     inputs: list[str]
-    vectors: list[list[float]]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if len(self.inputs) != len(self.vectors):
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.inputs):
             raise ProviderError(
-                f"{len(self.vectors)} vectors for {len(self.inputs)} inputs"
+                f"vectors of shape {self.vectors.shape} for {len(self.inputs)} inputs"
             )
-        dims = {len(v) for v in self.vectors}
-        if len(dims) > 1:
-            raise ProviderError(f"inconsistent embedding dimensions: {sorted(dims)}")
+
+    def __eq__(self, other):
+        if not isinstance(other, EmbeddingBatch):
+            return NotImplemented
+        return self.inputs == other.inputs and np.array_equal(self.vectors, other.vectors)
 
 
 def _request_key(payload: dict) -> str:
@@ -124,11 +139,33 @@ def _retry_after(header: str | None, cap: float) -> float:
     return min(seconds, cap) if math.isfinite(seconds) else 0.0
 
 
-def _unit_normalize(vector: list[float]) -> list[float]:
-    norm = math.sqrt(sum(v * v for v in vector))
-    if norm == 0:
+def _unit_matrix(rows: list) -> np.ndarray:
+    """One embedding reply's vectors as unit-length float64 rows, (m × d).
+
+    Each norm takes the float operations of a per-value loop: element
+    squares, a left-to-right running sum (``np.cumsum``; ``ndarray.sum``,
+    ``np.linalg.norm`` and ``einsum`` add pairwise and can differ in the
+    last bit), its square root and one division. So a row is bit-identical
+    to ``[v / norm for v in row]`` with ``norm = sqrt(sum(v * v ...))``.
+    Anything but equal-length lists of finite JSON numbers, or a zero row,
+    is a ``ProviderError``.
+    """
+    try:
+        numeric = set(map(type, chain.from_iterable(rows))) <= {int, float}
+        matrix = np.array(rows, dtype=np.float64) if numeric else None
+    except (TypeError, OverflowError):  # a row that is not a list; an int beyond float range
+        matrix = None
+    except ValueError:  # rows of unequal length
+        raise ProviderError(
+            f"inconsistent embedding dimensions: {sorted({len(row) for row in rows})}"
+        ) from None
+    if matrix is None or not np.isfinite(matrix).all():
+        raise ProviderError(f"malformed embedding response: {str(rows)[:200]}")
+    norms = np.sqrt(np.cumsum(matrix * matrix, axis=1)[:, -1:])
+    if not (norms.size and norms.all()):
         raise ProviderError("provider returned a zero embedding vector")
-    return [v / norm for v in vector]
+    matrix /= norms
+    return matrix
 
 
 class _JsonStore:
@@ -144,7 +181,8 @@ class _JsonStore:
     resolves a key alike and chunks written meanwhile by another process
     are picked up. Per-text ``{key}.json`` embedding records, the older
     layout, are still read on a miss, if that listing held them, but no
-    longer written.
+    longer written. Each chunk read or written is held as one float64
+    matrix, and a key's vector is a row of it.
     """
 
     def __init__(self, directory: str | Path):
@@ -152,7 +190,7 @@ class _JsonStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._chunks_read: set[str] = set()
-        self._vectors: dict[str, list[float]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
         self._listed: frozenset[str] = frozenset()  # file names at the last read_chunks
 
     def get(self, key: str) -> dict | None:
@@ -177,9 +215,9 @@ class _JsonStore:
             os.unlink(tmp)
             raise
 
-    def _add(self, name: str, records: dict) -> None:
-        for key, record in records.items():
-            self._vectors.setdefault(key, record["vector"])
+    def _add(self, name: str, keys, matrix: np.ndarray) -> None:
+        for key, row in zip(keys, matrix):
+            self._vectors.setdefault(key, row)
         self._chunks_read.add(name)
 
     def read_chunks(self) -> None:
@@ -189,24 +227,33 @@ class _JsonStore:
             self._listed = frozenset(os.listdir(self.directory))
             for name in sorted(n for n in self._listed - self._chunks_read
                                if n.startswith("emb-") and n.endswith(".json")):
-                path = self.directory / name
-                self._add(name, json.loads(path.read_text(encoding="utf-8")))
+                records = json.loads((self.directory / name).read_text(encoding="utf-8"))
+                try:
+                    matrix = np.array([r["vector"] for r in records.values()],
+                                      dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise ProviderError(
+                        f"{self.directory / name}: malformed embedding vectors") from None
+                self._add(name, records, matrix)
 
-    def put_chunk(self, records: dict[str, dict]) -> None:
-        """Write one embedding reply's records, key -> record, as one file."""
+    def put_chunk(self, requests: dict[str, dict], matrix: np.ndarray) -> None:
+        """Write one embedding reply as one file: key -> its request and its
+        row of ``matrix``."""
+        records = {key: {"request": request, "vector": row}
+                   for (key, request), row in zip(requests.items(), matrix.tolist())}
         digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
         name = f"emb-{digest}.json"
         self._write(name, records)
         with self._lock:
-            self._add(name, records)
+            self._add(name, records, matrix)
 
-    def vector(self, key: str) -> list[float] | None:
+    def vector(self, key: str) -> np.ndarray | None:
         """The cached vector of an embedding key: from the chunks read so
         far, else from a per-text record in the last listing; None when
         neither holds it."""
         vector = self._vectors.get(key)
         if vector is None and f"{key}.json" in self._listed:
-            vector = self.get(key)["vector"]
+            vector = np.array(self.get(key)["vector"], dtype=np.float64)
         return vector
 
 
@@ -341,7 +388,7 @@ class Provider:
         model = cfg.embedding_model_name or cfg.model_name
         if self.store is not None:
             self.store.read_chunks()
-        vectors: dict[str, list[float]] = {}
+        vectors: dict[str, np.ndarray] = {}
         pending: list[tuple[str, str]] = []  # (text, cache key)
         for text in dict.fromkeys(texts):  # distinct texts, first-seen order
             key = embedding_request_key(model, text)
@@ -365,12 +412,16 @@ class Provider:
                     {"model": model, "input": [text for text, _ in chunk]})))
             while window:
                 self._store_embeddings(model, *window.popleft(), vectors)
-        return EmbeddingBatch(inputs=list(texts), vectors=[vectors[t] for t in texts])
+        dims = sorted({len(v) for v in vectors.values()})
+        if len(dims) > 1:
+            raise ProviderError(f"inconsistent embedding dimensions: {dims}")
+        return EmbeddingBatch(inputs=list(texts), vectors=np.stack([vectors[t] for t in texts]))
 
     def _store_embeddings(self, model: str, chunk: list[tuple[str, str]], reply,
-                          vectors: dict[str, list[float]]) -> None:
-        """Check one embedding reply and add its unit vectors to ``vectors``
-        and, as one chunk file, to the cache."""
+                          vectors: dict[str, np.ndarray]) -> None:
+        """Check one embedding reply and add its unit rows to ``vectors``
+        and, as one chunk file, to the cache; a malformed reply is a
+        ``ProviderError`` and caches nothing."""
         data = reply.result()
         try:
             rows = [item["embedding"] for item in data["data"]]
@@ -378,13 +429,11 @@ class Provider:
             raise ProviderError(f"malformed embedding response: {str(data)[:200]}") from None
         if len(rows) != len(chunk):
             raise ProviderError(f"{len(rows)} embeddings returned for {len(chunk)} inputs")
-        records = {}
-        for (text, key), row in zip(chunk, rows):
-            vec = _unit_normalize([float(v) for v in row])
-            vectors[text] = vec
-            records[key] = {"request": {"model": model, "text": text}, "vector": vec}
+        matrix = _unit_matrix(rows)
+        vectors.update(zip((text for text, _ in chunk), matrix))
         if self.store is not None:
-            self.store.put_chunk(records)
+            self.store.put_chunk(
+                {key: {"model": model, "text": text} for text, key in chunk}, matrix)
 
 
 build_provider = Provider  # the name perfbench/child.py imports

@@ -115,7 +115,9 @@ def bm25_retrieve(index: Bm25Index, query: str, k: int) -> list[RetrievedExample
 
 
 class EmbeddingIndex:
-    """Unit-normalized embedding matrix aligned with a pair list."""
+    """Unit-normalized embedding matrix aligned with a pair list: row i is
+    pair i's vector. A float64 matrix, such as ``EmbeddingBatch.vectors``,
+    is adopted without a copy."""
 
     def __init__(self, pairs: list[ParallelPair], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -694,7 +696,7 @@ class Retriever:
         self.gamma = gamma
         self.provider = provider
         self._index = None
-        self._query_vectors: dict[str, list[float]] = {}
+        self._query_vectors: dict[str, np.ndarray] = {}  # query -> its row of a batch
 
     def _build_index(self):
         if self.strategy == "BM25":

@@ -187,17 +187,23 @@ class TestRetrieveCommand:
         ("dense", ["--provider-config", "typo.json"],
          "typo.json: unknown provider field(s): 'typo'"),
         ("dense", ["--provider-config", "missing.json"], "missing.json"),
+        ("dense", ["--provider-config", "empty.json"],
+         "empty.json: provider: base_url is required without replay_dir"),
+        ("dense", ["--provider-config", "not-json.json"], "not-json.json: not JSON"),
         ("bm25", ["--corpus-file", "missing.tsv"], "missing.tsv"),
         ("bm25", ["--corpus-file", "grammar.tsv"], "BM25: the retrieval pool is empty"),
         ("chrf-cw", ["--corpus-file", "grammar.tsv"], "CHRF_CW: the retrieval pool is empty"),
         ("fuzzy-word", ["--corpus-file", "grammar.tsv"], "(no NT pairs in grammar.tsv)"),
-    ], ids=["unknown-provider-field", "missing-provider-config", "missing-corpus",
+    ], ids=["unknown-provider-field", "missing-provider-config", "provider-without-url",
+            "provider-config-not-json", "missing-corpus",
             "bm25-empty-pool", "chrf-cw-empty-pool", "fuzzy-word-empty-pool"])
     def test_bad_input_is_usage_error(self, tmp_path, monkeypatch, capsys, strategy, flags,
                                       named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "typo.json").write_text(json.dumps({"replay_dir": "fixtures", "typo": 1}),
                                             encoding="utf-8")
+        (tmp_path / "empty.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
         (tmp_path / "grammar.tsv").write_text("GRM.1\tI eat rice.\tt\tGRAMMAR\n",
                                               encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
@@ -338,6 +344,8 @@ class TestBadRunInput:
                                                      "temperature": -1}}, "temperature"),
         ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "fixtures",
                                                      "max_in_flight": 0}}, "max_in_flight"),
+        ("run", {"mode": "DIRECT_LLM", "provider": {}},
+         "base_url is required without replay_dir"),
         ("run", {"k": "3"}, "'k'"),
         ("run", {"k": True}, "'k'"),
         ("run", '{"context": "NONE"}', "'mode'"),
@@ -348,7 +356,7 @@ class TestBadRunInput:
     ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
             "missing-config", "sweep-bogus-mode", "sweep-missing-config", "unknown-field",
             "unknown-provider-field", "json-array", "negative-temperature",
-            "no-requests-in-flight", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
+            "no-requests-in-flight", "provider-without-url", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
             "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line"])
     def test_is_usage_error(self, tmp_path, command, config, named):
         (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ragmt.provider
+from conftest import make_pairs
 from mock_server import MockProviderServer
 from ragmt.prompt import RenderedPrompt
 from ragmt.provider import (
@@ -18,9 +23,11 @@ from ragmt.provider import (
     ProviderConfig,
     ProviderError,
     _JsonStore,
+    _unit_matrix,
     chat_request_key,
     embedding_request_key,
 )
+from ragmt.retrieval import EmbeddingIndex
 
 PROMPT = RenderedPrompt(system="sys", user="translate this", mode="direct")
 
@@ -172,7 +179,7 @@ class TestEmbed:
         with MockProviderServer() as server:
             provider = Provider(make_config(server, tmp_path))
             batch = provider.embed(["same text", "other", "same text"])
-            assert batch.vectors[0] == batch.vectors[2]
+            assert batch.vectors[0].tolist() == batch.vectors[2].tolist()
 
     def test_chunking_request_count(self, tmp_path):
         with MockProviderServer() as server:
@@ -189,10 +196,10 @@ class TestEmbed:
                                                 embed_batch_size=1))
             batch = provider.embed(texts)
             sent = [r["body"]["input"] for r in server.requests]
-            alone = {t: provider.embed([t]).vectors[0] for t in set(texts)}
+            alone = {t: provider.embed([t]).vectors[0].tolist() for t in set(texts)}
         assert sorted(sent) == [["a"], ["b"], ["c"]]  # one request per distinct text
         assert batch.inputs == texts
-        assert batch.vectors == [alone[t] for t in texts]
+        assert batch.vectors.tolist() == [alone[t] for t in texts]
 
     def test_chunks_in_flight_together(self, tmp_path):
         texts = [f"text number {i}" for i in range(40)]
@@ -253,7 +260,7 @@ class TestReplay:
         replay = Provider(config)
         a = replay.embed(["alpha"])
         b = replay.embed(["alpha"])
-        assert a.vectors == b.vectors
+        assert a.vectors.tolist() == b.vectors.tolist()
 
     def test_missing_fixture_errors(self, tmp_path):
         config = self._record_fixture(tmp_path)
@@ -268,7 +275,8 @@ class TestReplay:
             replay = Provider(replace(config, base_url=server.base_url))
             assert replay.complete(PROMPT).response_text == "echo:translate this"
             warm = Provider(make_config(server, tmp_path))
-            assert replay.embed(["alpha", "alpha"]).vectors == warm.embed(["alpha"]).vectors * 2
+            assert (replay.embed(["alpha", "alpha"]).vectors.tolist()
+                    == warm.embed(["alpha"]).vectors.tolist() * 2)
             other = RenderedPrompt(system="sys", user="unseen request", mode="direct")
             with pytest.raises(ProviderError, match="no replay fixture"):
                 replay.complete(other)
@@ -327,7 +335,7 @@ class TestEmbeddingCache:
     def test_providers_share_directory(self, tmp_path):
         with MockProviderServer() as server:
             plain = Provider(make_config(server, tmp_path, cache_dir=None))
-            expected = dict(zip(self.TEXTS, plain.embed(self.TEXTS).vectors))
+            expected = dict(zip(self.TEXTS, plain.embed(self.TEXTS).vectors.tolist()))
             # two providers on one cache_dir stand for two processes
             providers = [Provider(make_config(server, tmp_path, embed_batch_size=4,
                                                   max_in_flight=2)) for _ in range(2)]
@@ -337,7 +345,7 @@ class TestEmbeddingCache:
             def embed(provider, texts):
                 try:
                     got = provider.embed(texts)
-                    assert got.vectors == [expected[t] for t in texts]
+                    assert got.vectors.tolist() == [expected[t] for t in texts]
                 except Exception as exc:  # reported by the assertion below
                     errors.append(exc)
 
@@ -357,7 +365,7 @@ class TestEmbeddingCache:
             assert list((tmp_path / "cache").glob("*.tmp")) == []
             server.requests.clear()
             third = Provider(make_config(server, tmp_path))
-            assert third.embed(self.TEXTS).vectors == [expected[t] for t in self.TEXTS]
+            assert third.embed(self.TEXTS).vectors.tolist() == [expected[t] for t in self.TEXTS]
             assert server.requests == []
 
     def test_duplicate_key_first_file_in_sorted_order_wins(self, tmp_path):
@@ -370,9 +378,19 @@ class TestEmbeddingCache:
         write_json(cache / "emb-0.json", {key: {"request": request, "vector": [1.0, 0.0]}})
         with MockProviderServer() as server:
             live = Provider(make_config(server, tmp_path))
-            assert live.embed(["alpha"]).vectors == [[1.0, 0.0]]
+            assert live.embed(["alpha"]).vectors.tolist() == [[1.0, 0.0]]
             assert server.requests == []
-        assert replay_of(cache).embed(["alpha"]).vectors == [[1.0, 0.0]]
+        assert replay_of(cache).embed(["alpha"]).vectors.tolist() == [[1.0, 0.0]]
+
+    def test_chunk_of_unequal_vectors_names_its_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        write_json(cache / "emb-0.json", {
+            embedding_request_key("mock-embed", text): {
+                "request": {"model": "mock-embed", "text": text}, "vector": vector}
+            for text, vector in (("alpha", [1.0, 0.0]), ("beta", [1.0]))})
+        with pytest.raises(ProviderError, match="emb-0.json: malformed embedding vectors"):
+            replay_of(cache).embed(["alpha"])
 
     def test_per_text_records_still_read(self, tmp_path):
         cache = tmp_path / "cache"
@@ -384,9 +402,9 @@ class TestEmbeddingCache:
         })
         with MockProviderServer() as server:
             live = Provider(make_config(server, tmp_path))
-            assert live.embed(["alpha", "alpha"]).vectors == [[0.6, 0.8]] * 2
+            assert live.embed(["alpha", "alpha"]).vectors.tolist() == [[0.6, 0.8]] * 2
             assert server.requests == []
-        assert replay_of(cache).embed(["alpha"]).vectors == [[0.6, 0.8]]
+        assert replay_of(cache).embed(["alpha"]).vectors.tolist() == [[0.6, 0.8]]
         with pytest.raises(ProviderError, match="no replay fixture"):
             replay_of(cache).embed(["beta"])
 
@@ -413,9 +431,124 @@ class TestEmbeddingCache:
             provider = Provider(make_config(server, tmp_path, embed_batch_size=32))
             vectors = provider.embed(self.TEXTS).vectors
             assert len(server.requests) == 2  # ceil(50 / 32)
-        assert vectors[:50] == [unit] * 50
+        assert vectors[:50].tolist() == [unit] * 50
         assert [str(p) for p in listings] == [str(cache)]
         assert len(reads) == 50
+
+
+def unit_normalize_oracle(vector: list[float]) -> list[float]:
+    """The per-value loop that each normalised embedding row must equal bit
+    for bit."""
+    norm = math.sqrt(sum(v * v for v in vector))
+    if norm == 0:
+        raise ProviderError("provider returned a zero embedding vector")
+    return [v / norm for v in vector]
+
+
+# every float (subnormals, huge values and -0.0 among them) and ints,
+# some beyond 2**53, as JSON numbers decode
+_json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-160, 1e154,
+                     1.7976931348623157e308]),
+)
+
+
+class TestEmbeddingArrays:
+    """Embeddings are float64 arrays from the reply to the index, with every
+    value and every cache byte as the per-value loop gives them."""
+
+    TEXTS = ["alpha", "beta", "café ✓", "gamma delta"]
+
+    @given(st.integers(1, 64).flatmap(lambda d: st.lists(
+        st.lists(_json_numbers, min_size=d, max_size=d), min_size=1, max_size=4)))
+    @example([[0, 0.0, -0.0]])
+    @example([[1.0, 2.0], [5e-324, -5e-324]])
+    # squares past ~1.3e154 overflow to inf, in the loop as in numpy
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_normalisation_equals_the_loop(self, rows):
+        try:
+            want = [unit_normalize_oracle([float(v) for v in row]) for row in rows]
+        except ProviderError:
+            with pytest.raises(ProviderError, match="zero embedding vector"):
+                _unit_matrix(rows)
+            return
+        got = _unit_matrix(rows)
+        assert got.dtype == np.float64 and got.shape == (len(rows), len(rows[0]))
+        assert got.tolist() == want
+        assert got.tobytes() == np.array(want).tobytes()  # -0.0 kept apart from 0.0
+
+    def test_cold_chunk_bytes(self, tmp_path):
+        with MockProviderServer() as server:
+            batch = Provider(make_config(server, tmp_path)).embed(self.TEXTS)
+            raw = [item["embedding"] for item in
+                   server._respond("/embeddings", {"input": self.TEXTS})["data"]]
+        assert batch.vectors.flags.c_contiguous and batch.vectors.dtype == np.float64
+        assert batch.vectors.tolist() == [unit_normalize_oracle(row) for row in raw]
+        records = {embedding_request_key("mock-embed", text):
+                   {"request": {"model": "mock-embed", "text": text}, "vector": row.tolist()}
+                   for text, row in zip(self.TEXTS, batch.vectors)}
+        (chunk,) = (tmp_path / "cache").iterdir()
+        assert chunk.read_bytes() == json.dumps(
+            records, sort_keys=True, ensure_ascii=False).encode("utf-8")
+
+    def test_warm_and_replay_rows_bit_identical(self, tmp_path):
+        cache = tmp_path / "cache"
+        with MockProviderServer() as server:
+            cold = Provider(make_config(server, tmp_path, embed_batch_size=3)).embed(self.TEXTS)
+            warm = Provider(make_config(server, tmp_path)).embed(self.TEXTS)
+            assert len(server.requests) == 2
+        # the same records in the older per-text layout
+        old = tmp_path / "old"
+        old.mkdir()
+        for chunk in cache.iterdir():
+            for key, record in json.loads(chunk.read_text(encoding="utf-8")).items():
+                write_json(old / f"{key}.json", {"kind": "embedding", **record})
+        for batch in (warm, replay_of(cache).embed(self.TEXTS),
+                      replay_of(old).embed(self.TEXTS)):
+            assert batch == cold
+            assert batch.vectors.tobytes() == cold.vectors.tobytes()
+
+    def test_index_adopts_the_batch_matrix(self, tmp_path):
+        pairs = make_pairs(len(self.TEXTS), seed=0)
+        with MockProviderServer() as server:
+            batch = Provider(make_config(server, tmp_path)).embed(self.TEXTS)
+        assert np.shares_memory(EmbeddingIndex(pairs, batch.vectors).vectors, batch.vectors)
+
+
+class TestMalformedEmbeddings:
+    """An embedding reply holding anything but equal-length lists of finite
+    JSON numbers is a ``ProviderError``, and nothing of it is cached."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ("[[null, 1.0]]", "malformed embedding response"),
+        ('[["x", 1.0]]', "malformed embedding response"),
+        ('[["0.5", 1.0]]', "malformed embedding response"),
+        ("[[true, 1.0]]", "malformed embedding response"),
+        ("[[[1.0], 1.0]]", "malformed embedding response"),
+        ("[3]", "malformed embedding response"),
+        ("[[NaN, 1.0]]", "malformed embedding response"),
+        ("[[Infinity, 1.0]]", "malformed embedding response"),
+        ("[[1.0, -Infinity]]", "malformed embedding response"),
+        ("[[1e999, 1.0]]", "malformed embedding response"),
+        ("[[1" + "0" * 400 + ", 1.0]]", "malformed embedding response"),
+        ("[[1.0, 0.0], [1.0]]", "inconsistent embedding dimensions"),
+        ("[[0.0, 0.0]]", "zero embedding vector"),
+        ("[[]]", "zero embedding vector"),
+    ], ids=["null", "string", "numeric-string", "bool", "nested-list", "row-not-a-list",
+            "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
+            "ragged", "zero-row", "empty-row"])
+    def test_is_provider_error_and_not_cached(self, tmp_path, monkeypatch, rows, message):
+        # decoded as a reply is: json.loads accepts NaN and Infinity
+        reply = {"data": [{"embedding": row} for row in json.loads(rows)]}
+        texts = [f"text {i}" for i in range(len(reply["data"]))]
+        provider = Provider(ProviderConfig(base_url="http://127.0.0.1:9", model_name="m",
+                                           cache_dir=str(tmp_path / "cache")))
+        monkeypatch.setattr(provider, "_post", lambda endpoint, body: reply)
+        with pytest.raises(ProviderError, match=message):
+            provider.embed(texts)
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_json_store_concurrent_writers_share_directory(tmp_path):
