@@ -13,11 +13,22 @@ Two parts:
     posted to ``base_url`` with exponential-backoff retries (honouring a
     429 or 503 reply's ``Retry-After``) and written back to ``cache_dir``.
 
-Embeddings travel as float64 arrays: each reply is checked and
-normalised as one (m × d) matrix, the record directory keeps one matrix
-per chunk file it reads, and ``embed`` returns one (n × d) matrix, which
-``retrieval.EmbeddingIndex`` adopts without a copy. The files hold the
-same JSON as when vectors were lists of floats, byte for byte.
+Embeddings travel as float64 arrays. ``embed`` allocates its (n × d)
+result once the first vector gives d, and each reply is checked,
+normalised and written into its rows; the record directory keeps views
+of those rows for the texts it caches, and one matrix per chunk file it
+reads, and ``retrieval.EmbeddingIndex`` adopts the result without a
+copy. The files hold the same JSON as when vectors were lists of floats,
+byte for byte.
+
+``embed_batch_size`` defaults to 128 texts per request. A cold embedding
+pass is paced by round trips, not by the client: against a mock that
+waits 20 ms per request, with 2 in flight on 2 vCPUs, 2030 texts took
+1.16 s in 32-text requests and 0.50 s in 128-text ones (medians of 5).
+OpenAI-compatible endpoints accept up to 2048 inputs per request. The
+cost of a larger request is its reply: 128 vectors of 1536 dimensions
+are ~4.4 MB of JSON and ~6.4 MB decoded, against 1.6 MB as rows of the
+result, and up to ``max_in_flight`` replies are held at once.
 
 ``requests`` is imported only when a provider without ``replay_dir`` is
 built, so replay runs and offline commands never load it.
@@ -70,7 +81,7 @@ class ProviderConfig:
     max_retries: int = 3
     request_timeout: float = 60.0
     max_in_flight: int = 4
-    embed_batch_size: int = 32
+    embed_batch_size: int = 128
     backoff_base: float = 1.0
     cache_dir: str | None = None
     replay_dir: str | None = None
@@ -147,7 +158,8 @@ def _unit_matrix(rows: list) -> np.ndarray:
     ``np.linalg.norm`` and ``einsum`` add pairwise and can differ in the
     last bit), its square root and one division. So a row is bit-identical
     to ``[v / norm for v in row]`` with ``norm = sqrt(sum(v * v ...))``.
-    Anything but equal-length lists of finite JSON numbers, or a zero row,
+    Anything but equal-length lists of finite JSON numbers, a zero row, or a
+    row whose squares overflow to an infinite norm (values past ~1.3e154),
     is a ``ProviderError``.
     """
     try:
@@ -161,7 +173,10 @@ def _unit_matrix(rows: list) -> np.ndarray:
         ) from None
     if matrix is None or not np.isfinite(matrix).all():
         raise ProviderError(f"malformed embedding response: {str(rows)[:200]}")
-    norms = np.sqrt(np.cumsum(matrix * matrix, axis=1)[:, -1:])
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        norms = np.sqrt(np.cumsum(matrix * matrix, axis=1)[:, -1:])
+    if not np.isfinite(norms).all():
+        raise ProviderError(f"embedding vector norm is not finite: {str(rows)[:200]}")
     if not (norms.size and norms.all()):
         raise ProviderError("provider returned a zero embedding vector")
     matrix /= norms
@@ -181,8 +196,9 @@ class _JsonStore:
     resolves a key alike and chunks written meanwhile by another process
     are picked up. Per-text ``{key}.json`` embedding records, the older
     layout, are still read on a miss, if that listing held them, but no
-    longer written. Each chunk read or written is held as one float64
-    matrix, and a key's vector is a row of it.
+    longer written. Each chunk read is held as one float64 matrix, and a
+    key's vector is a row of it; a chunk written keeps the rows it was
+    handed.
     """
 
     def __init__(self, directory: str | Path):
@@ -236,16 +252,16 @@ class _JsonStore:
                         f"{self.directory / name}: malformed embedding vectors") from None
                 self._add(name, records, matrix)
 
-    def put_chunk(self, requests: dict[str, dict], matrix: np.ndarray) -> None:
+    def put_chunk(self, requests: dict[str, dict], rows: list[np.ndarray]) -> None:
         """Write one embedding reply as one file: key -> its request and its
-        row of ``matrix``."""
-        records = {key: {"request": request, "vector": row}
-                   for (key, request), row in zip(requests.items(), matrix.tolist())}
+        row, and keep the rows themselves, not copies, as the keys' vectors."""
+        records = {key: {"request": request, "vector": row.tolist()}
+                   for (key, request), row in zip(requests.items(), rows)}
         digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
         name = f"emb-{digest}.json"
         self._write(name, records)
         with self._lock:
-            self._add(name, records, matrix)
+            self._add(name, records, rows)
 
     def vector(self, key: str) -> np.ndarray | None:
         """The cached vector of an embedding key: from the chunks read so
@@ -255,6 +271,26 @@ class _JsonStore:
         if vector is None and f"{key}.json" in self._listed:
             vector = np.array(self.get(key)["vector"], dtype=np.float64)
         return vector
+
+
+class _Rows:
+    """The (n × d) float64 result of one ``embed`` call, allocated when the
+    first vector put gives d. A vector of another width is a
+    ``ProviderError``, raised before it is written anywhere."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.matrix: np.ndarray | None = None
+
+    def put(self, rows, vectors: np.ndarray) -> None:
+        """Write ``vectors`` (one row, or one per index of ``rows``)."""
+        width = vectors.shape[-1]
+        if self.matrix is None:
+            self.matrix = np.empty((self.n, width))
+        elif width != self.matrix.shape[1]:
+            raise ProviderError(
+                f"inconsistent embedding dimensions: {sorted({self.matrix.shape[1], width})}")
+        self.matrix[rows] = vectors
 
 
 class Provider:
@@ -388,52 +424,58 @@ class Provider:
         model = cfg.embedding_model_name or cfg.model_name
         if self.store is not None:
             self.store.read_chunks()
-        vectors: dict[str, np.ndarray] = {}
-        pending: list[tuple[str, str]] = []  # (text, cache key)
-        for text in dict.fromkeys(texts):  # distinct texts, first-seen order
+        first: dict[str, int] = {}  # distinct text -> the row of its first occurrence
+        for i, text in enumerate(texts):
+            first.setdefault(text, i)
+        result = _Rows(len(texts))
+        pending: list[tuple[str, str, int]] = []  # (text, cache key, row)
+        for text, row in first.items():
             key = embedding_request_key(model, text)
             cached = self.store.vector(key) if self.store is not None else None
             if cached is not None:
-                vectors[text] = cached
+                result.put(row, cached)
             elif cfg.replay_dir:
                 raise ProviderError(f"no replay fixture for embedding of {text[:60]!r}")
             else:
-                pending.append((text, key))
+                pending.append((text, key, row))
         # at most max_in_flight chunks outstanding; each reply is handled in
         # chunk order while the later requests are still on the wire
         window: deque = deque()
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as executor:
             for i in range(0, len(pending), cfg.embed_batch_size):
                 if len(window) == cfg.max_in_flight:
-                    self._store_embeddings(model, *window.popleft(), vectors)
+                    self._store_embeddings(model, *window.popleft(), result)
                 chunk = pending[i : i + cfg.embed_batch_size]
                 window.append((chunk, executor.submit(
                     self._post, "/embeddings",
-                    {"model": model, "input": [text for text, _ in chunk]})))
+                    {"model": model, "input": [text for text, _, _ in chunk]})))
             while window:
-                self._store_embeddings(model, *window.popleft(), vectors)
-        dims = sorted({len(v) for v in vectors.values()})
-        if len(dims) > 1:
-            raise ProviderError(f"inconsistent embedding dimensions: {dims}")
-        return EmbeddingBatch(inputs=list(texts), vectors=np.stack([vectors[t] for t in texts]))
+                self._store_embeddings(model, *window.popleft(), result)
+        # a repeated text's rows copy the row of its first occurrence
+        matrix = result.matrix
+        source = np.fromiter((first[text] for text in texts), dtype=np.intp, count=len(texts))
+        repeats = np.flatnonzero(source != np.arange(len(texts)))
+        matrix[repeats] = matrix[source[repeats]]
+        return EmbeddingBatch(inputs=list(texts), vectors=matrix)
 
-    def _store_embeddings(self, model: str, chunk: list[tuple[str, str]], reply,
-                          vectors: dict[str, np.ndarray]) -> None:
-        """Check one embedding reply and add its unit rows to ``vectors``
-        and, as one chunk file, to the cache; a malformed reply is a
+    def _store_embeddings(self, model: str, chunk: list[tuple[str, str, int]], reply,
+                          result: _Rows) -> None:
+        """Check one embedding reply, write its unit rows into ``result`` and
+        hand those rows, as one chunk file, to the cache; a malformed reply,
+        or one whose width differs from the rows before it, is a
         ``ProviderError`` and caches nothing."""
         data = reply.result()
         try:
-            rows = [item["embedding"] for item in data["data"]]
+            vectors = [item["embedding"] for item in data["data"]]
         except (KeyError, TypeError):
             raise ProviderError(f"malformed embedding response: {str(data)[:200]}") from None
-        if len(rows) != len(chunk):
-            raise ProviderError(f"{len(rows)} embeddings returned for {len(chunk)} inputs")
-        matrix = _unit_matrix(rows)
-        vectors.update(zip((text for text, _ in chunk), matrix))
+        if len(vectors) != len(chunk):
+            raise ProviderError(f"{len(vectors)} embeddings returned for {len(chunk)} inputs")
+        rows = [row for _, _, row in chunk]
+        result.put(rows, _unit_matrix(vectors))
         if self.store is not None:
-            self.store.put_chunk(
-                {key: {"model": model, "text": text} for text, key in chunk}, matrix)
+            self.store.put_chunk({key: {"model": model, "text": text} for text, key, _ in chunk},
+                                 [result.matrix[row] for row in rows])
 
 
 build_provider = Provider  # the name perfbench/child.py imports

@@ -125,7 +125,7 @@ class EmbeddingIndex:
             raise ValueError(
                 f"need one vector per pair: {vectors.shape[0]} vectors, {len(pairs)} pairs"
             )
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))  # no (n × d) temporary
         if not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("embedding vectors must be unit-normalized")
         self.pairs = list(pairs)

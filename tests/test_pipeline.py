@@ -537,11 +537,11 @@ def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):
 
 
 class TestDenseQueryBatch:
-    def _run(self, tmp_path, name):
+    def _run(self, tmp_path, name, **batch_size):
         with MockProviderServer() as server:
             provider_config = ProviderConfig(
                 base_url=server.base_url, model_name="mock-chat",
-                embedding_model_name="mock-embed", embed_batch_size=4,
+                embedding_model_name="mock-embed", **batch_size,
             )
             config = base_config(tmp_path, mode="POST_EDIT", context="DENSE", k=3,
                                  provider=provider_config, output_dir=str(tmp_path / name))
@@ -555,14 +555,25 @@ class TestDenseQueryBatch:
                 if p.origin == "NT"}
         tests = load_parallel(DEMO_DATA / "test.tsv")
         queries = {p.source_text for p in tests}
-        requests, files = self._run(tmp_path, "batched")
+        requests, files = self._run(tmp_path, "batched", embed_batch_size=4)
         assert requests == -(-len(pool) // 4) + -(-len(queries) // 4)
         # the same run embedding one query per request, as retrieval did before
         monkeypatch.setattr(retrieval.Retriever, "prepare", lambda self, queries: None)
-        one_by_one, files_one_by_one = self._run(tmp_path, "one_by_one")
+        one_by_one, files_one_by_one = self._run(tmp_path, "one_by_one", embed_batch_size=4)
         assert one_by_one == -(-len(pool) // 4) + len(tests)
         assert len(files) == 2
         assert files == files_one_by_one
+
+    def test_outputs_do_not_depend_on_the_batch_size(self, tmp_path):
+        pool = {p.source_text for p in load_parallel(DEMO_DATA / "corpus.tsv")
+                if p.origin == "NT"}
+        queries = {p.source_text for p in load_parallel(DEMO_DATA / "test.tsv")}
+        small, files = self._run(tmp_path, "small", embed_batch_size=4)
+        default, default_files = self._run(tmp_path, "default")
+        assert (small, default) == (-(-len(pool) // 4) + -(-len(queries) // 4),
+                                    -(-len(pool) // 128) + -(-len(queries) // 128))
+        assert len(files) == 2  # the manifest and the report
+        assert files == default_files
 
 
 class TestDenseCache:

@@ -189,6 +189,13 @@ class TestEmbed:
             embed_requests = [r for r in server.requests if r["path"].endswith("/embeddings")]
             assert len(embed_requests) == 4  # ceil(100 / 32)
 
+    def test_default_chunk_is_128_texts(self, tmp_path):
+        with MockProviderServer() as server:
+            provider = Provider(make_config(server, tmp_path))
+            provider.embed([f"text number {i}" for i in range(300)])
+            sizes = [len(r["body"]["input"]) for r in server.requests]
+        assert sorted(sizes) == [44, 128, 128]  # ceil(300 / 128) requests
+
     def test_duplicates_sent_once_and_aligned(self, tmp_path):
         texts = ["b", "a", "b", "c", "a", "a"]
         with MockProviderServer() as server:
@@ -465,9 +472,14 @@ class TestEmbeddingArrays:
         st.lists(_json_numbers, min_size=d, max_size=d), min_size=1, max_size=4)))
     @example([[0, 0.0, -0.0]])
     @example([[1.0, 2.0], [5e-324, -5e-324]])
-    # squares past ~1.3e154 overflow to inf, in the loop as in numpy
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @example([[0.0, 0.0], [1e200, 1.0]])
     def test_normalisation_equals_the_loop(self, rows):
+        # squares past ~1.3e154 overflow to inf, in the loop as in numpy
+        norms = [math.sqrt(sum(float(v) * float(v) for v in row)) for row in rows]
+        if math.inf in norms:
+            with pytest.raises(ProviderError, match="norm is not finite"):
+                _unit_matrix(rows)
+            return
         try:
             want = [unit_normalize_oracle([float(v) for v in row]) for row in rows]
         except ProviderError:
@@ -516,6 +528,25 @@ class TestEmbeddingArrays:
             batch = Provider(make_config(server, tmp_path)).embed(self.TEXTS)
         assert np.shares_memory(EmbeddingIndex(pairs, batch.vectors).vectors, batch.vectors)
 
+    def test_cache_keeps_rows_of_the_batch_matrix(self, tmp_path):
+        with MockProviderServer() as server:
+            provider = Provider(make_config(server, tmp_path, embed_batch_size=3))
+            batch = provider.embed(self.TEXTS + self.TEXTS[:1])
+        for text in self.TEXTS:
+            cached = provider.store.vector(embedding_request_key("mock-embed", text))
+            assert np.shares_memory(cached, batch.vectors)
+        assert batch.vectors[-1].tolist() == batch.vectors[0].tolist()
+
+    def test_partly_cached_call_equals_a_cold_one(self, tmp_path):
+        with MockProviderServer() as server:
+            Provider(make_config(server, tmp_path)).embed(self.TEXTS[1::2])
+            server.requests.clear()
+            texts = self.TEXTS + self.TEXTS[::-1]
+            partly = Provider(make_config(server, tmp_path)).embed(texts)
+            assert [r["body"]["input"] for r in server.requests] == [self.TEXTS[::2]]
+            cold = Provider(make_config(server, tmp_path, cache_dir=None)).embed(texts)
+        assert partly.vectors.tobytes() == cold.vectors.tobytes()
+
 
 class TestMalformedEmbeddings:
     """An embedding reply holding anything but equal-length lists of finite
@@ -536,9 +567,10 @@ class TestMalformedEmbeddings:
         ("[[1.0, 0.0], [1.0]]", "inconsistent embedding dimensions"),
         ("[[0.0, 0.0]]", "zero embedding vector"),
         ("[[]]", "zero embedding vector"),
+        ("[[1e200, 1.0]]", "norm is not finite"),
     ], ids=["null", "string", "numeric-string", "bool", "nested-list", "row-not-a-list",
             "nan", "infinity", "minus-infinity", "float-overflow", "int-overflow",
-            "ragged", "zero-row", "empty-row"])
+            "ragged", "zero-row", "empty-row", "norm-overflow"])
     def test_is_provider_error_and_not_cached(self, tmp_path, monkeypatch, rows, message):
         # decoded as a reply is: json.loads accepts NaN and Infinity
         reply = {"data": [{"embedding": row} for row in json.loads(rows)]}
@@ -549,6 +581,27 @@ class TestMalformedEmbeddings:
         with pytest.raises(ProviderError, match=message):
             provider.embed(texts)
         assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_reply_of_another_width_is_not_cached(self, tmp_path, monkeypatch):
+        widths = {"first": 2, "second": 3}
+        config = ProviderConfig(base_url="http://127.0.0.1:9", model_name="m",
+                                cache_dir=str(tmp_path / "cache"), embed_batch_size=1)
+        provider = Provider(config)
+        monkeypatch.setattr(provider, "_post", lambda endpoint, body: {
+            "data": [{"embedding": [1.0] * widths[body["input"][0]]}]})
+        with pytest.raises(ProviderError, match=r"inconsistent embedding dimensions: \[2, 3\]"):
+            provider.embed(["first", "second"])
+        (chunk,) = (tmp_path / "cache").iterdir()
+        assert list(json.loads(chunk.read_text(encoding="utf-8"))) == [
+            embedding_request_key("m", "first")]
+        # a rerun reads the first reply and sends the second text again
+        rerun = Provider(config)
+        sent = []
+        monkeypatch.setattr(rerun, "_post", lambda endpoint, body: sent.append(
+            body["input"]) or {"data": [{"embedding": [0.0, 2.0]}]})
+        assert rerun.embed(["first", "second"]).vectors.tolist() == [
+            [1 / math.sqrt(2), 1 / math.sqrt(2)], [0.0, 1.0]]
+        assert sent == [["second"]]
 
 
 def test_json_store_concurrent_writers_share_directory(tmp_path):
