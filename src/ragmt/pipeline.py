@@ -371,7 +371,8 @@ class _Plan:
 
     def prepare(self, indices: list[int]) -> None:
         """Ahead of a cell's loop: embed the DENSE queries of the test
-        sentences at ``indices`` not planned yet, in one batch."""
+        sentences at ``indices`` not planned yet, in one ``embed`` call
+        (with the pool's texts, on the first)."""
         if self._retriever is not None:
             self._retriever.prepare([
                 self.inputs.test_pairs[i].source_text for i in indices if i not in self._examples

@@ -379,28 +379,6 @@ def _bit_distance(masks: dict[str, int], m: int, text: str) -> int:
     return dist
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs).
-
-    Bit-parallel (Myers 1999, J. ACM 46(3); Hyyrö 2001): one pass over the
-    shorter string, with the longer one as the bit pattern.
-    """
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    return _bit_distance(_pattern_masks(a), len(a), b)
-
-
-def normalized_levenshtein(a: str, b: str) -> float:
-    """1 - distance / max length, in [0, 1]; 1.0 when both strings empty."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
-
-
 def _reach(threshold: float, longest: int) -> int:
     """How many edit distances d in [0, longest] keep 1 - d / longest >=
     threshold: the condition holds up to some d, so bisect for the first
@@ -504,9 +482,9 @@ class TokenIndex:
         return tops
 
     def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
-        """Per token, the indexed strings s with normalized_levenshtein(token,
-        s) >= threshold, paired with that similarity; tokens must be
-        non-empty."""
+        """Per token, the indexed strings s whose similarity 1 - (edit
+        distance) / max(len(token), len(s)) is at least ``threshold``, paired
+        with that similarity; tokens must be non-empty."""
         new = [t for t in dict.fromkeys(tokens) if (t, threshold) not in self._memo]
         words = [t for t in new if len(t) <= 64]
         if self._strings:
@@ -547,8 +525,8 @@ class TokenIndex:
         m = [len(t) for t in tokens]
         # reach[q, L]: distances below it keep tokens[q] and a string of
         # length L similar enough; similarities are computed in Python only,
-        # as normalized_levenshtein computes them. A string length is kept
-        # when its length difference to some token is below that reach.
+        # as 1.0 - d / max(len) of the integer distance. A string length is
+        # kept when its length difference to some token is below that reach.
         reach = np.stack([self._reach_row(mq, threshold) for mq in m])
         span = np.abs(np.array(m)[:, None] - np.arange(reach.shape[1]))
         keep = (span < reach).any(axis=0)
@@ -679,9 +657,10 @@ class Retriever:
     """One sentence strategy over a pool, queried sentence by sentence.
 
     ``strategy`` is BM25, DENSE, CHRF_CW or FUZZY_WORD. The strategy's
-    index (BM25, the pool's embeddings via ``provider.embed``, the chrF-CW
-    n-gram index or the fuzzy token index) is built on the first query and
-    reused for every later one. ``gamma`` is CHRF_CW's counterweight.
+    index (BM25, the pool's embeddings, the chrF-CW n-gram index or the
+    fuzzy token index) is built on the first query and reused for every
+    later one; DENSE embeds the pool in one ``provider.embed`` stream with
+    the first queries (``prepare``). ``gamma`` is CHRF_CW's counterweight.
     ``prefixes`` serves several sizes of one query from one retrieval.
     """
 
@@ -701,23 +680,25 @@ class Retriever:
     def _build_index(self):
         if self.strategy == "BM25":
             return Bm25Index(self.pairs)
-        if self.strategy == "DENSE":
-            batch = self.provider.embed([p.source_text for p in self.pairs])
-            return EmbeddingIndex(self.pairs, batch.vectors)
         if self.strategy == "FUZZY_WORD":
             return TokenIndex.over_pairs(self.pairs)
         return GramIndex(self.pairs)
 
     def prepare(self, queries: list[str]) -> None:
-        """For DENSE, build the index and embed all ``queries`` in one
-        ``provider.embed`` call, so retrieving for them sends no request;
-        the other strategies need nothing ahead."""
-        if self.strategy != "DENSE" or not queries:
+        """For DENSE, embed the ``queries`` not embedded yet, so retrieving
+        for them sends no request; the other strategies need nothing ahead.
+        The first call sends the pool's texts and its queries in one
+        ``provider.embed`` stream and adopts the pool's rows as the index."""
+        if self.strategy != "DENSE":
             return
+        new = [q for q in dict.fromkeys(queries) if q not in self._query_vectors]
+        if not new:
+            return
+        pool = [p.source_text for p in self.pairs] if self._index is None else []
+        vectors = self.provider.embed(pool + new).vectors
         if self._index is None:
-            self._index = self._build_index()
-        batch = self.provider.embed(queries)
-        self._query_vectors.update(zip(batch.inputs, batch.vectors))
+            self._index = EmbeddingIndex(self.pairs, vectors[:len(pool)])
+        self._query_vectors.update(zip(new, vectors[len(pool):]))
 
     def retrieve(self, query: str, size: int) -> list[RetrievedExample]:
         """The examples for one query; ``size`` is k, or n for FUZZY_WORD."""
@@ -733,17 +714,16 @@ class Retriever:
         examples. FUZZY_WORD keeps each query token's list at ``size`` and
         unions their s-prefixes.
         """
-        if self._index is None:
+        if self.strategy == "DENSE":
+            self.prepare([query])
+        elif self._index is None:
             self._index = self._build_index()
         if self.strategy == "FUZZY_WORD":
             return fuzzy_word_lists(self._index, query, size).union
         if self.strategy == "BM25":
             examples = bm25_retrieve(self._index, query, size)
         elif self.strategy == "DENSE":
-            query_vector = self._query_vectors.get(query)
-            if query_vector is None:
-                query_vector = self.provider.embed([query]).vectors[0]
-            examples = dense_retrieve(self._index, query_vector, size)
+            examples = dense_retrieve(self._index, self._query_vectors[query], size)
         else:
             examples = chrf_counterweighted_retrieve(self._index, query, size, gamma=self.gamma)
         return lambda s: examples[:s]

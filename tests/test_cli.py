@@ -10,6 +10,7 @@ import pytest
 from conftest import DEMO_DATA, REPO_ROOT
 from mock_server import MockProviderServer
 from ragmt.cli import main
+from ragmt.corpus import load_parallel
 from ragmt.pipeline import ExperimentConfig, run_experiment
 from ragmt.provider import ProviderConfig
 
@@ -158,6 +159,23 @@ class TestRetrieveCommand:
         results = json.loads(out)
         assert code == 0
         assert len(results) == 2
+
+    def test_dense_sends_pool_and_query_in_one_request(self, tmp_path, capsys):
+        query = "light shines in darkness"
+        with MockProviderServer() as server:
+            provider_file = tmp_path / "provider.json"
+            provider_file.write_text(json.dumps({
+                "base_url": server.base_url, "model_name": "mock-chat",
+                "embedding_model_name": "mock-embed",
+            }), encoding="utf-8")
+            code, _ = run_cli(
+                capsys, "retrieve", "--strategy", "dense", "--corpus-file", CORPUS,
+                "--query", query, "--k", "2", "--provider-config", str(provider_file),
+            )
+            sent = [r["body"]["input"] for r in server.requests]
+        pool = [p.source_text for p in load_parallel(CORPUS) if p.origin == "NT"]
+        assert code == 0
+        assert sent == [pool + [query]]  # the default 128 texts per request hold all 31
 
     def test_dense_without_provider_config_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

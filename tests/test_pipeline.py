@@ -556,11 +556,13 @@ class TestDenseQueryBatch:
         tests = load_parallel(DEMO_DATA / "test.tsv")
         queries = {p.source_text for p in tests}
         requests, files = self._run(tmp_path, "batched", embed_batch_size=4)
-        assert requests == -(-len(pool) // 4) + -(-len(queries) // 4)
-        # the same run embedding one query per request, as retrieval did before
-        monkeypatch.setattr(retrieval.Retriever, "prepare", lambda self, queries: None)
+        # the pool and every query in one stream of 4-text chunks
+        assert requests == -(-len(pool | queries) // 4)
+        # the same run without the plan's batch: the first query joins the
+        # pool's stream, and each later one is a request of its own
+        monkeypatch.setattr(pipeline._Plan, "prepare", lambda self, indices: None)
         one_by_one, files_one_by_one = self._run(tmp_path, "one_by_one", embed_batch_size=4)
-        assert one_by_one == -(-len(pool) // 4) + len(tests)
+        assert one_by_one == -(-(len(pool) + 1) // 4) + len(tests) - 1
         assert len(files) == 2
         assert files == files_one_by_one
 
@@ -570,8 +572,8 @@ class TestDenseQueryBatch:
         queries = {p.source_text for p in load_parallel(DEMO_DATA / "test.tsv")}
         small, files = self._run(tmp_path, "small", embed_batch_size=4)
         default, default_files = self._run(tmp_path, "default")
-        assert (small, default) == (-(-len(pool) // 4) + -(-len(queries) // 4),
-                                    -(-len(pool) // 128) + -(-len(queries) // 128))
+        assert (small, default) == (-(-len(pool | queries) // 4),
+                                    -(-len(pool | queries) // 128))
         assert len(files) == 2  # the manifest and the report
         assert files == default_files
 
@@ -596,8 +598,7 @@ class TestDenseCache:
                 outputs[run] = sorted((f.name, f.read_bytes()) for f in (tmp_path / run).iterdir())
                 if run == "cold":
                     # one file per embedding reply, not one per text
-                    assert len(list(cache.glob("emb-*.json"))) == (
-                        -(-len(pool) // 4) + -(-len(queries) // 4))
+                    assert len(list(cache.glob("emb-*.json"))) == -(-len(pool | queries) // 4)
             assert server.requests == []
         config = replace(config, output_dir=str(tmp_path / "replay"),
                          provider=ProviderConfig(model_name="mock-chat",
@@ -871,7 +872,9 @@ class TestSweepPlan:
         for loader in ("load_parallel", "load_lexicon", "load_drafts"):
             count(pipeline, loader, key=lambda path: Path(path).name)
         count(pipeline, "Provider")
-        count(retrieval.Retriever, "_build_index")
+        # the one index: DENSE adopts the rows of its pool's embedding stream
+        count(retrieval.Retriever, "_build_index", key=lambda *args: "index")
+        count(retrieval, "EmbeddingIndex", key=lambda *args: "index")
         count(retrieval.TokenIndex, "over_lexicon")
         count(retrieval, self.RETRIEVE[name], key=lambda *args: "retrieve")
         count(retrieval, "lexicon_fuzzy_retrieve")
@@ -882,16 +885,16 @@ class TestSweepPlan:
             assert all(r["error"] == "" for r in rows)
             assert calls == {
                 "test.tsv": 1, "corpus.tsv": 1, "lexicon.tsv": 1, "drafts.tsv": 1,
-                "Provider": 1, "_build_index": 1, "over_lexicon": 1,
+                "Provider": 1, "index": 1, "over_lexicon": 1,
                 "retrieve": len(tests), "lexicon_fuzzy_retrieve": len(tests),
             }
             embedded = [r["body"]["input"] for r in server.requests
                         if r["path"].endswith("/embeddings")]
             if name == "DENSE":
-                # the pool in one pass, then every query in one batch
+                # the pool and every query in one request
                 pool = [p.source_text for p in load_parallel(DEMO_DATA / "corpus.tsv")
                         if p.origin == "NT"]
-                assert embedded == [pool, [p.source_text for p in tests]]
+                assert embedded == [pool + [p.source_text for p in tests]]
             else:
                 assert embedded == []
 
@@ -900,7 +903,7 @@ class TestSweepPlan:
             calls.clear()
             assert sweep(config, self.VALUES) == rows
             assert server.requests == []
-            assert calls["retrieve"] == calls["_build_index"] == 0
+            assert calls["retrieve"] == calls["index"] == 0
 
 
     def test_full_lexicon_built_once(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import logging
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from ragmt.provider import (
     ProviderConfig,
     ProviderError,
     _JsonStore,
+    _embedding_keys,
     _unit_matrix,
     chat_request_key,
     embedding_request_key,
@@ -240,6 +242,98 @@ class TestEmbed:
             provider = Provider(make_config(server, tmp_path))
             with pytest.raises(ProviderError):
                 provider.embed([])
+
+
+class TestEmbedWindow:
+    """``embed`` keeps ``max_in_flight`` requests on the wire while the calling
+    thread handles replies, holding at most 2 × ``max_in_flight`` unhandled."""
+
+    TEXTS = [f"text number {i}" for i in range(32)]  # 8 chunks of 4
+
+    def _embed(self, tmp_path, monkeypatch, delay, stall):
+        """Embed TEXTS with ``put_chunk`` stalled for ``stall`` seconds; the
+        server's in-flight count sampled during each stall, and the replies
+        received but not yet written at each reply."""
+        lock = threading.Lock()
+        replies = written = 0
+        wire, unhandled = [], []
+        with MockProviderServer(response_delay=delay) as server:
+            provider = Provider(make_config(server, tmp_path, embed_batch_size=4,
+                                            max_in_flight=2))
+            post, put_chunk = provider._post, provider.store.put_chunk
+
+            def counted_post(endpoint, body):
+                nonlocal replies
+                data = post(endpoint, body)
+                with lock:
+                    replies += 1
+                    unhandled.append(replies - written)
+                return data
+
+            def stalled_put_chunk(requests, rows):
+                nonlocal written
+                for _ in range(4):
+                    time.sleep(stall / 4)
+                    wire.append(server.in_flight)
+                put_chunk(requests, rows)
+                with lock:
+                    written += 1
+
+            monkeypatch.setattr(provider, "_post", counted_post)
+            monkeypatch.setattr(provider.store, "put_chunk", stalled_put_chunk)
+            provider.embed(self.TEXTS)
+            assert len(server.requests) == 8
+        return wire, unhandled
+
+    def test_wire_full_while_chunks_are_written(self, tmp_path, monkeypatch):
+        # a reply takes 0.1 s and writing its chunk 0.02 s: the next requests
+        # are on the wire while a chunk is written
+        wire, unhandled = self._embed(tmp_path, monkeypatch, delay=0.1, stall=0.02)
+        assert max(wire) == 2
+        assert max(unhandled) <= 4
+
+    def test_at_most_twice_max_in_flight_unhandled(self, tmp_path, monkeypatch):
+        # replies come at once and writing a chunk takes 0.1 s: the window
+        # fills to its bound and no further
+        wire, unhandled = self._embed(tmp_path, monkeypatch, delay=0.0, stall=0.1)
+        assert max(unhandled) == 4
+        assert max(wire) <= 2
+
+    def test_failed_reply_cancels_the_queued_chunks(self, tmp_path):
+        chunks = [self.TEXTS[i:i + 4] for i in range(0, len(self.TEXTS), 4)]
+
+        class Server(MockProviderServer):
+            # chunk 2's reply is malformed; from chunk 3 on replies take
+            # 0.3 s, so chunks queued behind them are still unsent when
+            # chunk 2 fails
+            def _respond(self, path, body):
+                chunk = chunks.index(body["input"])
+                if chunk == 2:
+                    return {"data": [{"embedding": None} for _ in body["input"]]}
+                if chunk > 2:
+                    time.sleep(0.3)
+                return super()._respond(path, body)
+
+        with Server() as server:
+            provider = Provider(make_config(server, tmp_path, embed_batch_size=4,
+                                            max_in_flight=2))
+            with pytest.raises(ProviderError, match="malformed embedding response"):
+                provider.embed(self.TEXTS)
+            sent = [r["body"]["input"] for r in server.requests]
+        # chunks 0-3 are sent before chunk 2 is handled; chunk 4 may have
+        # started by then; chunk 5 was queued and is cancelled
+        assert all(chunk in sent for chunk in chunks[:4])
+        assert all(inputs in chunks[:5] for inputs in sent)
+        cached = {key for path in (tmp_path / "cache").iterdir()
+                  for key in json.loads(path.read_text(encoding="utf-8"))}
+        assert cached == {embedding_request_key("mock-embed", t) for t in self.TEXTS[:8]}
+        # a rerun sends only the texts of chunk 2 on
+        with MockProviderServer() as server:
+            rerun = Provider(make_config(server, tmp_path, embed_batch_size=4))
+            batch = rerun.embed(self.TEXTS)
+            assert sorted(r["body"]["input"] for r in server.requests) == sorted(chunks[2:])
+            cold = Provider(make_config(server, tmp_path, cache_dir=None)).embed(self.TEXTS)
+        assert batch.vectors.tobytes() == cold.vectors.tobytes()
 
 
 class TestReplay:
@@ -653,6 +747,27 @@ class TestCacheKeys:
     def test_embedding_key_depends_on_model_and_text(self):
         assert embedding_request_key("m1", "t") != embedding_request_key("m2", "t")
         assert embedding_request_key("m1", "t") == embedding_request_key("m1", "t")
+
+    # characters JSON escapes or keeps as they are: quotes, backslashes,
+    # control characters, U+2028/9, non-ASCII and astral ones
+    _escaped = st.text(alphabet='"\\\x00\x1f\x7f\n\t\u2028\u2029 aé漢\U0001F600', max_size=12)
+    _any = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+    @given(model=st.text(alphabet='m"\\ é:', max_size=6) | _any,
+           text=_escaped | _any)
+    @example(model="", text="")
+    @example(model='"m"', text='\\"\u2028\U0001F600')
+    def test_preformatted_keys_equal_embedding_request_key(self, model, text):
+        assert _embedding_keys(model)(text) == embedding_request_key(model, text)
+
+    @pytest.mark.parametrize("model, text", [("m", "\ud800"), ('m"', "a\udfffb"),
+                                              ("\udc80m", "t")])
+    def test_lone_surrogate_raises_as_before(self, model, text):
+        with pytest.raises(UnicodeEncodeError) as expected:
+            embedding_request_key(model, text)
+        with pytest.raises(UnicodeEncodeError) as got:
+            _embedding_keys(model)(text)
+        assert str(got.value) == str(expected.value)
 
 
 def test_invalid_config_rejected():

@@ -22,6 +22,8 @@ from ragmt.retrieval import (
     EmbeddingIndex,
     GramIndex,
     TokenIndex,
+    _bit_distance,
+    _pattern_masks,
     _sorted_distinct,
     Retriever,
     _rank,
@@ -31,10 +33,8 @@ from ragmt.retrieval import (
     dense_retrieve,
     fuzzy_word_lists,
     fuzzy_word_retrieve,
-    levenshtein,
     lexicon_full,
     lexicon_fuzzy_retrieve,
-    normalized_levenshtein,
 )
 from ragmt.text import char_ngrams, word_tokenize
 
@@ -97,6 +97,26 @@ def edit_distance_oracle(a, b):
                 table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return table[m][n]
+
+
+def levenshtein(a, b):
+    """Edit distance by the scalar Myers/Hyyrö kernel ``_bit_distance`` that
+    ``TokenIndex`` runs for long tokens, with the longer string as the
+    pattern; ``TestLevenshtein`` checks it against the DP oracle."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    return _bit_distance(_pattern_masks(a), len(a), b)
+
+
+def normalized_levenshtein(a, b):
+    """1 - distance / max length, in [0, 1]; 1.0 when both strings empty."""
+    if not a and not b:
+        return 1.0
+    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
 def fuzzy_oracle(pairs, query, n, threshold=0.5):
