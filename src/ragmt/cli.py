@@ -292,13 +292,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"retrieve --gamma must be in [0, 1], got {args.gamma!r}")
         if not args.query.strip():
             parser.error("retrieve --query must not be blank")
-    if args.command in ("run", "sweep", "retrieve"):
-        try:
-            return args.func(args)
-        except _INPUT_ERRORS as exc:
-            where = "" if args.command == "retrieve" else f" --config {args.config}"
-            parser.error(f"{args.command}{where}: {exc}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        where = f" --config {args.config}" if args.command in ("run", "sweep") else ""
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        parser.error(f"{command}{where}: {exc}")
 
 
 if __name__ == "__main__":

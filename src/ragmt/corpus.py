@@ -136,6 +136,22 @@ class LeakageReport:
 _FIELD_NAMES = {"id": "id", "source": "source_text", "target": "target_text", "origin": "origin"}
 
 
+def _json_fields(line: str, lineno: int, keys: tuple[str, ...]) -> dict:
+    """One JSONL line as an object whose ``keys`` hold strings or null, when
+    present."""
+    try:
+        fields = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(fields, dict):
+        raise CorpusError(f"line {lineno}: expected a JSON object, got {type(fields).__name__}")
+    for key in keys:
+        if not isinstance(fields.get(key, ""), (str, type(None))):
+            raise CorpusError(
+                f"line {lineno}: {key} must be a string, got {type(fields[key]).__name__}")
+    return fields
+
+
 def _pair_from_fields(fields: dict, lineno: int) -> ParallelPair:
     for key, name in _FIELD_NAMES.items():
         if not str(fields.get(key, "") or "").strip():
@@ -187,10 +203,7 @@ def load_parallel(path: str | Path, fmt: str | None = None) -> list[ParallelPair
                     raise CorpusError(f"line {lineno}: expected 4 or 5 TSV columns, got {len(cols)}")
                 fields = dict(zip(("id", "source", "target", "origin", "ref"), cols))
             else:
-                try:
-                    fields = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                fields = _json_fields(line, lineno, (*_FIELD_NAMES, "ref"))
             pair = _pair_from_fields(fields, lineno)
             if pair.id in seen:
                 raise CorpusError(
@@ -243,13 +256,10 @@ def load_lexicon(path: str | Path, fmt: str | None = None) -> list[LexiconEntry]
                 else:
                     raise CorpusError(f"line {lineno}: expected 2 or 3 TSV columns, got {len(cols)}")
             else:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-                source = obj.get("source_word", "")
+                obj = _json_fields(line, lineno, ("source_word", "pos", "target_word"))
+                source = obj.get("source_word") or ""
                 pos = obj.get("pos") or ""
-                target = obj.get("target_word", "")
+                target = obj.get("target_word") or ""
             if not source.strip():
                 raise CorpusError(f"line {lineno}: empty source_word")
             if not target.strip():

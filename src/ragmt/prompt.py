@@ -26,13 +26,18 @@ DHAO_BLURB = (
 
 @dataclass(frozen=True)
 class LanguageProfile:
-    """Target-language identity injected into the system messages."""
+    """Target-language identity injected into the system messages; a
+    language without a blurb gets no blurb paragraph."""
 
-    name: str = "Dhao"
-    blurb: str = DHAO_BLURB
+    name: str
+    blurb: str = ""
 
 
-DHAO_PROFILE = LanguageProfile()
+DHAO_PROFILE = LanguageProfile("Dhao", DHAO_BLURB)
+
+
+def _blurb(profile: LanguageProfile) -> str:
+    return f"{profile.blurb}\n\n" if profile.blurb else ""
 
 
 @dataclass
@@ -58,8 +63,8 @@ class ParsedPrompt:
 
 def _direct_system(profile: LanguageProfile) -> str:
     return (
-        f"{profile.blurb}\n\n"
-        f"You are an expert Bible translator in {profile.name} language. "
+        _blurb(profile)
+        + f"You are an expert Bible translator in {profile.name} language. "
         f"Your job is to translate bible verses from English to {profile.name} "
         "language, providing accurate and faithful translations that maintain "
         "the meaning and context of the source text. When provided with "
@@ -72,8 +77,8 @@ def _direct_system(profile: LanguageProfile) -> str:
 
 def _postedit_system(profile: LanguageProfile) -> str:
     return (
-        f"{profile.blurb}\n\n"
-        f"You are an expert Bible translator in {profile.name} language. "
+        _blurb(profile)
+        + f"You are an expert Bible translator in {profile.name} language. "
         f"Your job is to correct and verify machine generated bible verses in "
         f"{profile.name} language which is translated from the English "
         "language. Only make changes when necessary, ensuring that the "

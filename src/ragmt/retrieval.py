@@ -350,35 +350,6 @@ def _pattern_masks(pattern: str) -> dict[str, int]:
     return masks
 
 
-def _bit_distance(masks: dict[str, int], m: int, text: str) -> int:
-    """Edit distance between a pattern of length m >= 1 (given by its masks)
-    and text: Myers' bit-vector recurrence in Hyyrö's edit-distance form.
-
-    Column j of the DP matrix is held as two bit vectors of vertical deltas
-    (+1 in pv, -1 in mv); the distance is tracked at the last row. Python
-    ints make the word as wide as the pattern.
-    """
-    full = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, dist = full, 0, m
-    for ch in text:
-        eq = masks.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        # row 0 of the edit-distance matrix grows by one per column
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-    return dist
-
-
 def _reach(threshold: float, longest: int) -> int:
     """How many edit distances d in [0, longest] keep 1 - d / longest >=
     threshold: the condition holds up to some d, so bisect for the first
@@ -394,9 +365,10 @@ def _reach(threshold: float, longest: int) -> int:
 
 
 def _uint_of(bits: int) -> np.dtype:
-    """The narrowest unsigned integer type with at least ``bits`` bits."""
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if np.dtype(t).itemsize * 8 >= bits)
+    """The narrowest unsigned integer type with at least ``bits`` bits; past
+    64 bits, Python ints (object), as wide as they need to be."""
+    return next((np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if np.dtype(t).itemsize * 8 >= bits), np.dtype(object))
 
 
 class TokenIndex:
@@ -409,17 +381,17 @@ class TokenIndex:
     character position: column j holds position j of every string longer
     than j, so the strings still being read at column j are a prefix.
 
-    A lookup takes every token not yet memoised at once and runs the
-    Myers/Hyyrö bit-vector recurrence of ``_bit_distance`` in numpy, one
-    column step over a (strings x tokens) array per character position,
-    each token being one machine word; a string's distance is final when
-    its last column is read. Strings whose similarity bound
-    1 - |len(a) - len(b)| / max(len) is below the threshold for every
-    token of the lookup are skipped: the edit distance is at least the
-    length difference, so the skip is exact. Tokens longer than 64
-    characters take the scalar ``_bit_distance`` path. Lookups are memoised
-    per (token, threshold) for the index's life, and the reach of each
-    string length per (token length, threshold).
+    A lookup takes every token not yet memoised at once and runs Myers'
+    bit-vector recurrence in Hyyrö's edit-distance form (Myers 1999, Hyyrö
+    2003) in numpy, one column step over a (strings x tokens) array per
+    character position, each token being one word: a machine word, or a
+    Python int for tokens over 64 characters, which run in batches of their
+    own. A string's distance is final when its last column is read. Strings
+    whose similarity bound 1 - |len(a) - len(b)| / max(len) is below the
+    threshold for every token of the lookup are skipped: the edit distance
+    is at least the length difference, so the skip is exact. Lookups are
+    memoised per (token, threshold) for the index's life, and the reach of
+    each string length per (token length, threshold).
     """
 
     def __init__(self, items: list, strings_per_item, tie_key: Callable):
@@ -481,19 +453,30 @@ class TokenIndex:
             tops[token] = list(zip(top.tolist(), best[top].tolist()))
         return tops
 
+    def union(self, tokens: list[str], tops: dict[str, list[tuple[int, float]]], n: int,
+              key: Callable) -> list[tuple[int, float, str]]:
+        """The n-prefixes of the ``tops`` lists of ``tokens``, in token order,
+        deduplicated by ``key(item)``: an item keeps its first strictly best
+        similarity and that token. As (item index, similarity, token), best
+        first, ties by ``rank``."""
+        best: dict = {}
+        for token in tokens:
+            for idx, sim in tops[token][:n]:
+                k = key(self.items[idx])
+                if k not in best or sim > best[k][1]:
+                    best[k] = (idx, sim, token)
+        return sorted(best.values(), key=lambda hit: (-hit[1], self.rank[hit[0]]))
+
     def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
         """Per token, the indexed strings s whose similarity 1 - (edit
         distance) / max(len(token), len(s)) is at least ``threshold``, paired
         with that similarity; tokens must be non-empty."""
         new = [t for t in dict.fromkeys(tokens) if (t, threshold) not in self._memo]
-        words = [t for t in new if len(t) <= 64]
-        if self._strings:
-            # a few dozen tokens at a time bound the (strings x tokens) arrays
-            for i in range(0, len(words), 32):
-                self._lookup(words[i:i + 32], threshold)
-        for token in new:
-            if (token, threshold) not in self._memo:
-                self._memo[(token, threshold)] = self._scan(token, threshold)
+        # a few dozen tokens at a time bound the (strings x tokens) arrays;
+        # one token over 64 characters would make a whole batch Python ints
+        for batch in ([t for t in new if len(t) <= 64], [t for t in new if len(t) > 64]):
+            for i in range(0, len(batch), 32):
+                self._lookup(batch[i:i + 32], threshold)
         return {t: self._memo[(t, threshold)] for t in tokens}
 
     def _reach_row(self, m: int, threshold: float) -> np.ndarray:
@@ -507,22 +490,11 @@ class TokenIndex:
             self._reach_rows[(m, threshold)] = row
         return row
 
-    def _scan(self, token: str, threshold: float) -> list[tuple[str, float]]:
-        """One token against each string of a length it may match, in Python."""
-        m = len(token)
-        masks = _pattern_masks(token)
-        reach = self._reach_row(m, threshold).tolist()
-        found = []
-        for s in self._strings:
-            if abs(m - len(s)) < reach[len(s)]:
-                d = _bit_distance(masks, m, s)
-                if d < reach[len(s)]:
-                    found.append((s, 1.0 - d / max(m, len(s))))
-        return found
-
     def _lookup(self, tokens: list[str], threshold: float) -> None:
-        """Memoise the matches of tokens of at most 64 characters, all at once."""
+        """Memoise the matches of ``tokens``, all at once."""
         m = [len(t) for t in tokens]
+        for token in tokens:
+            self._memo[(token, threshold)] = []
         # reach[q, L]: distances below it keep tokens[q] and a string of
         # length L similar enough; similarities are computed in Python only,
         # as 1.0 - d / max(len) of the integer distance. A string length is
@@ -531,15 +503,13 @@ class TokenIndex:
         span = np.abs(np.array(m)[:, None] - np.arange(reach.shape[1]))
         keep = (span < reach).any(axis=0)
         rows = np.flatnonzero(keep[self._lengths])  # ascending, so still longest first
+        if not len(rows):
+            return
         # the type holds every token's bits and every distance, so all the
         # steps run in it
         top = max(max(m), self._distinct_lengths[-1])
         word = _uint_of(max(max(m), (top + 1).bit_length()))
         reach = reach.astype(word)
-        for token in tokens:
-            self._memo[(token, threshold)] = []
-        if not len(rows):
-            return
         lengths = self._lengths[rows]
         # peq[c, q]: bit i set where tokens[q][i] is alphabet character c;
         # token characters outside the alphabet match no string
@@ -551,8 +521,8 @@ class TokenIndex:
                     peq[c, q] = bits
         shape = (len(rows), len(tokens))
         # bits above a token's length never reach its bit m - 1, so the words
-        # need no masking: pv starts all ones
-        pv = np.full(shape, np.iinfo(word).max, dtype=word)
+        # need no masking: pv starts all ones (-1 as a Python int)
+        pv = np.invert(np.zeros(shape, dtype=word))
         mv = np.zeros(shape, dtype=word)
         xv, xh, eq, bit, dist = (np.empty(shape, dtype=word) for _ in range(5))
         dist[:] = m
@@ -603,26 +573,17 @@ class FuzzyWordLists:
     n is a prefix of it, so ``union`` can serve any n up to that one.
     """
 
-    pairs: list[ParallelPair]
+    index: TokenIndex
     tokens: list[str]
     tops: dict[str, list[tuple[int, float]]]
 
     def union(self, n: int) -> list[RetrievedExample]:
-        """The n-prefixes of the token lists, unioned in query-token order and
-        deduplicated by pair id: a pair keeps its first strictly best score
-        and that token."""
-        best_by_id: dict[str, RetrievedExample] = {}
-        for token in self.tokens:
-            for idx, sim in self.tops[token][:n]:
-                pair = self.pairs[idx]
-                existing = best_by_id.get(pair.id)
-                if existing is None or sim > existing.score:
-                    best_by_id[pair.id] = RetrievedExample(
-                        pair=pair, score=sim, strategy="FUZZY_WORD", matched_token=token
-                    )
-        results = list(best_by_id.values())
-        results.sort(key=lambda r: (-r.score, r.pair.id))
-        return results
+        """The n-prefixes of the token lists, unioned by ``TokenIndex.union``
+        and deduplicated by pair id."""
+        return [RetrievedExample(pair=self.index.items[idx], score=sim, strategy="FUZZY_WORD",
+                                 matched_token=token)
+                for idx, sim, token in self.index.union(self.tokens, self.tops, n,
+                                                        key=lambda p: p.id)]
 
 
 def fuzzy_word_lists(
@@ -634,7 +595,7 @@ def fuzzy_word_lists(
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens = word_tokenize(query)
-    return FuzzyWordLists(pairs=index.items, tokens=tokens, tops=index.top(tokens, n, threshold))
+    return FuzzyWordLists(index=index, tokens=tokens, tops=index.top(tokens, n, threshold))
 
 
 def fuzzy_word_retrieve(
@@ -740,21 +701,15 @@ def lexicon_fuzzy_retrieve(
     ``index`` is ``TokenIndex.over_lexicon`` of the lexicon.
 
     Entries tied on (score, headword) keep their input order. The lists are
-    deduplicated by (headword, pos, target): an entry keeps its first
-    strictly best score and that query word.
+    unioned by ``TokenIndex.union`` and deduplicated by entry, that is by
+    (headword, target, pos).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    best: dict[tuple, RetrievedLexicon] = {}
-    for token, top in index.top(word_tokenize(query), n, threshold).items():
-        for idx, sim in top:
-            entry = index.items[idx]
-            key = (entry.source_word, entry.pos, entry.target_word)
-            if key not in best or sim > best[key].score:
-                best[key] = RetrievedLexicon(entry=entry, score=sim, query_word=token)
-    results = list(best.values())
-    results.sort(key=lambda r: (-r.score, r.entry.source_word))
-    return results
+    tokens = word_tokenize(query)
+    return [RetrievedLexicon(entry=index.items[idx], score=sim, query_word=token)
+            for idx, sim, token in index.union(tokens, index.top(tokens, n, threshold), n,
+                                               key=lambda e: e)]
 
 
 def lexicon_full(lexicon: list[LexiconEntry]) -> list[RetrievedLexicon]:

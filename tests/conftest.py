@@ -9,8 +9,10 @@ from hypothesis import settings
 from ragmt.corpus import LexiconEntry, ParallelPair, load_lexicon, load_parallel
 
 # Property tests draw the same examples on every run, and a slow host cannot
-# fail them on time alone.
+# fail them on time alone. "ragmt-deep" draws five times as many; select it
+# with pytest's --hypothesis-profile=ragmt-deep.
 settings.register_profile("ragmt", derandomize=True, deadline=None, max_examples=60)
+settings.register_profile("ragmt-deep", settings.get_profile("ragmt"), max_examples=300)
 settings.load_profile("ragmt")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -35,8 +35,11 @@ class TestCorpusCommands:
     def test_validate_rejects_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("only two\tcolumns\n", encoding="utf-8")
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit) as exc:
             main(["corpus", "validate", str(bad)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ragmt: error: corpus validate: {bad}: line 1: expected 4 or 5 TSV columns, got 2")
 
     def test_split_writes_three_files(self, tmp_path, capsys):
         # the split needs NT pairs for train/validation and OT pairs for test
@@ -400,6 +403,26 @@ def test_sweep_rejects_values_that_are_not_integers(values, capsys):
         main(["sweep", "--config", "unread.json", "--values", values])
     assert exc.value.code == 2  # a usage error, before any file is read
     assert "--values: expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["corpus", "split", "--corpus", "missing.tsv"], "corpus split: "),
+    (["corpus", "leak-check", "--test", TEST, "--aux", "bad.jsonl"], "corpus leak-check: "),
+    (["analyze", "oov", "--train", "missing.txt", "--eval", "missing.txt"], "analyze oov: "),
+    (["score", "--hyp", "latin-1.txt", "--ref", "latin-1.txt"], "score: "),
+    (["compare", "missing.json", "--baseline", "missing"], "compare: "),
+], ids=["split-missing-corpus", "leak-check-not-an-object", "oov-missing-file",
+        "score-not-utf8", "compare-missing-report"])
+def test_bad_input_is_usage_error_for_every_command(tmp_path, monkeypatch, capsys, argv,
+                                                    prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text("[1, 2]\n", encoding="utf-8")
+    (tmp_path / "latin-1.txt").write_bytes("café\n".encode("latin-1"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"ragmt: error: {prefix}")
 
 
 def test_unknown_command_exits():

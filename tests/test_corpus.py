@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from ragmt.corpus import (
@@ -66,6 +68,28 @@ class TestLoadParallel:
             save_parallel(path, pairs, fmt)
             assert load_parallel(path, fmt) == pairs
 
+    @pytest.mark.parametrize("bad, message", [
+        ([1, 2], "expected a JSON object, got list"),
+        ("GEN.1.1", "expected a JSON object, got str"),
+        (None, "expected a JSON object, got NoneType"),
+        ({"id": 5, "source": "s", "target": "t", "origin": "NT"}, "id must be a string, got int"),
+        ({"id": "a", "source": ["s"], "target": "t", "origin": "NT"},
+         "source must be a string, got list"),
+        ({"id": "a", "source": "s", "target": {"t": 1}, "origin": "NT"},
+         "target must be a string, got dict"),
+        ({"id": "a", "source": "s", "target": "t", "origin": True},
+         "origin must be a string, got bool"),
+        ({"id": "GEN.1.1", "source": "s", "target": "t", "origin": "OT", "ref": 1.5},
+         "ref must be a string, got float"),
+    ], ids=["array", "string", "null", "int-id", "list-source", "object-target",
+            "bool-origin", "float-ref"])
+    def test_jsonl_line_that_is_not_a_pair_names_file_and_line(self, tmp_path, bad, message):
+        good = json.dumps({"id": "x1", "source": "s", "target": "t", "origin": "NT"})
+        path = _write(tmp_path / "c.jsonl", [good, json.dumps(bad)])
+        with pytest.raises(CorpusError) as exc:
+            load_parallel(path)
+        assert str(exc.value) == f"{path}: line 2: {message}"
+
 
 class TestLoadLexicon:
     def test_row_with_pos(self, tmp_path):
@@ -93,6 +117,29 @@ class TestLoadLexicon:
         path = tmp_path / "l.tsv"
         save_lexicon(path, demo_lexicon)
         assert load_lexicon(path) == demo_lexicon
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1, 2], "expected a JSON object, got list"),
+        (3, "expected a JSON object, got int"),
+        ({"source_word": 3, "target_word": "ama"}, "source_word must be a string, got int"),
+        ({"source_word": "father", "target_word": ["ama"]},
+         "target_word must be a string, got list"),
+        ({"source_word": "father", "target_word": "ama", "pos": 1},
+         "pos must be a string, got int"),
+        ({"source_word": None, "target_word": "ama"}, "empty source_word"),
+    ], ids=["array", "number", "int-source", "list-target", "int-pos", "null-source"])
+    def test_jsonl_line_that_is_not_an_entry_names_file_and_line(self, tmp_path, bad,
+                                                                 message):
+        good = json.dumps({"source_word": "mother", "target_word": "ina"})
+        path = _write(tmp_path / "l.jsonl", [good, json.dumps(bad)])
+        with pytest.raises(CorpusError) as exc:
+            load_lexicon(path)
+        assert str(exc.value) == f"{path}: line 2: {message}"
+
+    def test_jsonl_null_pos_is_no_pos(self, tmp_path):
+        line = json.dumps({"source_word": "father", "target_word": "ama", "pos": None})
+        assert load_lexicon(_write(tmp_path / "l.jsonl", [line])) == [
+            LexiconEntry("father", "ama")]
 
 
 def _nt_pairs(n):

@@ -520,6 +520,20 @@ def test_corpus_fingerprint_sensitivity(tmp_path):
     )
 
 
+def test_other_language_prompt_has_no_dhao_blurb(tmp_path):
+    with MockProviderServer() as server:
+        config = base_config(
+            tmp_path, mode="POST_EDIT", context="NONE", language="Sabu",
+            provider=ProviderConfig(base_url=server.base_url, model_name="mock-chat"),
+        )
+        run_experiment(config, resume=False)
+    systems = {r["body"]["messages"][0]["content"] for r in server.requests}
+    assert len(systems) == 1
+    system = systems.pop()
+    assert system.startswith("You are an expert Bible translator in Sabu language. ")
+    assert "Dhao" not in system
+
+
 def test_fuzzy_indexes_built_once_per_cell(tmp_path, monkeypatch):
     built = []
     init = retrieval.TokenIndex.__init__

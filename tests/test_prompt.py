@@ -4,6 +4,8 @@ import pytest
 
 from conftest import GOLDEN_DIR
 from ragmt.prompt import (
+    DHAO_BLURB,
+    DHAO_PROFILE,
     ContextBundle,
     LanguageProfile,
     parse_prompt,
@@ -140,6 +142,16 @@ class TestRenderContracts:
         assert "Translate the above text from English to Sabu:" in rendered.user
         assert rendered.system.startswith("Sabu is a language.")
         assert "Dhao" not in rendered.system
+
+    @pytest.mark.parametrize("render", [
+        lambda profile: render_direct(SOURCE, profile=profile),
+        lambda profile: render_postedit(SOURCE, DRAFT, ContextBundle(), profile=profile),
+    ], ids=["direct", "postedit"])
+    def test_language_without_blurb_has_no_blurb_paragraph(self, render):
+        rendered = render(LanguageProfile(name="Sabu"))
+        assert rendered.system.startswith("You are an expert Bible translator in Sabu")
+        assert "Dhao" not in rendered.system + rendered.user
+        assert render(DHAO_PROFILE).system.startswith(DHAO_BLURB + "\n\nYou are ")
 
 
 class TestParseRoundTrip:

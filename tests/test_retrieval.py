@@ -22,7 +22,6 @@ from ragmt.retrieval import (
     EmbeddingIndex,
     GramIndex,
     TokenIndex,
-    _bit_distance,
     _pattern_masks,
     _sorted_distinct,
     Retriever,
@@ -99,10 +98,40 @@ def edit_distance_oracle(a, b):
     return table[m][n]
 
 
+def _bit_distance(masks, m, text):
+    """Edit distance between a pattern of length m >= 1 (given by its masks)
+    and text: Myers' bit-vector recurrence in Hyyrö's edit-distance form,
+    the scalar form of ``TokenIndex``'s numpy kernel.
+
+    Column j of the DP matrix is held as two bit vectors of vertical deltas
+    (+1 in pv, -1 in mv); the distance is tracked at the last row. Python
+    ints make the word as wide as the pattern.
+    """
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = full, 0, m
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of the edit-distance matrix grows by one per column
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
+
+
 def levenshtein(a, b):
-    """Edit distance by the scalar Myers/Hyyrö kernel ``_bit_distance`` that
-    ``TokenIndex`` runs for long tokens, with the longer string as the
-    pattern; ``TestLevenshtein`` checks it against the DP oracle."""
+    """Edit distance by the scalar kernel ``_bit_distance``, with the longer
+    string as the pattern; ``TestLevenshtein`` checks it against the DP
+    oracle."""
     if a == b:
         return 0
     if len(a) < len(b):
@@ -678,19 +707,23 @@ class TestLevenshtein:
         st.integers(0, 130),
         st.integers(0, 130),
     )
+    @example("ab漢é" * 32 + "ab", "é", 0, 1)
     def test_against_dp_oracle_long_and_non_ascii(self, a, insert, start, stop):
-        # longer than a 64-bit word; the second string is the first with one
+        # a token longer than a 64-bit word, up to past 128 bits, looked up
+        # in TokenIndex.matches; the second string is the first with one
         # span replaced, so distances stay small as well as large
         b = a[:start] + insert + a[stop:]
-        assert levenshtein(a, b) == edit_distance_oracle(a, b)
-        assert levenshtein(b, a) == edit_distance_oracle(a, b)
+        sim = 1.0 - edit_distance_oracle(a, b) / max(len(a), len(b))
+        assert TokenIndex([b], [[b]], str).matches([a], 0.0) == {a: [(b, sim)]}
+        if b:
+            assert TokenIndex([a], [[a]], str).matches([b], 0.0) == {b: [(a, sim)]}
 
 
 _thresholds = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=4)
 
 # Words of 60-75 characters, prefixes of one long word with an optional
 # extra letter: long words match each other, some one edit apart, and
-# tokens over 64 characters take the scalar path.
+# tokens over 64 characters run as Python-int words.
 _LONG = "abéab漢cab" * 9
 _long_words = st.tuples(st.integers(60, 74), st.sampled_from(["", "a", "é", "漢"])).map(
     lambda t: _LONG[:t[0]] + t[1]
@@ -800,7 +833,8 @@ class TestFuzzyIndexProperties:
 
     def test_long_words_around_the_threshold(self):
         # one to fourteen edits apart, against thresholds that cut between
-        # them, for tokens up to 64 characters (numpy) and over (Python)
+        # them, for tokens up to 64 characters (machine words) and over
+        # (Python-int words, in batches of their own)
         words = [_LONG[:n] for n in range(60, 75)] + [_LONG[:66] + "é", "ab" * 40]
         pairs = [ParallelPair(f"p{i:02d}", w, "t", "NT") for i, w in enumerate(words)]
         index = TokenIndex.over_pairs(pairs)
@@ -838,6 +872,40 @@ class TestFuzzyIndexProperties:
         assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.0)) == [
             ("p1", 1 - 1 / 7, "father"), ("p2", 0.0, "father")
         ]
+
+
+class TestLongTokens:
+    """Tokens over 64 characters run through the same kernel as short ones,
+    on Python-int words, in batches of their own."""
+
+    @given(st.data(), _match_pools(), st.sampled_from([0.0, 0.5, 0.97]))
+    def test_mixed_call_equals_each_token_alone(self, data, pairs, threshold):
+        vocabulary = [t for p in pairs for t in p.source_text.split()]
+        tokens = word_tokenize(data.draw(_match_queries(vocabulary)))
+        tokens += data.draw(st.lists(_long_words.map(lambda w: w + "b" * 6), min_size=1,
+                                     max_size=3))
+        found = TokenIndex.over_pairs(pairs).matches(tokens, threshold)
+        for token in tokens:
+            alone = TokenIndex.over_pairs(pairs).matches([token], threshold)
+            assert found[token] == alone[token]
+
+    def test_long_tokens_batch_apart(self, monkeypatch):
+        pairs = [ParallelPair(f"p{i}", w, "t", "NT")
+                 for i, w in enumerate([_LONG[:70], _LONG[:40], "abé"])]
+        index = TokenIndex.over_pairs(pairs)
+        batches, lookup = [], index._lookup
+
+        def recording_lookup(tokens, threshold):
+            batches.append(tokens)
+            lookup(tokens, threshold)
+
+        monkeypatch.setattr(index, "_lookup", recording_lookup)
+        short = [f"ab{i}" for i in range(40)]
+        long = [_LONG[:n] for n in range(65, 71)]
+        found = index.matches(short[:20] + long[:3] + short[20:] + long[3:], 0.5)
+        # the short tokens keep their order and batch size; the long ones follow
+        assert batches == [short[:32], short[32:], long]
+        assert found[_LONG[:70]] == [(_LONG[:70], 1.0), (_LONG[:40], 1 - 30 / 70)]
 
 
 class _PaletteEmbedder:
