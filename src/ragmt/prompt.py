@@ -8,8 +8,10 @@ identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .corpus import LexiconEntry
 from .retrieval import RetrievedExample, RetrievedLexicon
 
 MODE_DIRECT = "direct"
@@ -42,8 +44,13 @@ def _blurb(profile: LanguageProfile) -> str:
 
 @dataclass
 class ContextBundle:
+    """What a prompt shows besides its source and draft. ``glossary``, when
+    not empty, is a glossary block ``glossary_block`` rendered ahead, which
+    many prompts share; it stands in for ``lexicon``."""
+
     examples: list[RetrievedExample] = field(default_factory=list)
     lexicon: list[RetrievedLexicon] = field(default_factory=list)
+    glossary: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,15 +109,15 @@ def _example_block(examples: list[RetrievedExample], profile: LanguageProfile) -
     return header + "\n\n" + "\n\n".join(rendered)
 
 
-def _glossary_block(lexicon: list[RetrievedLexicon], profile: LanguageProfile) -> str:
+def glossary_block(entries: Iterable[LexiconEntry], profile: LanguageProfile) -> str:
+    """The glossary block of a prompt: a header and one line per entry."""
     header = (
         "To help with the translation, here is a word list between English "
         f"and {profile.name} in the format: English word (pos tag) -> "
         f"{profile.name} word:"
     )
     lines = []
-    for item in lexicon:
-        entry = item.entry
+    for entry in entries:
         if entry.pos:
             lines.append(f"- {entry.source_word} ({entry.pos}) -> {entry.target_word}")
         else:
@@ -122,8 +129,10 @@ def _context_blocks(bundle: ContextBundle, profile: LanguageProfile) -> list[str
     blocks = []
     if bundle.examples:
         blocks.append(_example_block(bundle.examples, profile))
-    if bundle.lexicon:
-        blocks.append(_glossary_block(bundle.lexicon, profile))
+    if bundle.glossary:
+        blocks.append(bundle.glossary)
+    elif bundle.lexicon:
+        blocks.append(glossary_block((item.entry for item in bundle.lexicon), profile))
     return blocks
 
 

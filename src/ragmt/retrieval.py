@@ -390,8 +390,10 @@ class TokenIndex:
     whose similarity bound 1 - |len(a) - len(b)| / max(len) is below the
     threshold for every token of the lookup are skipped: the edit distance
     is at least the length difference, so the skip is exact. Lookups are
-    memoised per (token, threshold) for the index's life, and the reach of
-    each string length per (token length, threshold).
+    memoised per (token, threshold) for the index's life, top lists per
+    (token, n, threshold), and the reach of each string length per (token
+    length, threshold). Memoised lists are shared with the callers, which
+    only read them.
     """
 
     def __init__(self, items: list, strings_per_item, tie_key: Callable):
@@ -418,6 +420,7 @@ class TokenIndex:
         self._columns = [codes[starts[:n] + j] for j, n in enumerate(self._longer)]
         self._distinct_lengths = sorted(set(self._lengths.tolist()))
         self._memo: dict[tuple[str, float], list[tuple[str, float]]] = {}
+        self._tops: dict[tuple[str, int, float], list[tuple[int, float]]] = {}
         self._reach_rows: dict[tuple[int, float], np.ndarray] = {}
 
     @classmethod
@@ -439,9 +442,10 @@ class TokenIndex:
         (item index, similarity), best first. An item scores the best
         similarity among its strings that match the token; at a threshold
         <= 0 an item without strings scores 0.0, which then qualifies."""
-        found = self.matches(tokens, threshold)
-        tops = {}
-        for token in dict.fromkeys(tokens):
+        tokens = list(dict.fromkeys(tokens))
+        new = [t for t in tokens if (t, n, threshold) not in self._tops]
+        found = self.matches(new, threshold)
+        for token in new:
             # similarities are >= 0, so at a threshold <= 0 every string
             # matches and every item qualifies, one without strings at 0.0
             best = np.full(len(self.items), 0.0 if threshold <= 0.0 else -1.0)
@@ -450,8 +454,8 @@ class TokenIndex:
                 held = [self.postings[s] for s in strings]
                 np.maximum.at(best, np.concatenate(held), np.repeat(sims, list(map(len, held))))
             top = _top(best, self.rank, n, keep=best >= 0.0)
-            tops[token] = list(zip(top.tolist(), best[top].tolist()))
-        return tops
+            self._tops[(token, n, threshold)] = list(zip(top.tolist(), best[top].tolist()))
+        return {t: self._tops[(t, n, threshold)] for t in tokens}
 
     def union(self, tokens: list[str], tops: dict[str, list[tuple[int, float]]], n: int,
               key: Callable) -> list[tuple[int, float, str]]:

@@ -32,7 +32,9 @@ from ragmt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from ragmt.provider import ChatExchange, ProviderConfig, ProviderError
+from ragmt.prompt import ContextBundle, render_postedit
+from ragmt.provider import (ChatExchange, Provider, ProviderConfig, ProviderError,
+                            chat_request_key)
 
 
 def base_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -249,7 +251,6 @@ class TestPostEditReplay:
     def test_manifest_ids_regenerate_identical_prompts(self, tmp_path):
         from ragmt.corpus import load_lexicon, load_parallel
         from ragmt.pipeline import _prompt_hash
-        from ragmt.prompt import ContextBundle, render_postedit
         from ragmt.retrieval import (
             RetrievedExample, TokenIndex, fuzzy_word_retrieve, lexicon_fuzzy_retrieve,
         )
@@ -507,6 +508,94 @@ class TestConcurrentDispatch:
         assert a.prompt_hash == b.prompt_hash
         assert a.completion is not None
         assert a.completion == b.completion
+
+
+class RecordingProvider:
+    """Forwards every call to ``inner`` and notes, per ``complete``, the
+    calling thread and the request key of the prompt."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads: list[int] = []
+        self.keys: list[str] = []
+
+    def complete(self, prompt):
+        cfg = self.inner.config
+        self.threads.append(threading.get_ident())
+        self.keys.append(chat_request_key(cfg.model_name, cfg.temperature,
+                                          prompt.system, prompt.user))
+        return self.inner.complete(prompt)
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+class TestInlineReplay:
+    """A replay answers each prompt on the calling thread, whatever its
+    ``max_in_flight``."""
+
+    KWARGS = dict(mode="POST_EDIT", context="BM25", k=2)
+    VALUES = [1, 2]
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs."""
+        threads = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: threads.append(thread) or start(thread))
+        return threads
+
+    def test_run_and_sweep_complete_on_the_calling_thread(self, tmp_path, started):
+        fixtures = str(tmp_path / "fixtures")
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                             cache_dir=fixtures)
+            sweep(base_config(tmp_path, output_dir=str(tmp_path / "live"),
+                              provider=provider_config, **self.KWARGS), self.VALUES)
+        started.clear()
+        config = replay_config(tmp_path, fixtures, self.KWARGS)
+        assert config.provider.max_in_flight > 1
+        tests = len(load_parallel(DEMO_DATA / "test.tsv"))
+
+        provider = RecordingProvider(Provider(config.provider))
+        run_experiment(config, provider, resume=False)
+        assert provider.threads == [threading.get_ident()] * tests
+        provider = RecordingProvider(Provider(config.provider))
+        rows = sweep(replace(config, output_dir=str(tmp_path / "sweep")), self.VALUES,
+                     provider=provider)
+        assert [row["error"] for row in rows] == [""] * len(self.VALUES)
+        assert provider.threads == [threading.get_ident()] * (tests * len(self.VALUES))
+        assert started == []
+
+    def test_missing_fixture_stops_the_run_and_resume_sends_the_rest(self, tmp_path):
+        fixtures = record_fixtures(tmp_path, self.KWARGS)
+        config = replay_config(tmp_path, fixtures, self.KWARGS)
+        test_ids = [p.id for p in load_parallel(DEMO_DATA / "test.tsv")]
+        provider = RecordingProvider(Provider(config.provider))
+        _, full = run_experiment(config, provider, resume=False)
+        keys = provider.keys
+        assert len(set(keys)) == len(test_ids)
+
+        third = Path(fixtures) / f"{keys[2]}.json"
+        saved = third.read_bytes()
+        third.unlink()
+        provider = RecordingProvider(Provider(config.provider))
+        with pytest.raises(ProviderError, match="partial manifest"):
+            run_experiment(config, provider, resume=False)
+        # nothing is sent after the failure
+        assert provider.keys == keys[:3]
+        partial = RunManifest.load(
+            Path(config.output_dir) / f"manifest-{config.fingerprint()}.json")
+        assert [r.id for r in partial.records] == test_ids[:3]
+        assert [r.error is None for r in partial.records] == [True, True, False]
+        assert "no replay fixture" in partial.records[2].error
+
+        third.write_bytes(saved)
+        provider = RecordingProvider(Provider(config.provider))
+        _, resumed = run_experiment(config, provider, resume=True)
+        assert provider.keys == keys[2:]
+        assert resumed.to_dict() == full.to_dict()
 
 
 def test_corpus_fingerprint_sensitivity(tmp_path):
@@ -922,9 +1011,9 @@ class TestSweepPlan:
 
     def test_full_lexicon_built_once(self, tmp_path, monkeypatch):
         calls = []
-        full = retrieval.lexicon_full
-        monkeypatch.setattr(retrieval, "lexicon_full",
-                            lambda lexicon: calls.append(len(lexicon)) or full(lexicon))
+        render = pipeline.glossary_block
+        monkeypatch.setattr(pipeline, "glossary_block", lambda lexicon, profile: (
+            calls.append(len(lexicon)) or render(lexicon, profile)))
         entries = len(load_lexicon(DEMO_DATA / "lexicon.tsv"))
         with MockProviderServer() as server:
             config = base_config(
@@ -934,6 +1023,16 @@ class TestSweepPlan:
             _, manifest = run_experiment(config)
             assert calls == [entries]
             assert {r.lexicon_count for r in manifest.records} == {entries}
+            # the shared block renders as the whole dictionary's entries do
+            pool = [p for p in load_parallel(DEMO_DATA / "corpus.tsv") if p.origin == "NT"]
+            retriever = retrieval.Retriever("BM25", pool)
+            lexicon = retrieval.lexicon_full(load_lexicon(DEMO_DATA / "lexicon.tsv"))
+            drafts = load_drafts(config.draft_path)
+            for record in manifest.records:
+                bundle = ContextBundle(examples=retriever.retrieve(record.source, 1),
+                                       lexicon=lexicon)
+                rendered = render_postedit(record.source, drafts[record.id], bundle)
+                assert pipeline._prompt_hash(rendered.system, rendered.user) == record.prompt_hash
             calls.clear()
             sweep(replace(config, output_dir=str(tmp_path / "sweep")), self.VALUES)
             assert calls == [entries]

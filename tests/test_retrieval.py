@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, WORDS, make_pairs
+from ragmt import retrieval
 from ragmt.corpus import LexiconEntry, ParallelPair, load_parallel
 from ragmt.retrieval import (
     Bm25Index,
@@ -872,6 +873,41 @@ class TestFuzzyIndexProperties:
         assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.0)) == [
             ("p1", 1 - 1 / 7, "father"), ("p2", 0.0, "father")
         ]
+
+
+class TestTopMemo:
+    """``TokenIndex.top`` memoises each (token, n, threshold) list for the
+    index's life."""
+
+    @given(st.data(), _match_pools(),
+           st.lists(st.tuples(st.integers(1, 4), st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])),
+                    min_size=1, max_size=5))
+    def test_memoised_equals_fresh(self, data, pairs, calls):
+        index = TokenIndex.over_pairs(pairs)
+        vocabulary = [t for p in pairs for t in p.source_text.split()]
+        for n, threshold in calls:
+            tokens = word_tokenize(data.draw(_match_queries(vocabulary)))
+            memoised = index.top(tokens, n, threshold)
+            fresh = TokenIndex.over_pairs(pairs).top(tokens, n, threshold)
+            assert list(memoised.items()) == list(fresh.items())
+
+    def test_repeated_token_ranked_once(self, monkeypatch):
+        pairs = [ParallelPair("p1", "fathers said", "t", "NT"),
+                 ParallelPair("p2", "father", "t", "NT")]
+        index = TokenIndex.over_pairs(pairs)
+        calls = []
+        top = retrieval._top
+        monkeypatch.setattr(retrieval, "_top", lambda *args, **kwargs: (
+            calls.append(args[2]) or top(*args, **kwargs)))
+        first = fuzzy_word_retrieve(index, "father said father", 2)
+        assert calls == [2, 2]
+        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 2)) == (
+            _fuzzy_rows(fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father", 2)))
+        assert _fuzzy_rows(fuzzy_word_retrieve(index, "said father", 2)) == _fuzzy_rows(first)
+        assert calls == [2, 2, 2]  # the one from the fresh index
+        fuzzy_word_retrieve(index, "father", 1)
+        fuzzy_word_retrieve(index, "father", 2, threshold=0.0)
+        assert calls == [2, 2, 2, 1, 2]
 
 
 class TestLongTokens:
