@@ -487,9 +487,12 @@ def _dispatch(config: ExperimentConfig, plan: _Plan, resume: bool) -> tuple[Eval
 
     # Retrieval and rendering stay on this thread, in test order; prompts go
     # to max_in_flight workers. The oldest is settled before another is
-    # sent, so at most max_in_flight prompts wait on the provider at once.
-    # A replay reaches no network: each prompt is answered on this thread
-    # as it is sent and settled before the next, so nothing is sent after a
+    # sent, so at most max_in_flight prompts wait on the provider at once,
+    # and the answered ones at the head of the window are settled before
+    # the next sentence is planned, so a failure seen there stops the run
+    # before more retrieval and rendering. A replay reaches no network:
+    # each prompt is answered on this thread as it is sent and settled
+    # before the next sentence, so nothing is planned or sent after a
     # failure. Dropping the pool's thread starts and hand-offs raised the
     # benchmark's chrfcw_sweep_replay from 198 to 225 sentences/s on 2 vCPUs.
     if config.provider is None or config.provider.replay_dir:
@@ -517,7 +520,9 @@ def _dispatch(config: ExperimentConfig, plan: _Plan, resume: bool) -> tuple[Eval
             if pair.id in done:
                 manifest.records.append(done[pair.id])
                 continue
-            if failure is not None:  # send nothing more after a failure
+            while window and window[0][1].done():
+                settle_oldest()
+            if failure is not None:  # plan and send nothing more after a failure
                 continue
             draft = inputs.drafts.get(pair.id)
             bundle, lexicon_count = plan.context(i, size)

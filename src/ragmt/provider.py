@@ -30,8 +30,10 @@ cost of a larger request is its reply: 128 vectors of 1536 dimensions
 are ~4.4 MB of JSON and ~6.4 MB decoded, against 1.6 MB as rows of the
 result, and up to 2 × ``max_in_flight`` replies are held at once.
 
-``requests`` is imported only when a provider without ``replay_dir`` is
-built, so replay runs and offline commands never load it.
+Misses go over ``transport.Transport``, a keep-alive client on the
+standard library's ``http.client``; that module is imported only when a
+provider without ``replay_dir`` is built, so replay runs and offline
+commands load no HTTP module.
 
 Concurrency: ``ProviderConfig.max_in_flight`` bounds the requests one
 provider has on the wire at once, whichever threads send them. ``embed``
@@ -64,6 +66,7 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -95,10 +98,25 @@ class ProviderConfig:
     replay_dir: str | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if self.base_url and not _is_base_url(self.base_url):
+            raise ValueError(
+                f"base_url must be http(s)://host[:port][/path], got {self.base_url!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+
+
+def _is_base_url(url: str) -> bool:
+    """Whether ``url`` is ``http(s)://host[:port][/path]``."""
+    parts = urlsplit(url)
+    try:
+        parts.port  # a port that is not a number in 0-65535 raises
+    except ValueError:
+        return False
+    return (parts.scheme in ("http", "https") and bool(parts.hostname)
+            and "@" not in parts.netloc and not (parts.query or parts.fragment)
+            and url.isascii() and not any(c.isspace() for c in url))
 
 
 @dataclass
@@ -326,15 +344,10 @@ class Provider:
             return
         if not config.base_url:
             raise ProviderError("base_url is required without replay_dir")
-        import requests
-        from requests.adapters import HTTPAdapter
+        from .transport import Transport
 
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
-        self._session = requests.Session()
-        # urllib3 keeps 10 connections per host by default and discards the rest
-        adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        self._transport = Transport(config.base_url, config.request_timeout)
         self._count_lock = threading.Lock()
 
     def _headers(self) -> dict:
@@ -345,9 +358,8 @@ class Provider:
         return headers
 
     def _post(self, endpoint: str, body: dict) -> dict:
-        import requests
-
         url = self.config.base_url.rstrip("/") + endpoint
+        data = json.dumps(body, allow_nan=False).encode()
         last_error: ProviderError | None = None
         delay = 0.0
         for attempt in range(self.config.max_retries + 1):
@@ -358,27 +370,27 @@ class Provider:
                 with self._semaphore:
                     with self._count_lock:
                         self.request_count += 1
-                    resp = self._session.post(
-                        url, json=body, headers=self._headers(),
-                        timeout=self.config.request_timeout,
-                    )
-            except requests.RequestException as exc:
-                last_error = ProviderError(f"request failed: {exc}")
+                    status, headers, reply = self._transport.post(endpoint, data, self._headers())
+            except self._transport.errors as exc:
+                last_error = ProviderError(f"request to {url} failed: {exc!r}")
                 continue
-            if resp.status_code == 200:
-                return resp.json()
-            if resp.status_code in RETRYABLE_STATUSES:
-                last_error = ProviderError(
-                    f"transient HTTP {resp.status_code} from {url}", resp.status_code
-                )
-                if resp.status_code in RETRY_AFTER_STATUSES:
-                    delay = max(delay, _retry_after(resp.headers.get("Retry-After"),
+            if status == 200:
+                try:
+                    return json.loads(reply)
+                except ValueError:  # not JSON, or not UTF-8
+                    raise ProviderError(
+                        f"HTTP 200 from {url} is not JSON: {reply[:200]!r}") from None
+            if status in RETRYABLE_STATUSES:
+                last_error = ProviderError(f"transient HTTP {status} from {url}", status)
+                if status in RETRY_AFTER_STATUSES:
+                    delay = max(delay, _retry_after(headers.get("Retry-After"),
                                                     self.config.request_timeout))
                 continue
-            raise ProviderError(
-                f"HTTP {resp.status_code} from {url}: {resp.text[:200]}",
-                resp.status_code,
-            )
+            if 300 <= status < 400:
+                reason = f"redirect to {headers.get('Location')} not followed"
+            else:
+                reason = reply[:200].decode("utf-8", "replace")
+            raise ProviderError(f"HTTP {status} from {url}: {reason}", status)
         raise ProviderError(
             f"exhausted {self.config.max_retries} retries: {last_error}",
             last_error.status if last_error else None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import threading
 import time
@@ -10,21 +11,43 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 class MockProviderServer:
     """Serves /chat/completions and /embeddings with a scriptable status
-    sequence and tracks the in-flight high-water mark."""
+    sequence and tracks the in-flight high-water mark and the connections
+    opened.
 
-    def __init__(self, response_delay: float = 0.0):
+    With ``keep_alive`` it speaks HTTP/1.1 and keeps each connection open
+    until the client closes it or it has been idle for ``idle_timeout``
+    seconds; otherwise it closes each connection after one reply."""
+
+    def __init__(self, response_delay: float = 0.0, keep_alive: bool = False,
+                 idle_timeout: float | None = None):
         self.status_script: list[int] = []  # consumed before each success
         self.retry_after: str | None = None  # Retry-After value sent with each failure
+        self.reply_body: bytes | None = None  # sent with a 200 in place of the JSON reply
+        self.gzip = False  # gzip each 200 reply when the request accepts it
         self.requests: list[dict] = []
         self.response_delay = response_delay
         self.in_flight = 0
         self.high_water = 0
+        self.connections = 0
+        self.closed = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            timeout = idle_timeout
+
             def log_message(self, *args):
                 pass
+
+            def do_CONNECT(self):
+                """As a proxy that refuses every tunnel."""
+                with outer._lock:
+                    outer.requests.append({"path": self.path, "body": None,
+                                           "headers": dict(self.headers)})
+                self.send_response(502)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
 
             def do_POST(self):
                 with outer._lock:
@@ -34,7 +57,8 @@ class MockProviderServer:
                     length = int(self.headers.get("Content-Length", 0))
                     body = json.loads(self.rfile.read(length))
                     with outer._lock:
-                        outer.requests.append({"path": self.path, "body": body})
+                        outer.requests.append({"path": self.path, "body": body,
+                                               "headers": dict(self.headers)})
                         status = outer.status_script.pop(0) if outer.status_script else 200
                     if outer.response_delay:
                         time.sleep(outer.response_delay)
@@ -42,11 +66,16 @@ class MockProviderServer:
                         self.send_response(status)
                         if outer.retry_after is not None:
                             self.send_header("Retry-After", outer.retry_after)
+                        self.send_header("Content-Length", "0")
                         self.end_headers()
                         return
-                    payload = outer._respond(self.path, body)
-                    data = json.dumps(payload).encode()
+                    data = outer.reply_body
+                    if data is None:
+                        data = json.dumps(outer._respond(self.path, body)).encode()
                     self.send_response(200)
+                    if outer.gzip and "gzip" in self.headers.get("Accept-Encoding", ""):
+                        data = gzip.compress(data)
+                        self.send_header("Content-Encoding", "gzip")
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
                     self.end_headers()
@@ -55,7 +84,18 @@ class MockProviderServer:
                     with outer._lock:
                         outer.in_flight -= 1
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def process_request(self, request, client_address):
+                with outer._lock:
+                    outer.connections += 1
+                super().process_request(request, client_address)
+
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                with outer._lock:
+                    outer.closed += 1
+
+        self.server = Server(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     def _respond(self, path: str, body: dict) -> dict:

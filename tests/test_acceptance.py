@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
-import requests
 
+import ragmt.transport
 from conftest import GOLDEN_DIR, REPO_ROOT, make_pairs
 from ragmt.analysis import build_vocab, oov_rate
 from ragmt.corpus import ParallelPair
@@ -224,7 +224,7 @@ def test_criterion_5_replay_determinism(tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise AssertionError("NMT_ONLY issued a network request")
 
-        monkeypatch.setattr(requests.Session, "post", explode)
+        monkeypatch.setattr(ragmt.transport.Transport, "post", explode)
         report, manifest = run_experiment(base_config(tmp_path))
         assert len(manifest.records) == 10
 

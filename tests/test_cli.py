@@ -367,6 +367,11 @@ class TestBadRunInput:
                                                      "max_in_flight": 0}}, "max_in_flight"),
         ("run", {"mode": "DIRECT_LLM", "provider": {}},
          "base_url is required without replay_dir"),
+        *[("run", {"mode": "DIRECT_LLM", "provider": {"base_url": url}}, "base_url")
+          for url in ("localhost:8000", "htp://x", "http://")],
+        ("run", {"mode": "DIRECT_LLM", "provider": {"base_url": "http://127.0.0.1:9",
+                                                     "temperature": float("nan")}},
+         "temperature"),
         ("run", {"k": "3"}, "'k'"),
         ("run", {"k": True}, "'k'"),
         ("run", '{"context": "NONE"}', "'mode'"),
@@ -377,7 +382,8 @@ class TestBadRunInput:
     ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
             "missing-config", "sweep-bogus-mode", "sweep-missing-config", "unknown-field",
             "unknown-provider-field", "json-array", "negative-temperature",
-            "no-requests-in-flight", "provider-without-url", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
+            "no-requests-in-flight", "provider-without-url", "url-without-scheme",
+            "url-bad-scheme", "url-without-host", "nan-temperature", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
             "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line"])
     def test_is_usage_error(self, tmp_path, command, config, named):
         (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")

@@ -12,8 +12,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-import requests
 
+import ragmt.transport
 from conftest import DEMO_DATA, REPO_ROOT, make_pairs
 from mock_server import MockProviderServer
 from ragmt import pipeline, retrieval
@@ -210,7 +210,7 @@ class TestNmtOnly:
         def explode(*args, **kwargs):
             raise AssertionError("network touched in NMT_ONLY mode")
 
-        monkeypatch.setattr(requests.Session, "post", explode)
+        monkeypatch.setattr(ragmt.transport.Transport, "post", explode)
         report, _ = run_experiment(base_config(tmp_path))
         assert 0.0 < report.corpus_chrf < 100.0
 
@@ -326,6 +326,20 @@ class TestFailureAndResume:
             # the three completed sentences were not re-requested
             chat_requests = [r for r in server.requests if "chat" in r["path"]]
             assert len(chat_requests) == 7
+
+    def test_reply_that_is_not_json_aborts_with_partial_manifest(self, tmp_path):
+        with MockProviderServer() as server:
+            server.reply_body = b"<html>maintenance</html>"
+            provider_config = ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                             max_in_flight=1)
+            config = base_config(tmp_path, provider=provider_config, **self.KWARGS)
+            with pytest.raises(ProviderError, match="partial manifest"):
+                run_experiment(config, resume=False)
+            assert len(server.requests) == 1  # not retried, nothing sent after it
+        partial = RunManifest.load(
+            Path(config.output_dir) / f"manifest-{config.fingerprint()}.json")
+        assert len(partial.records) == 1
+        assert "is not JSON: b'<html>maintenance" in partial.records[0].error
 
     def test_resume_with_other_operational_settings(self, tmp_path):
         # no cache: only the manifest can spare the completed sentences
@@ -568,7 +582,8 @@ class TestInlineReplay:
         assert provider.threads == [threading.get_ident()] * (tests * len(self.VALUES))
         assert started == []
 
-    def test_missing_fixture_stops_the_run_and_resume_sends_the_rest(self, tmp_path):
+    def test_missing_fixture_stops_the_run_and_resume_sends_the_rest(self, tmp_path,
+                                                                     monkeypatch):
         fixtures = record_fixtures(tmp_path, self.KWARGS)
         config = replay_config(tmp_path, fixtures, self.KWARGS)
         test_ids = [p.id for p in load_parallel(DEMO_DATA / "test.tsv")]
@@ -581,10 +596,15 @@ class TestInlineReplay:
         saved = third.read_bytes()
         third.unlink()
         provider = RecordingProvider(Provider(config.provider))
+        rendered = []
+        render = pipeline.render_postedit
+        monkeypatch.setattr(pipeline, "render_postedit",
+                            lambda *args: rendered.append(args[0]) or render(*args))
         with pytest.raises(ProviderError, match="partial manifest"):
             run_experiment(config, provider, resume=False)
-        # nothing is sent after the failure
+        # nothing is sent, nor retrieved and rendered, after the failure
         assert provider.keys == keys[:3]
+        assert len(rendered) == 3
         partial = RunManifest.load(
             Path(config.output_dir) / f"manifest-{config.fingerprint()}.json")
         assert [r.id for r in partial.records] == test_ids[:3]
@@ -866,18 +886,36 @@ class TestMalformedInput:
 
 
 class TestImportFootprint:
-    """Replay runs and the CLI import neither ``requests`` (only a provider
-    without ``replay_dir`` needs it) nor ``numpy.ma`` (nothing in the
-    package does)."""
+    """Replay runs and the CLI load no HTTP module (only a provider without
+    ``replay_dir`` needs ``http.client``) and no ``numpy.ma`` (nothing in
+    the package does); no run loads ``requests``, and a live run loads
+    ``urllib.request`` only when a proxy variable is set."""
 
+    MODULES = ("requests", "numpy.ma", "http.client", "urllib.request")
     SCRIPT = (
         "import sys\n"
         "import ragmt.cli\n"
         "from ragmt.pipeline import ExperimentConfig, run_experiment\n"
         "for path in sys.argv[1:]:\n"
         "    run_experiment(ExperimentConfig.load(path), resume=False)\n"
-        "print(sorted(m for m in ('requests', 'numpy.ma') if m in sys.modules))\n"
+        f"print(sorted(m for m in {MODULES!r} if m in sys.modules))\n"
     )
+
+    def loaded(self, tmp_path, configs: list[ExperimentConfig], **env) -> str:
+        """The modules of ``MODULES`` a fresh interpreter has loaded after
+        running ``configs``, as it prints them."""
+        paths = []
+        for i, config in enumerate(configs):
+            path = tmp_path / f"config-{i}.json"
+            path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+            paths.append(str(path))
+        env = dict({k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")},
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])), **env)
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *paths], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
 
     def test_replay_of_every_context_loads_neither(self, tmp_path):
         fixtures = str(tmp_path / "fixtures")
@@ -890,18 +928,18 @@ class TestImportFootprint:
                                   embedding_model_name="mock-embed", cache_dir=fixtures)
             for kwargs in runs:
                 run_experiment(base_config(tmp_path, provider=live, **kwargs), resume=False)
-        paths = []
-        for i, kwargs in enumerate(runs):
-            path = tmp_path / f"replay-{i}.json"
-            path.write_text(json.dumps(replay_config(tmp_path, fixtures, kwargs).to_dict()),
-                            encoding="utf-8")
-            paths.append(str(path))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *paths], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        configs = [replay_config(tmp_path, fixtures, kwargs) for kwargs in runs]
+        assert self.loaded(tmp_path, configs) == "[]"
+
+    def test_live_run_loads_only_http_client(self, tmp_path):
+        with MockProviderServer() as server:
+            live = ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                  embedding_model_name="mock-embed")
+            config = base_config(tmp_path, provider=live, mode="POST_EDIT", context="DENSE",
+                                 k=2)
+            # NO_PROXY alone, as the benchmark sets it, names no proxy
+            assert self.loaded(tmp_path, [config], NO_PROXY="127.0.0.1") == "['http.client']"
+            assert len(server.requests) > 10  # the run was sent: embeddings and prompts
 
 
 class TestSweepPlan:

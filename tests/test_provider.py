@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import base64
 import json
-import logging
 import math
+import os
+import socket
 import sys
 import threading
 import time
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import ragmt.provider
 from conftest import make_pairs
 from mock_server import MockProviderServer
+from ragmt.pipeline import ConfigError, provider_config_from_dict
 from ragmt.prompt import RenderedPrompt
 from ragmt.provider import (
     ChatExchange,
@@ -110,32 +113,141 @@ class TestComplete:
             assert len(server.requests) == 8
 
 
-    def test_request_count_exact_across_threads(self, tmp_path, caplog):
+    def test_request_count_exact_across_threads(self, tmp_path):
         # more threads than cores and a short switch interval, so an unguarded
         # ``request_count += 1`` would lose updates
-        with MockProviderServer(response_delay=0.02) as server:
+        with MockProviderServer(response_delay=0.02, keep_alive=True) as server:
             provider = Provider(make_config(server, tmp_path, max_in_flight=16))
-            prompts = [
-                RenderedPrompt(system="s", user=f"query {i}", mode="direct")
-                for i in range(16)
-            ]
-            threads = [
-                threading.Thread(target=provider.complete, args=(p,)) for p in prompts
-            ]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
-                with caplog.at_level(logging.WARNING, logger="urllib3"):
+                for round_ in range(2):
+                    threads = [
+                        threading.Thread(target=provider.complete, args=(RenderedPrompt(
+                            system="s", user=f"query {round_} {i}", mode="direct"),))
+                        for i in range(16)
+                    ]
                     for t in threads:
                         t.start()
                     for t in threads:
                         t.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads)
             finally:
                 sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            assert provider.request_count == len(server.requests) == 16
-        # the connection pool holds max_in_flight connections, so none is dropped
-        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+            assert provider.request_count == len(server.requests) == 32
+            # the pool keeps up to max_in_flight connections, so the second
+            # round reuses the first round's and opens none
+            assert server.connections <= 16
+
+
+class TestTransport:
+    """The keep-alive ``http.client`` transport under ``Provider``. TLS, to
+    a host or through a CONNECT tunnel, needs a certificate a test can
+    trust and is not exercised here."""
+
+    @pytest.fixture(autouse=True)
+    def no_proxy_variables(self, monkeypatch):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+
+    def test_sequential_requests_share_one_connection(self, tmp_path):
+        with MockProviderServer(keep_alive=True) as server:
+            provider = Provider(make_config(server, tmp_path))
+            for i in range(3):
+                provider.complete(RenderedPrompt(system="s", user=f"q{i}", mode="direct"))
+            provider.embed(["a", "b"])
+            assert len(server.requests) == 4
+            assert server.connections == 1
+
+    def test_idle_connection_closed_by_server_is_replaced_without_retry(
+            self, tmp_path, monkeypatch):
+        with MockProviderServer(keep_alive=True, idle_timeout=0.05) as server:
+            provider = Provider(make_config(server, tmp_path, backoff_base=10.0))
+            provider.complete(PROMPT)
+            deadline = time.monotonic() + 10
+            while server.closed < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.closed == 1  # the server closed the idle connection
+            slept = []
+            monkeypatch.setattr(ragmt.provider.time, "sleep", slept.append)
+            exchange = provider.complete(RenderedPrompt(system="s", user="again", mode="direct"))
+            assert exchange.response_text == "echo:again"
+            assert provider.request_count == len(server.requests) == 2
+            assert server.connections == 2
+            assert slept == []
+
+    # "p%40ss" is the password "p@ss", percent-encoded in the proxy URL
+    CREDENTIALS = f"Basic {base64.b64encode(b'user:p@ss').decode()}"
+
+    def test_http_proxy_receives_the_absolute_form(self, tmp_path, monkeypatch):
+        with MockProviderServer() as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.base_url.replace("//", "//user:p%40ss@"))
+            provider = Provider(make_config(proxy, tmp_path,
+                                            base_url="http://upstream.invalid/v1"))
+            assert provider.complete(PROMPT).response_text == "echo:translate this"
+            assert [r["path"] for r in proxy.requests] == [
+                "http://upstream.invalid/v1/chat/completions"]
+            assert proxy.requests[0]["headers"]["Proxy-Authorization"] == self.CREDENTIALS
+
+    def test_https_goes_through_a_proxy_tunnel(self, tmp_path, monkeypatch):
+        # the mock refuses the tunnel: TLS to the host cannot be tested offline
+        with MockProviderServer() as proxy:
+            monkeypatch.setenv("ALL_PROXY", proxy.base_url.replace("//", "//user:p%40ss@"))
+            provider = Provider(make_config(proxy, tmp_path, max_retries=0,
+                                            base_url="https://upstream.invalid/v1"))
+            with pytest.raises(ProviderError, match="Tunnel connection failed: 502"):
+                provider.complete(PROMPT)
+            assert [r["path"] for r in proxy.requests] == ["upstream.invalid:443"]
+            assert proxy.requests[0]["headers"]["Proxy-Authorization"] == self.CREDENTIALS
+
+    def test_no_proxy_bypasses_a_dead_proxy(self, tmp_path, monkeypatch):
+        with socket.socket() as sock:  # a port nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{port}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        with MockProviderServer() as server:
+            provider = Provider(make_config(server, tmp_path, max_retries=0))
+            assert provider.complete(PROMPT).response_text == "echo:translate this"
+            assert [r["path"] for r in server.requests] == ["/chat/completions"]
+
+    def test_gzip_reply_is_decoded(self, tmp_path):
+        with MockProviderServer() as server:
+            server.gzip = True
+            provider = Provider(make_config(server, tmp_path))
+            assert provider.complete(PROMPT).response_text == "echo:translate this"
+            batch = provider.embed(["ab"])
+            assert [r["headers"]["Accept-Encoding"] for r in server.requests] == ["gzip"] * 2
+        expected = np.array([1.0, 1, 1, 0, 0, 0, 0, 0])  # 'a' % 8 == 1, 'b' % 8 == 2
+        np.testing.assert_array_equal(batch.vectors[0], expected / math.sqrt(3))
+
+    def test_read_timeout_is_a_retried_provider_error(self, tmp_path):
+        with MockProviderServer(response_delay=1.0) as server:
+            provider = Provider(make_config(server, tmp_path, request_timeout=0.1,
+                                            max_retries=1))
+            with pytest.raises(ProviderError, match="timed out"):
+                provider.complete(PROMPT)
+            assert provider.request_count == len(server.requests) == 2
+
+    def test_redirect_is_not_followed(self, tmp_path):
+        with MockProviderServer() as server:
+            server.status_script = [302]
+            provider = Provider(make_config(server, tmp_path))
+            with pytest.raises(ProviderError, match="not followed") as err:
+                provider.complete(PROMPT)
+            assert err.value.status == 302
+            assert len(server.requests) == 1
+
+    def test_reply_that_is_not_json_is_not_retried(self, tmp_path):
+        with MockProviderServer() as server:
+            server.reply_body = b"<html>maintenance</html>"
+            provider = Provider(make_config(server, tmp_path))
+            with pytest.raises(ProviderError) as err:
+                provider.complete(PROMPT)
+            assert f"{server.base_url}/chat/completions" in str(err.value)
+            assert "<html>maintenance" in str(err.value)
+            assert len(server.requests) == 1
 
 
 class TestRetryAfter:
@@ -775,3 +887,20 @@ def test_invalid_config_rejected():
         ProviderConfig(max_in_flight=0)
     with pytest.raises(ValueError):
         ProviderConfig(temperature=-1.0)
+
+
+@pytest.mark.parametrize("change", [
+    dict(base_url="localhost:8000"), dict(base_url="htp://x"), dict(base_url="http://"),
+    dict(temperature=math.nan),
+], ids=["no-scheme", "bad-scheme", "no-host", "nan-temperature"])
+def test_bad_config_rejected_before_any_request(change):
+    with pytest.raises(ValueError, match=next(iter(change))):
+        ProviderConfig(model_name="m", **change)
+    with pytest.raises(ConfigError, match=next(iter(change))):
+        provider_config_from_dict({"model_name": "m", "replay_dir": "fixtures", **change})
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:8000", "https://api.example.com/v1/",
+                                 "http://[::1]:8080/v1"])
+def test_base_urls_accepted(url):
+    assert ProviderConfig(base_url=url).base_url == url
