@@ -25,7 +25,7 @@ from ragmt.retrieval import (
     TokenIndex,
     bm25_retrieve,
     chrf_counterweighted_retrieve,
-    fuzzy_word_retrieve,
+    fuzzy_word_lists,
 )
 from ragmt.text import word_tokenize
 
@@ -73,8 +73,8 @@ tokens = word_tokenize(QUERY)
 print(f"query has {len(tokens)} tokens: {tokens}\n")
 words = TokenIndex.over_pairs(pool)
 for n in (1, 2, 3):
-    results = fuzzy_word_retrieve(words, QUERY, n)
+    results = fuzzy_word_lists(words, QUERY, n).union(n)
     print(f"fuzzy-word n={n}: effective k = {len(results)} "
           f"(cap is n x tokens = {n * len(tokens)})")
 print()
-show("fuzzy-word n=2, top hits:", fuzzy_word_retrieve(words, QUERY, 2))
+show("fuzzy-word n=2, top hits:", fuzzy_word_lists(words, QUERY, 2).union(2))

@@ -15,8 +15,9 @@ exact text that would be sent to the chat endpoint.
 from pathlib import Path
 
 from ragmt.corpus import load_lexicon, load_parallel
-from ragmt.prompt import ContextBundle, parse_prompt, render_direct, render_postedit
-from ragmt.retrieval import TokenIndex, fuzzy_word_retrieve, lexicon_fuzzy_retrieve
+from ragmt.prompt import (DHAO_PROFILE, ContextBundle, glossary_block, parse_prompt,
+                          render_direct, render_postedit)
+from ragmt.retrieval import TokenIndex, fuzzy_word_lists, lexicon_fuzzy_retrieve
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -40,9 +41,10 @@ print()
 # ---------------------------------------------------------------------------
 # Retrieval fills the bundle: fuzzy-word examples plus fuzzy glossary hits.
 
-examples = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), SOURCE, 1)[:3]
+examples = fuzzy_word_lists(TokenIndex.over_pairs(pairs), SOURCE, 1).union(1)[:3]
 gloss = lexicon_fuzzy_retrieve(TokenIndex.over_lexicon(lexicon), SOURCE, 1)[:4]
-bundle = ContextBundle(examples=examples, lexicon=gloss)
+bundle = ContextBundle(examples=examples,
+                       glossary=glossary_block((hit.entry for hit in gloss), DHAO_PROFILE))
 
 postedit = render_postedit(SOURCE, DRAFT, bundle)
 print("=== post-edit user message with 3 examples + glossary ===")

@@ -2,12 +2,12 @@
 
 The provider reads every request from a record directory, keyed by a
 content hash of the request: one JSON file per chat request, and one
-``emb-<hash>.json`` file per embedding reply that maps each text's key to
+``emb-*.json`` chunk file per embedding reply that maps each text's key to
 its record. A live run writes its misses there as its cache; point
 ``replay_dir`` at such a directory and the same provider never sends, so
 the whole pipeline becomes bit-reproducible with zero network traffic. The
-fixtures below are hand-written one file per request, chat and embedding
-alike; that older per-text embedding layout is still read.
+fixtures below are hand-written: one file per chat request, and every
+embedding in one chunk file.
 
 This demo synthesizes its own fixtures with a toy "post-editor" (it just
 collapses repetition loops in the NMT drafts), then runs the pipeline in
@@ -22,15 +22,9 @@ from pathlib import Path
 
 from ragmt.corpus import load_lexicon, load_parallel
 from ragmt.pipeline import ExperimentConfig, compare, load_drafts, run_experiment
-from ragmt.prompt import ContextBundle, render_postedit
+from ragmt.prompt import DHAO_PROFILE, ContextBundle, glossary_block, render_postedit
 from ragmt.provider import Provider, ProviderConfig, chat_request_key, embedding_request_key
-from ragmt.retrieval import (
-    EmbeddingIndex,
-    TokenIndex,
-    dense_retrieve,
-    fuzzy_word_retrieve,
-    lexicon_full,
-)
+from ragmt.retrieval import EmbeddingIndex, TokenIndex, dense_retrieve, fuzzy_word_lists
 
 DATA = Path(__file__).resolve().parent / "data"
 WORK = Path(tempfile.mkdtemp(prefix="ragmt-demo-"))
@@ -83,10 +77,11 @@ drafts = load_drafts(DATA / "drafts.tsv")
 test_pairs = load_parallel(DATA / "test.tsv")
 
 words = TokenIndex.over_pairs(pool)  # built once, shared by every sentence
+glossary = glossary_block(lexicon, DHAO_PROFILE)  # the full lexicon, in every prompt
 for pair in test_pairs:
     bundle = ContextBundle(
-        examples=fuzzy_word_retrieve(words, pair.source_text, 2),
-        lexicon=lexicon_full(lexicon),
+        examples=fuzzy_word_lists(words, pair.source_text, 2).union(2),
+        glossary=glossary,
     )
     rendered = render_postedit(pair.source_text, drafts[pair.id], bundle)
     key = chat_request_key(MODEL, 0.0, rendered.system, rendered.user)
@@ -125,9 +120,9 @@ for row in table:
 print()
 
 # ---------------------------------------------------------------------------
-# Dense retrieval through the same fixture mechanism: store one embedding
-# record per sentence (a toy character-histogram vector) and query the
-# index through a provider with replay_dir set.
+# Dense retrieval through the same fixture mechanism: store one chunk file
+# mapping each sentence's key to its record (a toy character-histogram
+# vector) and query the index through a provider with replay_dir set.
 
 import math  # noqa: E402
 
@@ -143,14 +138,16 @@ def toy_embedding(text: str) -> list[float]:
 
 
 query = test_pairs[0].source_text
-for text in [p.source_text for p in pool] + [query]:
-    key = embedding_request_key(EMBED_MODEL, text)
-    record = {"kind": "embedding",
-              "request": {"model": EMBED_MODEL, "text": text},
-              "vector": toy_embedding(text)}
-    (FIXTURES / f"{key}.json").write_text(
-        json.dumps(record, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-    )
+chunk = {
+    embedding_request_key(EMBED_MODEL, text): {
+        "request": {"model": EMBED_MODEL, "text": text},
+        "vector": toy_embedding(text),
+    }
+    for text in [p.source_text for p in pool] + [query]
+}
+(FIXTURES / "emb-demo.json").write_text(
+    json.dumps(chunk, sort_keys=True, ensure_ascii=False), encoding="utf-8"
+)
 
 provider = Provider(ProviderConfig(
     model_name=MODEL, embedding_model_name=EMBED_MODEL,

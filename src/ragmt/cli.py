@@ -113,8 +113,13 @@ def _cmd_retrieve(args) -> int:
         with corpus.naming_errors(args.provider_config, pipeline.ConfigError):
             data = json.loads(Path(args.provider_config).read_text(encoding="utf-8"))
             provider = Provider(pipeline.provider_config_from_dict(data))
-    retriever = retrieval.Retriever(strategy, pool, gamma=args.gamma, provider=provider)
-    results = retriever.retrieve(args.query, args.n if strategy == "FUZZY_WORD" else args.k)
+    size = args.n if strategy == "FUZZY_WORD" else args.k
+    try:
+        results = retrieval.Retriever(strategy, pool, gamma=args.gamma,
+                                      provider=provider).prefixes(args.query, size)(size)
+    finally:
+        if provider is not None:
+            provider.close()
     _emit([
         {
             "id": r.pair.id,

@@ -235,13 +235,8 @@ def _bleu_from_pooled(stats: list[int], max_order: int) -> float:
         return 0.0
     log_sum = 0.0
     for m, t in zip(matches, totals):
-        if t == 0:
-            precision = BLEU_SMOOTHING_EPSILON
-        elif m == 0:
-            precision = BLEU_SMOOTHING_EPSILON
-        else:
-            precision = m / t
-        log_sum += math.log(precision)
+        # matches never exceed totals, so m == 0 covers an order with no n-grams
+        log_sum += math.log(m / t if m else BLEU_SMOOTHING_EPSILON)
     geo_mean = math.exp(log_sum / max_order)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * geo_mean

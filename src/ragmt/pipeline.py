@@ -4,7 +4,7 @@ A run goes through three stages. Load reads and checks the inputs, hashes
 them and builds the provider. Plan retrieves each test sentence's examples
 and lexicon entries, once per sweep: at the sweep's largest k or n, with
 one retriever and one lexicon index, as the first cell reaches each
-sentence; a FULL glossary is rendered once. Dispatch runs one cell:
+sentence; each glossary block is rendered once. Dispatch runs one cell:
 render each prompt on the calling thread, send it to the provider from a
 pool of ``max_in_flight`` worker threads (or score the supplied draft
 directly in NMT_ONLY mode), then score everything with chrF++ and BLEU.
@@ -357,8 +357,9 @@ class _Plan:
     each cell reads its own size from them (``Retriever.prefixes``). A
     sentence is planned when the first cell reaches it, so the first request
     waits for no other sentence's retrieval. STATIC_K draws per k instead:
-    a seeded sample of k is not a prefix of a larger one. The FULL glossary
-    is the same in every prompt, so it is rendered once, here.
+    a seeded sample of k is not a prefix of a larger one. Glossary blocks
+    are rendered here, once: FULL's, which every prompt shows, and each
+    sentence's FUZZY_N block, which all of a sweep's cells show.
     """
 
     def __init__(self, config: ExperimentConfig, inputs: _Inputs, size: int | None):
@@ -373,12 +374,16 @@ class _Plan:
                 config.context, inputs.pool, gamma=config.gamma, provider=inputs.provider
             )
         self._lexicon_index: retrieval.TokenIndex | None = None
-        # FULL: the whole dictionary's block, one string shared by every prompt
-        self._glossary = (glossary_block(inputs.lexicon, self.profile)
-                          if config.lexicon_mode == "FULL" and inputs.lexicon else "")
+        # FULL: the whole dictionary's block, one string shared by every
+        # prompt; ("", 0) in the other modes
+        self._full = self._glossary(inputs.lexicon if config.lexicon_mode == "FULL" else [])
         self._examples: dict[int, Callable[[int], list[retrieval.RetrievedExample]]] = {}
-        self._lexicon: dict[int, list[retrieval.RetrievedLexicon]] = {}
+        self._lexicon: dict[int, tuple[str, int]] = {}  # FUZZY_N, per sentence
         self._static: dict[int, list[retrieval.RetrievedExample]] = {}
+
+    def _glossary(self, entries: list[LexiconEntry]) -> tuple[str, int]:
+        """The glossary block of ``entries``, "" for none, and their count."""
+        return (glossary_block(entries, self.profile) if entries else ""), len(entries)
 
     def prepare(self, indices: list[int]) -> None:
         """Ahead of a cell's loop: embed the DENSE queries of the test
@@ -417,21 +422,17 @@ class _Plan:
     def context(self, i: int, size: int | None) -> tuple[ContextBundle, int]:
         """The context of test sentence ``i`` for a cell asking for ``size``,
         and how many lexicon entries it shows; every cell shows the same
-        entries."""
+        entries, in one glossary string rendered once per plan."""
         examples = self.examples(i, size)
-        cfg = self.config
-        if cfg.lexicon_mode == "FULL":
-            return (ContextBundle(examples=examples, glossary=self._glossary),
-                    len(self.inputs.lexicon))
-        if cfg.lexicon_mode == "NONE":
-            return ContextBundle(examples=examples), 0
-        if i not in self._lexicon:
+        if self.config.lexicon_mode == "FUZZY_N" and i not in self._lexicon:
             if self._lexicon_index is None:
                 self._lexicon_index = retrieval.TokenIndex.over_lexicon(self.inputs.lexicon)
-            self._lexicon[i] = retrieval.lexicon_fuzzy_retrieve(
-                self._lexicon_index, self.inputs.test_pairs[i].source_text, cfg.lexicon_n
+            hits = retrieval.lexicon_fuzzy_retrieve(
+                self._lexicon_index, self.inputs.test_pairs[i].source_text, self.config.lexicon_n
             )
-        return ContextBundle(examples=examples, lexicon=self._lexicon[i]), len(self._lexicon[i])
+            self._lexicon[i] = self._glossary([hit.entry for hit in hits])
+        glossary, count = self._lexicon.get(i, self._full)
+        return ContextBundle(examples, glossary), count
 
 
 def _completion_text(provider, rendered) -> str:
@@ -612,9 +613,15 @@ def run_experiment(
     failure stops sending prompts and aborts the run once the ones in
     flight have settled; the partial manifest keeps every completed
     sentence and the first failed one, and rerunning with ``resume=True``
-    skips the completed sentences.
+    skips the completed sentences. A provider built here is closed on
+    return; one handed in is left open.
     """
-    return _dispatch(config, _Plan(config, _load(config, provider), _size(config)), resume)
+    inputs = _load(config, provider)
+    try:
+        return _dispatch(config, _Plan(config, inputs, _size(config)), resume)
+    finally:
+        if inputs.provider is not provider:  # built by _load
+            inputs.provider.close()
 
 
 SWEEP_COLUMNS = ("strategy", "k_or_n", "effective_k_mean", "spBLEU", "chrF++", "error")
@@ -633,7 +640,8 @@ def sweep(
     sentence's examples and lexicon entries are retrieved once, at the
     largest value (plan), and each cell renders, sends, scores and saves
     its own prompts (dispatch). A value run_experiment would reject marks
-    its own cell; an input that fails to load marks every cell.
+    its own cell; an input that fails to load marks every cell. A provider
+    built here is closed on return; one handed in is left open.
     """
     if not values:
         raise ConfigError("sweep requires at least one value")
@@ -652,24 +660,28 @@ def sweep(
         except (ProviderError, ConfigError, CorpusError, OSError) as exc:
             load_error = str(exc)
     rows = []
-    for value, cell in zip(values, cells):
-        row = {
-            "strategy": base_config.context,
-            "k_or_n": value,
-            "effective_k_mean": "",
-            "spBLEU": "",
-            "chrF++": "",
-            "error": cell if isinstance(cell, str) else load_error,
-        }
-        if not row["error"]:
-            try:
-                report, manifest = _dispatch(cell, plan, resume=True)
-                row["effective_k_mean"] = round(manifest.effective_k_mean, 2)
-                row["spBLEU"] = round(report.corpus_bleu, 2)
-                row["chrF++"] = round(report.corpus_chrf, 2)
-            except (ProviderError, ConfigError, OSError) as exc:
-                row["error"] = str(exc)
-        rows.append(row)
+    try:
+        for value, cell in zip(values, cells):
+            row = {
+                "strategy": base_config.context,
+                "k_or_n": value,
+                "effective_k_mean": "",
+                "spBLEU": "",
+                "chrF++": "",
+                "error": cell if isinstance(cell, str) else load_error,
+            }
+            if not row["error"]:
+                try:
+                    report, manifest = _dispatch(cell, plan, resume=True)
+                    row["effective_k_mean"] = round(manifest.effective_k_mean, 2)
+                    row["spBLEU"] = round(report.corpus_bleu, 2)
+                    row["chrF++"] = round(report.corpus_chrf, 2)
+                except (ProviderError, ConfigError, OSError) as exc:
+                    row["error"] = str(exc)
+            rows.append(row)
+    finally:
+        if plan is not None and plan.inputs.provider is not provider:  # built by _load
+            plan.inputs.provider.close()
     if csv_path is not None:
         write_sweep_csv(csv_path, rows)
     return rows

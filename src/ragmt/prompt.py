@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .corpus import LexiconEntry
-from .retrieval import RetrievedExample, RetrievedLexicon
+from .retrieval import RetrievedExample
 
 MODE_DIRECT = "direct"
 MODE_POST_EDIT = "postedit"
@@ -44,12 +44,12 @@ def _blurb(profile: LanguageProfile) -> str:
 
 @dataclass
 class ContextBundle:
-    """What a prompt shows besides its source and draft. ``glossary``, when
-    not empty, is a glossary block ``glossary_block`` rendered ahead, which
-    many prompts share; it stands in for ``lexicon``."""
+    """What a prompt shows besides its source and draft: its examples, and
+    its glossary block as ``glossary_block`` rendered it, or "" for none.
+    The block is rendered ahead, so the prompts that show the same entries
+    share one string."""
 
     examples: list[RetrievedExample] = field(default_factory=list)
-    lexicon: list[RetrievedLexicon] = field(default_factory=list)
     glossary: str = ""
 
 
@@ -131,8 +131,6 @@ def _context_blocks(bundle: ContextBundle, profile: LanguageProfile) -> list[str
         blocks.append(_example_block(bundle.examples, profile))
     if bundle.glossary:
         blocks.append(bundle.glossary)
-    elif bundle.lexicon:
-        blocks.append(glossary_block((item.entry for item in bundle.lexicon), profile))
     return blocks
 
 

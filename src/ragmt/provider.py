@@ -230,9 +230,7 @@ class _JsonStore:
     directory and adds the chunk files not read yet in sorted file-name
     order, and a key's first record wins, so every reader of a directory
     resolves a key alike and chunks written meanwhile by another process
-    are picked up. Per-text ``{key}.json`` embedding records, the older
-    layout, are still read on a miss, if that listing held them, but no
-    longer written. Each chunk read is held as one float64 matrix, and a
+    are picked up. Each chunk read is held as one float64 matrix, and a
     key's vector is a row of it; a chunk written keeps the rows it was
     handed.
     """
@@ -243,7 +241,6 @@ class _JsonStore:
         self._lock = threading.Lock()
         self._chunks_read: set[str] = set()
         self._vectors: dict[str, np.ndarray] = {}
-        self._listed: frozenset[str] = frozenset()  # file names at the last read_chunks
 
     def get(self, key: str) -> dict | None:
         path = self.directory / f"{key}.json"
@@ -273,11 +270,10 @@ class _JsonStore:
         self._chunks_read.add(name)
 
     def read_chunks(self) -> None:
-        """List the directory once: add the embedding chunk files not read
-        yet, in sorted name order, and keep the listing for ``vector``."""
+        """List the directory once and add the embedding chunk files not
+        read yet, in sorted name order."""
         with self._lock:
-            self._listed = frozenset(os.listdir(self.directory))
-            for name in sorted(n for n in self._listed - self._chunks_read
+            for name in sorted(n for n in set(os.listdir(self.directory)) - self._chunks_read
                                if n.startswith("emb-") and n.endswith(".json")):
                 records = json.loads((self.directory / name).read_text(encoding="utf-8"))
                 try:
@@ -300,13 +296,9 @@ class _JsonStore:
             self._add(name, records, rows)
 
     def vector(self, key: str) -> np.ndarray | None:
-        """The cached vector of an embedding key: from the chunks read so
-        far, else from a per-text record in the last listing; None when
-        neither holds it."""
-        vector = self._vectors.get(key)
-        if vector is None and f"{key}.json" in self._listed:
-            vector = np.array(self.get(key)["vector"], dtype=np.float64)
-        return vector
+        """The cached vector of an embedding key from the chunks read so far,
+        or None."""
+        return self._vectors.get(key)
 
 
 class _Rows:
@@ -349,6 +341,11 @@ class Provider:
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._transport = Transport(config.base_url, config.request_timeout)
         self._count_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the transport's idle connections; a replay holds none."""
+        if not self.config.replay_dir:
+            self._transport.close()
 
     def _headers(self) -> dict:
         key = os.environ.get(self.config.api_key_env, "")

@@ -2,7 +2,7 @@
 
 Four sentence strategies (BM25, dense cosine, diversity-aware character
 n-gram greedy, word-level fuzzy matching), served through one
-``Retriever``, plus lexicon retrieval (fuzzy top-n and full dictionary).
+``Retriever``, plus fuzzy top-n lexicon retrieval.
 Each retriever is one call on an index built once over its pool or
 lexicon. All retrievers rank by one rule, ``_top`` over the index's
 ``_rank``: best score first, ties by ascending pair id, then input
@@ -593,25 +593,18 @@ class FuzzyWordLists:
 def fuzzy_word_lists(
     index: TokenIndex, query: str, n: int, threshold: float = 0.5
 ) -> FuzzyWordLists:
-    """Each query word's top-n sentences by best-token fuzzy similarity, the
-    lists ``fuzzy_word_retrieve`` unions; ``index`` is
-    ``TokenIndex.over_pairs`` of the pool."""
+    """Each query word's top-n sentences by best-token fuzzy similarity;
+    ``index`` is ``TokenIndex.over_pairs`` of the pool.
+
+    ``union(n)`` gives the retrieved examples: the lists unioned across
+    query words and deduplicated by pair id (keeping the highest score and
+    its matched token), so the effective volume scales with sentence
+    length: at most n * len(query tokens).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens = word_tokenize(query)
     return FuzzyWordLists(index=index, tokens=tokens, tops=index.top(tokens, n, threshold))
-
-
-def fuzzy_word_retrieve(
-    index: TokenIndex, query: str, n: int, threshold: float = 0.5
-) -> list[RetrievedExample]:
-    """Per query word, the top-n sentences by best-token fuzzy similarity.
-
-    Results are unioned across query words and deduplicated by pair id
-    (keeping the highest score and its matched token), so the effective
-    volume scales with sentence length: at most n * len(query tokens).
-    """
-    return fuzzy_word_lists(index, query, n, threshold).union(n)
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +658,10 @@ class Retriever:
             self._index = EmbeddingIndex(self.pairs, vectors[:len(pool)])
         self._query_vectors.update(zip(new, vectors[len(pool):]))
 
-    def retrieve(self, query: str, size: int) -> list[RetrievedExample]:
-        """The examples for one query; ``size`` is k, or n for FUZZY_WORD."""
-        return self.prefixes(query, size)(size)
-
     def prefixes(self, query: str, size: int) -> Callable[[int], list[RetrievedExample]]:
-        """The examples for one query at every size up to ``size``, retrieved
-        once: a function that gives, for each 1 <= s <= size, exactly what
-        ``retrieve(query, s)`` gives.
+        """The examples for one query at every size up to ``size`` (k, or n
+        for FUZZY_WORD), retrieved once: a function that gives, for each
+        1 <= s <= size, exactly what ``prefixes(query, s)(s)`` gives.
 
         BM25 and DENSE keep sorted top lists, and chrF-CW's greedy loop makes
         the same first picks at any larger k, so size s takes the first s
@@ -714,8 +703,3 @@ def lexicon_fuzzy_retrieve(
     return [RetrievedLexicon(entry=index.items[idx], score=sim, query_word=token)
             for idx, sim, token in index.union(tokens, index.top(tokens, n, threshold), n,
                                                key=lambda e: e)]
-
-
-def lexicon_full(lexicon: list[LexiconEntry]) -> list[RetrievedLexicon]:
-    """The whole dictionary as static context, input order preserved."""
-    return [RetrievedLexicon(entry=e, score=1.0, query_word="") for e in lexicon]

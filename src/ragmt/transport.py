@@ -134,3 +134,10 @@ class Transport:
             with self._lock:
                 self._idle.append(connection)
         return reply.status, reply.headers, data
+
+    def close(self) -> None:
+        """Close the pooled idle connections; a later ``post`` opens anew."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()

@@ -22,7 +22,7 @@ from ragmt.analysis import build_vocab, oov_rate
 from ragmt.corpus import ParallelPair
 from ragmt.metrics import chrf_pp, corpus_bleu, corpus_chrf
 from ragmt.pipeline import compare, run_experiment
-from ragmt.prompt import ContextBundle, render_direct, render_postedit
+from ragmt.prompt import DHAO_PROFILE, ContextBundle, glossary_block, render_direct, render_postedit
 from ragmt.retrieval import (
     Bm25Index,
     EmbeddingIndex,
@@ -31,7 +31,7 @@ from ragmt.retrieval import (
     bm25_retrieve,
     chrf_counterweighted_retrieve,
     dense_retrieve,
-    fuzzy_word_retrieve,
+    fuzzy_word_lists,
     lexicon_fuzzy_retrieve,
 )
 from ragmt.text import word_tokenize
@@ -104,7 +104,7 @@ def test_criterion_2_retrieval_oracle_equivalence():
 
         words = TokenIndex.over_pairs(pairs[:300])
         for query in queries[:8]:
-            got = [(r.pair.id, r.score) for r in fuzzy_word_retrieve(words, query, 3)]
+            got = [(r.pair.id, r.score) for r in fuzzy_word_lists(words, query, 3).union(3)]
             want = [(pid, s) for s, pid in fuzzy_oracle(pairs[:300], query, 3)]
             assert [g[0] for g in got] == [w[0] for w in want]
 
@@ -164,7 +164,7 @@ def test_criterion_3_chrf_counterweight_properties():
 
 def test_criterion_4_prompt_goldens(demo_corpus, demo_lexicon):
     with criterion(4, "prompt goldens"):
-        from ragmt.retrieval import RetrievedExample, RetrievedLexicon
+        from ragmt.retrieval import RetrievedExample
 
         source = "In the beginning, God created the heavens and the earth."
         draft = "Pa petari, Lamatua tao lani ma rai balu."
@@ -174,21 +174,15 @@ def test_criterion_4_prompt_goldens(demo_corpus, demo_lexicon):
             RetrievedExample(pair=by_id["JHN.1.1"], score=0.9, strategy="BM25"),
             RetrievedExample(pair=by_id["MAT.6.9"], score=0.7, strategy="BM25"),
         ]
-        gloss_pos = [
-            RetrievedLexicon(entry=by_word["father"], score=1.0, query_word="father"),
-            RetrievedLexicon(entry=by_word["light"], score=0.8, query_word="light"),
-        ]
-        gloss_nopos = [
-            RetrievedLexicon(entry=by_word["love"], score=1.0, query_word="love"),
-            RetrievedLexicon(entry=by_word["father"], score=1.0, query_word="father"),
-        ]
+        gloss_pos = glossary_block([by_word["father"], by_word["light"]], DHAO_PROFILE)
+        gloss_nopos = glossary_block([by_word["love"], by_word["father"]], DHAO_PROFILE)
         cases = {
             "zero": ContextBundle(),
             "two_examples": ContextBundle(examples=examples),
-            "glossary_pos": ContextBundle(lexicon=gloss_pos),
-            "glossary_nopos": ContextBundle(lexicon=gloss_nopos),
-            "combined_pos": ContextBundle(examples=examples, lexicon=gloss_pos),
-            "combined_nopos": ContextBundle(examples=examples, lexicon=gloss_nopos),
+            "glossary_pos": ContextBundle(glossary=gloss_pos),
+            "glossary_nopos": ContextBundle(glossary=gloss_nopos),
+            "combined_pos": ContextBundle(examples=examples, glossary=gloss_pos),
+            "combined_nopos": ContextBundle(examples=examples, glossary=gloss_nopos),
         }
         for name, bundle in cases.items():
             for mode in ("direct", "postedit"):
@@ -237,7 +231,7 @@ def test_criterion_6_dynamic_k_law(demo_corpus, demo_test_pairs):
         words = TokenIndex.over_pairs(pool)
         means = []
         for n in (1, 2, 3, 4):
-            ks = [len(fuzzy_word_retrieve(words, s, n)) for s in sources]
+            ks = [len(fuzzy_word_lists(words, s, n).union(n)) for s in sources]
             mean_k = sum(ks) / len(ks)
             assert mean_k <= n * mean_tokens + 1e-9
             means.append(mean_k)

@@ -32,7 +32,7 @@ from ragmt.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from ragmt.prompt import ContextBundle, render_postedit
+from ragmt.prompt import DHAO_PROFILE, ContextBundle, glossary_block, render_postedit
 from ragmt.provider import (ChatExchange, Provider, ProviderConfig, ProviderError,
                             chat_request_key)
 
@@ -251,9 +251,7 @@ class TestPostEditReplay:
     def test_manifest_ids_regenerate_identical_prompts(self, tmp_path):
         from ragmt.corpus import load_lexicon, load_parallel
         from ragmt.pipeline import _prompt_hash
-        from ragmt.retrieval import (
-            RetrievedExample, TokenIndex, fuzzy_word_retrieve, lexicon_fuzzy_retrieve,
-        )
+        from ragmt.retrieval import TokenIndex, fuzzy_word_lists, lexicon_fuzzy_retrieve
 
         fixtures = record_fixtures(tmp_path, self.KWARGS)
         config = replay_config(tmp_path, fixtures, self.KWARGS)
@@ -265,11 +263,12 @@ class TestPostEditReplay:
         drafts = load_drafts(config.draft_path)
         words, headwords = TokenIndex.over_pairs(pool), TokenIndex.over_lexicon(lexicon)
         for record in manifest.records:
-            examples = fuzzy_word_retrieve(words, record.source, config.n)
+            examples = fuzzy_word_lists(words, record.source, config.n).union(config.n)
             assert [e.pair.id for e in examples] == record.retrieved_ids
+            hits = lexicon_fuzzy_retrieve(headwords, record.source, config.lexicon_n)
             bundle = ContextBundle(
                 examples=examples,
-                lexicon=lexicon_fuzzy_retrieve(headwords, record.source, config.lexicon_n),
+                glossary=glossary_block((hit.entry for hit in hits), DHAO_PROFILE),
             )
             rendered = render_postedit(record.source, drafts[record.id], bundle)
             assert _prompt_hash(rendered.system, rendered.user) == record.prompt_hash
@@ -942,6 +941,49 @@ class TestImportFootprint:
             assert len(server.requests) > 10  # the run was sent: embeddings and prompts
 
 
+class TestProviderClosed:
+    """A run, a sweep and ``ragmt retrieve`` close the provider they built,
+    so no pooled keep-alive connection is left to the garbage collector,
+    which ``python -X dev`` reports as a ``ResourceWarning``."""
+
+    SCRIPT = (
+        "import gc, sys\n"
+        "from dataclasses import replace\n"
+        "from ragmt import cli\n"
+        "from ragmt.pipeline import ExperimentConfig, run_experiment, sweep\n"
+        "config = ExperimentConfig.load(sys.argv[1])\n"
+        "run_experiment(config, resume=False)\n"
+        "sweep(replace(config, output_dir=config.output_dir + '-sweep'), [1, 3])\n"
+        "cli.main(sys.argv[2:])\n"
+        "gc.collect()\n"
+    )
+
+    def test_no_connection_left_open_under_dev_mode(self, tmp_path):
+        with MockProviderServer(keep_alive=True) as server:
+            live = ProviderConfig(base_url=server.base_url, model_name="mock-chat",
+                                  embedding_model_name="mock-embed")
+            config = base_config(tmp_path, provider=live, mode="POST_EDIT", context="BM25",
+                                 k=2)
+            config_path, provider_path = tmp_path / "config.json", tmp_path / "provider.json"
+            config_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+            provider_path.write_text(json.dumps(vars(live)), encoding="utf-8")
+            retrieve = ["retrieve", "--strategy", "dense", "--corpus-file", config.corpus_path,
+                        "--query", "the light of the world", "--provider-config",
+                        str(provider_path)]
+            env = dict({k: v for k, v in os.environ.items()
+                        if not k.lower().endswith("_proxy")},
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-c", self.SCRIPT, str(config_path), *retrieve],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            sent = Counter(r["path"] for r in server.requests)
+        assert sent["/chat/completions"] == 30  # 10 test verses, three cells
+        assert sent["/embeddings"] > 0
+        assert "ResourceWarning" not in done.stderr, done.stderr
+
+
 class TestSweepPlan:
     """A sweep loads, indexes and retrieves once, and each of its cells
     writes the bytes a single run_experiment of its value writes."""
@@ -1064,11 +1106,11 @@ class TestSweepPlan:
             # the shared block renders as the whole dictionary's entries do
             pool = [p for p in load_parallel(DEMO_DATA / "corpus.tsv") if p.origin == "NT"]
             retriever = retrieval.Retriever("BM25", pool)
-            lexicon = retrieval.lexicon_full(load_lexicon(DEMO_DATA / "lexicon.tsv"))
+            glossary = glossary_block(load_lexicon(DEMO_DATA / "lexicon.tsv"), DHAO_PROFILE)
             drafts = load_drafts(config.draft_path)
             for record in manifest.records:
-                bundle = ContextBundle(examples=retriever.retrieve(record.source, 1),
-                                       lexicon=lexicon)
+                bundle = ContextBundle(examples=retriever.prefixes(record.source, 1)(1),
+                                       glossary=glossary)
                 rendered = render_postedit(record.source, drafts[record.id], bundle)
                 assert pipeline._prompt_hash(rendered.system, rendered.user) == record.prompt_hash
             calls.clear()

@@ -8,11 +8,12 @@ from ragmt.prompt import (
     DHAO_PROFILE,
     ContextBundle,
     LanguageProfile,
+    glossary_block,
     parse_prompt,
     render_direct,
     render_postedit,
 )
-from ragmt.retrieval import RetrievedExample, RetrievedLexicon
+from ragmt.retrieval import RetrievedExample
 
 SOURCE = "In the beginning, God created the heavens and the earth."
 DRAFT = "Pa petari, Lamatua tao lani ma rai balu."
@@ -30,29 +31,23 @@ def examples(demo_corpus):
 @pytest.fixture
 def glossary_pos(demo_lexicon):
     by_word = {e.source_word: e for e in demo_lexicon}
-    return [
-        RetrievedLexicon(entry=by_word["father"], score=1.0, query_word="father"),
-        RetrievedLexicon(entry=by_word["light"], score=0.8, query_word="light"),
-    ]
+    return glossary_block([by_word["father"], by_word["light"]], DHAO_PROFILE)
 
 
 @pytest.fixture
 def glossary_nopos(demo_lexicon):
     by_word = {e.source_word: e for e in demo_lexicon}
-    return [
-        RetrievedLexicon(entry=by_word["love"], score=1.0, query_word="love"),
-        RetrievedLexicon(entry=by_word["father"], score=1.0, query_word="father"),
-    ]
+    return glossary_block([by_word["love"], by_word["father"]], DHAO_PROFILE)
 
 
 def bundle_grid(examples, glossary_pos, glossary_nopos):
     return {
         "zero": ContextBundle(),
         "two_examples": ContextBundle(examples=examples),
-        "glossary_pos": ContextBundle(lexicon=glossary_pos),
-        "glossary_nopos": ContextBundle(lexicon=glossary_nopos),
-        "combined_pos": ContextBundle(examples=examples, lexicon=glossary_pos),
-        "combined_nopos": ContextBundle(examples=examples, lexicon=glossary_nopos),
+        "glossary_pos": ContextBundle(glossary=glossary_pos),
+        "glossary_nopos": ContextBundle(glossary=glossary_nopos),
+        "combined_pos": ContextBundle(examples=examples, glossary=glossary_pos),
+        "combined_nopos": ContextBundle(examples=examples, glossary=glossary_nopos),
     }
 
 
@@ -100,16 +95,16 @@ class TestRenderContracts:
         assert rendered.user.count("English translation: ") == 2
 
     def test_glossary_line_count_matches_bundle(self, glossary_pos):
-        rendered = render_direct(SOURCE, ContextBundle(lexicon=glossary_pos))
+        rendered = render_direct(SOURCE, ContextBundle(glossary=glossary_pos))
         assert rendered.user.count("\n- ") == 2
 
     def test_entry_without_pos_has_no_parenthetical(self, glossary_nopos):
-        rendered = render_direct(SOURCE, ContextBundle(lexicon=glossary_nopos))
+        rendered = render_direct(SOURCE, ContextBundle(glossary=glossary_nopos))
         assert "- love -> hia" in rendered.user
         assert "- love (" not in rendered.user
 
     def test_rendering_is_pure(self, examples, glossary_pos):
-        bundle = ContextBundle(examples=examples, lexicon=glossary_pos)
+        bundle = ContextBundle(examples=examples, glossary=glossary_pos)
         a = render_postedit(SOURCE, DRAFT, bundle)
         b = render_postedit(SOURCE, DRAFT, bundle)
         assert a == b
@@ -127,12 +122,10 @@ class TestRenderContracts:
             RetrievedExample(pair=p, score=1.0, strategy="FUZZY_WORD", matched_token="x")
             for p in demo_corpus
         ] * 4  # 160 examples
-        lexicon = [
-            RetrievedLexicon(entry=e, score=1.0, query_word="") for e in demo_lexicon
-        ]
-        rendered = render_postedit(SOURCE, DRAFT, ContextBundle(examples, lexicon))
+        glossary = glossary_block(demo_lexicon, DHAO_PROFILE)
+        rendered = render_postedit(SOURCE, DRAFT, ContextBundle(examples, glossary))
         assert rendered.user.count("English translation: ") == len(examples)
-        assert rendered.user.count("\n- ") == len(lexicon)
+        assert rendered.user.count("\n- ") == len(demo_lexicon)
         # total length is the sum of its parts; nothing dropped
         assert len(rendered.user) > len(examples) * 30
 
@@ -156,7 +149,7 @@ class TestRenderContracts:
 
 class TestParseRoundTrip:
     def test_recovers_source_and_counts(self, examples, glossary_pos):
-        bundle = ContextBundle(examples=examples, lexicon=glossary_pos)
+        bundle = ContextBundle(examples=examples, glossary=glossary_pos)
         parsed = parse_prompt(render_direct(SOURCE, bundle))
         assert parsed.source == SOURCE
         assert parsed.draft is None

@@ -605,35 +605,16 @@ class TestEmbeddingCache:
         with pytest.raises(ProviderError, match="emb-0.json: malformed embedding vectors"):
             replay_of(cache).embed(["alpha"])
 
-    def test_per_text_records_still_read(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        key = embedding_request_key("mock-embed", "alpha")
-        write_json(cache / f"{key}.json", {
-            "kind": "embedding", "request": {"model": "mock-embed", "text": "alpha"},
-            "vector": [0.6, 0.8],
-        })
-        with MockProviderServer() as server:
-            live = Provider(make_config(server, tmp_path))
-            assert live.embed(["alpha", "alpha"]).vectors.tolist() == [[0.6, 0.8]] * 2
-            assert server.requests == []
-        assert replay_of(cache).embed(["alpha"]).vectors.tolist() == [[0.6, 0.8]]
-        with pytest.raises(ProviderError, match="no replay fixture"):
-            replay_of(cache).embed(["beta"])
-
-
     def test_directory_listed_once_per_embed(self, tmp_path, monkeypatch):
-        # per-text records for half the texts: the misses are told apart by
-        # one listing of the directory, not by a lookup each
+        # a chunk file holds half the texts: the misses are told apart by one
+        # listing of the directory per embed, and no file is looked up per key
         cache = tmp_path / "cache"
         cache.mkdir()
         unit = [1.0] + [0.0] * 7  # the mock's embeddings have 8 dimensions
-        for text in self.TEXTS[:50]:
-            key = embedding_request_key("mock-embed", text)
-            write_json(cache / f"{key}.json", {
-                "kind": "embedding", "request": {"model": "mock-embed", "text": text},
-                "vector": unit,
-            })
+        write_json(cache / "emb-0.json", {
+            embedding_request_key("mock-embed", text): {
+                "request": {"model": "mock-embed", "text": text}, "vector": unit}
+            for text in self.TEXTS[:50]})
         listings, reads = [], []
         listdir, get = ragmt.provider.os.listdir, _JsonStore.get
         monkeypatch.setattr(ragmt.provider.os, "listdir",
@@ -644,9 +625,12 @@ class TestEmbeddingCache:
             provider = Provider(make_config(server, tmp_path, embed_batch_size=32))
             vectors = provider.embed(self.TEXTS).vectors
             assert len(server.requests) == 2  # ceil(50 / 32)
+            assert [str(p) for p in listings] == [str(cache)]
+            assert provider.embed(self.TEXTS[::-1]).vectors.tolist() == vectors[::-1].tolist()
+            assert len(server.requests) == 2
         assert vectors[:50].tolist() == [unit] * 50
-        assert [str(p) for p in listings] == [str(cache)]
-        assert len(reads) == 50
+        assert [str(p) for p in listings] == [str(cache)] * 2
+        assert reads == []
 
 
 def unit_normalize_oracle(vector: list[float]) -> list[float]:
@@ -717,14 +701,7 @@ class TestEmbeddingArrays:
             cold = Provider(make_config(server, tmp_path, embed_batch_size=3)).embed(self.TEXTS)
             warm = Provider(make_config(server, tmp_path)).embed(self.TEXTS)
             assert len(server.requests) == 2
-        # the same records in the older per-text layout
-        old = tmp_path / "old"
-        old.mkdir()
-        for chunk in cache.iterdir():
-            for key, record in json.loads(chunk.read_text(encoding="utf-8")).items():
-                write_json(old / f"{key}.json", {"kind": "embedding", **record})
-        for batch in (warm, replay_of(cache).embed(self.TEXTS),
-                      replay_of(old).embed(self.TEXTS)):
+        for batch in (warm, replay_of(cache).embed(self.TEXTS)):
             assert batch == cold
             assert batch.vectors.tobytes() == cold.vectors.tobytes()
 

@@ -32,8 +32,6 @@ from ragmt.retrieval import (
     chrf_counterweighted_retrieve,
     dense_retrieve,
     fuzzy_word_lists,
-    fuzzy_word_retrieve,
-    lexicon_full,
     lexicon_fuzzy_retrieve,
 )
 from ragmt.text import char_ngrams, word_tokenize
@@ -790,7 +788,7 @@ class TestFuzzyIndexProperties:
         for threshold in thresholds:
             query = data.draw(_queries(vocabulary))
             want = fuzzy_word_oracle(pairs, query, n, threshold)
-            assert _fuzzy_rows(fuzzy_word_retrieve(index, query, n, threshold)) == want
+            assert _fuzzy_rows(fuzzy_word_lists(index, query, n, threshold).union(n)) == want
 
     @given(
         st.data(),
@@ -825,7 +823,7 @@ class TestFuzzyIndexProperties:
             found = index.matches(tokens, threshold)
             for token in tokens:
                 assert sorted(found[token]) == brute_matches(token, types, threshold)
-            assert _fuzzy_rows(fuzzy_word_retrieve(index, query, n, threshold)) == (
+            assert _fuzzy_rows(fuzzy_word_lists(index, query, n, threshold).union(n)) == (
                 fuzzy_word_oracle(pairs, query, n, threshold))
             want = [(s, id(e), tok) for s, e, tok in lexicon_fuzzy_oracle(lexicon, query, n,
                                                                            threshold)]
@@ -865,12 +863,12 @@ class TestFuzzyIndexProperties:
     def test_memo_keyed_by_threshold(self):
         pairs = [ParallelPair("p1", "fathers", "t", "NT"), ParallelPair("p2", "!!", "t", "NT")]
         index = TokenIndex.over_pairs(pairs)
-        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 1.0)) == []
-        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.5)) == [
+        assert _fuzzy_rows(fuzzy_word_lists(index, "father", 5, 1.0).union(5)) == []
+        assert _fuzzy_rows(fuzzy_word_lists(index, "father", 5, 0.5).union(5)) == [
             ("p1", 1 - 1 / 7, "father")
         ]
         # a token-less pair qualifies at 0.0 only when the threshold allows it
-        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 5, 0.0)) == [
+        assert _fuzzy_rows(fuzzy_word_lists(index, "father", 5, 0.0).union(5)) == [
             ("p1", 1 - 1 / 7, "father"), ("p2", 0.0, "father")
         ]
 
@@ -899,14 +897,15 @@ class TestTopMemo:
         top = retrieval._top
         monkeypatch.setattr(retrieval, "_top", lambda *args, **kwargs: (
             calls.append(args[2]) or top(*args, **kwargs)))
-        first = fuzzy_word_retrieve(index, "father said father", 2)
+        first = fuzzy_word_lists(index, "father said father", 2).union(2)
         assert calls == [2, 2]
-        assert _fuzzy_rows(fuzzy_word_retrieve(index, "father", 2)) == (
-            _fuzzy_rows(fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father", 2)))
-        assert _fuzzy_rows(fuzzy_word_retrieve(index, "said father", 2)) == _fuzzy_rows(first)
+        assert _fuzzy_rows(fuzzy_word_lists(index, "father", 2).union(2)) == (
+            _fuzzy_rows(fuzzy_word_lists(TokenIndex.over_pairs(pairs), "father", 2).union(2)))
+        assert _fuzzy_rows(fuzzy_word_lists(index, "said father", 2).union(2)) == (
+            _fuzzy_rows(first))
         assert calls == [2, 2, 2]  # the one from the fresh index
-        fuzzy_word_retrieve(index, "father", 1)
-        fuzzy_word_retrieve(index, "father", 2, threshold=0.0)
+        fuzzy_word_lists(index, "father", 1).union(1)
+        fuzzy_word_lists(index, "father", 2, threshold=0.0).union(2)
         assert calls == [2, 2, 2, 1, 2]
 
 
@@ -1069,19 +1068,19 @@ class TestFuzzyWord:
             ParallelPair("p2", "the mother sang", "t", "NT"),
             ParallelPair("p3", "unrelated xyzzy qwerty", "t", "NT"),
         ]
-        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father mother", 1)
+        results = fuzzy_word_lists(TokenIndex.over_pairs(pairs), "father mother", 1).union(1)
         assert {r.pair.id for r in results} == {"p1", "p2"}
         assert all(r.score == 1.0 for r in results)
 
     def test_father_fathers_similarity(self):
         pairs = [ParallelPair("p1", "the fathers spoke", "t", "NT")]
-        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "father", 1)
+        results = fuzzy_word_lists(TokenIndex.over_pairs(pairs), "father", 1).union(1)
         assert results[0].score == pytest.approx(6 / 7)
         assert results[0].matched_token == "father"
 
     def test_below_threshold_excluded(self):
         pairs = [ParallelPair("p1", "xyzzy", "t", "NT")]
-        assert fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), "mother", 5) == []
+        assert fuzzy_word_lists(TokenIndex.over_pairs(pairs), "mother", 5).union(5) == []
 
     def test_matches_bruteforce_oracle(self):
         pairs = make_pairs(150, seed=31)
@@ -1089,7 +1088,7 @@ class TestFuzzyWord:
         rng = random.Random(37)
         for _ in range(5):
             query = " ".join(rng.choice(WORDS) for _ in range(4))
-            got = [(r.score, r.pair.id) for r in fuzzy_word_retrieve(index, query, 3)]
+            got = [(r.score, r.pair.id) for r in fuzzy_word_lists(index, query, 3).union(3)]
             want = fuzzy_oracle(pairs, query, 3)
             assert [g[1] for g in got] == [w[1] for w in want]
             for g, w in zip(got, want):
@@ -1099,7 +1098,7 @@ class TestFuzzyWord:
         pairs = make_pairs(200, seed=41)
         query = "father mother water light sea stone"
         n = 10
-        results = fuzzy_word_retrieve(TokenIndex.over_pairs(pairs), query, n)
+        results = fuzzy_word_lists(TokenIndex.over_pairs(pairs), query, n).union(n)
         assert len(results) <= n * len(word_tokenize(query))
         assert all(r.score >= 0.5 for r in results)
 
@@ -1141,10 +1140,3 @@ class TestLexiconRetrieval:
         assert [(r.score, r.entry.source_word) for r in got] == [
             (pytest.approx(s), e.source_word) for s, e in want
         ]
-
-    def test_full_lexicon_order_and_scores(self, demo_lexicon):
-        results = lexicon_full(demo_lexicon)
-        assert len(results) == len(demo_lexicon)
-        assert [r.entry for r in results] == demo_lexicon
-        assert all(r.score == 1.0 for r in results)
-        assert lexicon_full([]) == []
