@@ -13,10 +13,11 @@ from . import analysis, corpus, metrics, pipeline, retrieval
 from .prompt import ContextBundle, render_direct, render_postedit
 from .provider import Provider
 
-# What a config, or an input file it or a command names, can fail to load
-# with: bad input, reported as a usage error rather than a traceback
-_INPUT_ERRORS = (pipeline.ConfigError, corpus.CorpusError, json.JSONDecodeError,
-                 UnicodeDecodeError, OSError)
+# What a config, an input file it or a command names, or input a command
+# cannot use (files of unequal length, no terms, one report) fails with:
+# bad input, reported as a usage error rather than a traceback. ConfigError,
+# CorpusError, JSONDecodeError and UnicodeDecodeError are all ValueErrors.
+_INPUT_ERRORS = (ValueError, OSError)
 
 STRATEGY_NAMES = {
     "bm25": "BM25",

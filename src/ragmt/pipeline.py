@@ -1,24 +1,24 @@
 """Experiment orchestration: baselines, retrieval sweeps, and comparisons.
 
-A run goes through three stages. Load reads and checks the inputs, hashes
-them and builds the provider. Plan retrieves each test sentence's examples
-and lexicon entries, once per sweep: at the sweep's largest k or n, with
-one retriever and one lexicon index, as the first cell reaches each
-sentence; each glossary block is rendered once. Dispatch runs one cell:
-render each prompt on the calling thread, send it to the provider from a
-pool of ``max_in_flight`` worker threads (or score the supplied draft
-directly in NMT_ONLY mode), then score everything with chrF++ and BLEU.
-A replay (``replay_dir`` set) reaches no network, so its prompts are
-answered on the calling thread, one at a time, with no worker pool
+A run opens one session over its inputs. The session reads and checks the
+inputs, hashes them and builds the provider, unless one is handed in. It
+retrieves each test sentence's examples and lexicon entries once, at the
+largest k or n of a sweep, when the first cell reaches the sentence, and
+renders each glossary block once. Its ``run`` dispatches one cell: render
+each prompt on the calling thread, send it to the provider from a pool of
+``max_in_flight`` worker threads (or score the supplied draft directly in
+NMT_ONLY mode), then score everything with chrF++ and BLEU. A replay
+(``replay_dir`` set) reaches no network, so its prompts are answered on
+the calling thread, one at a time, with no worker pool
 (``chrfcw_sweep_replay``: 198 -> 225 sentences/s, medians of 10 runs on
 2 vCPUs; a paper-scale ``final_preset()`` replay cell, with the FULL
 glossary rendered once and the fuzzy top lists memoised, 5.6-5.9 s ->
 4.2-4.3 s).
-``run_experiment`` is one load, one plan and one dispatch; ``sweep`` is
-one load, one plan and a dispatch per value, and each of its cells writes
-the files a single run would. Records are kept in test order, so a run's
-files do not depend on ``max_in_flight`` or on replaying. Every run
-persists a manifest so interrupted sweeps can resume and every completion
+``run_experiment`` is one session and one cell; ``sweep`` is one session
+and a cell per value, and each of its cells writes the files a single run
+would. Records are kept in test order, so a run's files do not depend on
+``max_in_flight`` or on replaying. Every run persists a manifest, replaced
+whole on each save, so interrupted sweeps can resume and every completion
 stays traceable to a cached exchange.
 """
 
@@ -48,7 +48,7 @@ from .prompt import (
     render_direct,
     render_postedit,
 )
-from .provider import Provider, ProviderConfig, ProviderError
+from .provider import Provider, ProviderConfig, ProviderError, _write_atomic
 
 MODES = ("NMT_ONLY", "DIRECT_LLM", "POST_EDIT")
 CONTEXTS = ("NONE", "STATIC_K", "BM25", "DENSE", "CHRF_CW", "FUZZY_WORD")
@@ -237,14 +237,19 @@ class RunManifest:
 
     def save(self, path: str | Path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=1),
-            encoding="utf-8",
-        )
+        _write_atomic(Path(path), json.dumps(self.to_dict(), sort_keys=True,
+                                             ensure_ascii=False, indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """A saved manifest; one that is not UTF-8 JSON of a manifest's shape
+        is a ``ConfigError`` naming ``path``."""
+        with naming_errors(path, ConfigError):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            try:
+                return cls.from_dict(data)
+            except (AttributeError, KeyError, TypeError):
+                raise ConfigError("not a run manifest") from None
 
 
 def _prompt_digest(system: str, user: str) -> str:
@@ -282,19 +287,6 @@ def load_drafts(path: str | Path) -> dict[str, str]:
     return drafts
 
 
-@dataclass
-class _Inputs:
-    """What every cell of a sweep shares: the loaded inputs, their content
-    hashes and the provider."""
-
-    test_pairs: list[ParallelPair]
-    pool: list[ParallelPair]
-    lexicon: list[LexiconEntry]
-    drafts: dict[str, str]
-    corpus_hashes: dict
-    provider: object
-
-
 def load_pool(path: str, retrieval_corpus: str, context: str) -> list[ParallelPair]:
     """The pairs of the corpus at ``path`` that a ``retrieval_corpus`` pool
     (NT or NT_PLUS_GRAMMAR) holds; an empty pool is a ``ConfigError``."""
@@ -306,80 +298,77 @@ def load_pool(path: str, retrieval_corpus: str, context: str) -> list[ParallelPa
     return pool
 
 
-def _load(config: ExperimentConfig, provider) -> _Inputs:
-    """Load stage: read and check the inputs, hash them and build the
-    provider, before any request. ``config`` may be any cell of a sweep,
-    since its cells differ only in k or n."""
-    test_pairs = load_parallel(config.test_path)
-    if not test_pairs:
-        raise ConfigError("test set is empty")
-    pool = ([] if config.context == "NONE"
-            else load_pool(config.corpus_path, config.retrieval_corpus, config.context))
-    lexicon = load_lexicon(config.lexicon_path) if config.lexicon_mode != "NONE" else []
-    drafts = load_drafts(config.draft_path) if config.draft_path else {}
-    missing = [p.id for p in test_pairs if p.id not in drafts]
-    if config.draft_path and missing:
-        raise ConfigError(f"draft file missing ids: {missing[:5]}")
-    if config.mode == "POST_EDIT":
-        # NMT_ONLY scores an empty draft as it is; post-editing needs text to edit
-        empty = [p.id for p in test_pairs if not drafts[p.id].strip()]
-        if empty:
-            raise ConfigError(f"POST_EDIT needs a non-empty draft; empty for ids: {empty[:5]}")
-
-    if config.mode != "NMT_ONLY" and provider is None:
-        provider = Provider(config.provider)
-    return _Inputs(
-        test_pairs=test_pairs,
-        pool=pool,
-        lexicon=lexicon,
-        drafts=drafts,
-        corpus_hashes={
-            "test": _pairs_hash(test_pairs),
-            "pool": _pairs_hash(pool),
-            "lexicon": _rows_hash((e.source_word, e.pos or "", e.target_word) for e in lexicon),
-            "drafts": _rows_hash(drafts.items()),
-        },
-        provider=provider,
-    )
-
-
 def _size(config: ExperimentConfig) -> int | None:
     """How many examples a cell asks for: n for FUZZY_WORD, else k."""
     return config.n if config.context == "FUZZY_WORD" else config.k
 
 
-class _Plan:
-    """Plan stage: each test sentence's examples and lexicon entries,
-    retrieved once for all the cells of a sweep, by one retriever and one
-    lexicon index.
+class _Session:
+    """One set of inputs and what every cell of a sweep over them shares:
+    their content hashes, the provider and the plan.
 
-    Examples are retrieved at ``size``, the largest any cell asks for, and
-    each cell reads its own size from them (``Retriever.prefixes``). A
-    sentence is planned when the first cell reaches it, so the first request
-    waits for no other sentence's retrieval. STATIC_K draws per k instead:
-    a seeded sample of k is not a prefix of a larger one. Glossary blocks
-    are rendered here, once: FULL's, which every prompt shows, and each
-    sentence's FUZZY_N block, which all of a sweep's cells show.
+    Built, like ``open``, it reads, checks and hashes the inputs, then
+    builds the provider when none is handed in, so an input that fails to
+    load leaves nothing open; on exit it closes only a provider it built.
+    ``config`` may be any cell of a sweep: its cells differ only in k or n.
+
+    The plan: one retriever retrieves each sentence's examples at ``size``,
+    the largest any cell asks for, and each cell reads its own size from
+    them (``Retriever.prefixes``). STATIC_K draws per k instead: a seeded
+    sample of k is not a prefix of a larger one.
     """
 
-    def __init__(self, config: ExperimentConfig, inputs: _Inputs, size: int | None):
+    def __init__(self, config: ExperimentConfig, provider, size: int | None):
         self.config = config
-        self.inputs = inputs
         self.size = size
+        self.test_pairs = load_parallel(config.test_path)
+        if not self.test_pairs:
+            raise ConfigError("test set is empty")
+        self.pool = ([] if config.context == "NONE"
+                     else load_pool(config.corpus_path, config.retrieval_corpus, config.context))
+        self.lexicon = load_lexicon(config.lexicon_path) if config.lexicon_mode != "NONE" else []
+        self.drafts = load_drafts(config.draft_path) if config.draft_path else {}
+        missing = [p.id for p in self.test_pairs if p.id not in self.drafts]
+        if config.draft_path and missing:
+            raise ConfigError(f"draft file missing ids: {missing[:5]}")
+        if config.mode == "POST_EDIT":
+            # NMT_ONLY scores an empty draft as it is; post-editing needs text to edit
+            empty = [p.id for p in self.test_pairs if not self.drafts[p.id].strip()]
+            if empty:
+                raise ConfigError(f"POST_EDIT needs a non-empty draft; empty for ids: {empty[:5]}")
+        self.corpus_hashes = {
+            "test": _pairs_hash(self.test_pairs),
+            "pool": _pairs_hash(self.pool),
+            "lexicon": _rows_hash((e.source_word, e.pos or "", e.target_word)
+                                  for e in self.lexicon),
+            "drafts": _rows_hash(self.drafts.items()),
+        }
         self.profile = (DHAO_PROFILE if config.language == "Dhao"
                         else LanguageProfile(name=config.language))
+        # FULL: the whole dictionary's block, one string shared by every
+        # prompt; ("", 0) in the other modes
+        self._full = self._glossary(self.lexicon if config.lexicon_mode == "FULL" else [])
+        self._examples: dict[int, Callable[[int], list[retrieval.RetrievedExample]]] = {}
+        self._lexicon: dict[int, tuple[str, int]] = {}  # FUZZY_N, per sentence
+        self._lexicon_index: retrieval.TokenIndex | None = None
+        self._static: dict[int, list[retrieval.RetrievedExample]] = {}
+
+        self._built = None
+        if config.mode != "NMT_ONLY" and provider is None:
+            provider = self._built = Provider(config.provider)
+        self.provider = provider
         self._retriever: retrieval.Retriever | None = None
         if config.context not in ("NONE", "STATIC_K"):
             self._retriever = retrieval.Retriever(
-                config.context, inputs.pool, gamma=config.gamma, provider=inputs.provider
+                config.context, self.pool, gamma=config.gamma, provider=provider
             )
-        self._lexicon_index: retrieval.TokenIndex | None = None
-        # FULL: the whole dictionary's block, one string shared by every
-        # prompt; ("", 0) in the other modes
-        self._full = self._glossary(inputs.lexicon if config.lexicon_mode == "FULL" else [])
-        self._examples: dict[int, Callable[[int], list[retrieval.RetrievedExample]]] = {}
-        self._lexicon: dict[int, tuple[str, int]] = {}  # FUZZY_N, per sentence
-        self._static: dict[int, list[retrieval.RetrievedExample]] = {}
+
+    def __enter__(self) -> "_Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._built is not None:
+            self._built.close()
 
     def _glossary(self, entries: list[LexiconEntry]) -> tuple[str, int]:
         """The glossary block of ``entries``, "" for none, and their count."""
@@ -391,13 +380,13 @@ class _Plan:
         (with the pool's texts, on the first)."""
         if self._retriever is not None:
             self._retriever.prepare([
-                self.inputs.test_pairs[i].source_text for i in indices if i not in self._examples
+                self.test_pairs[i].source_text for i in indices if i not in self._examples
             ])
 
     def _static_examples(self, k: int) -> list[retrieval.RetrievedExample]:
         # fixed corpus-wide: the same seeded draw is reused for every sentence
         if k not in self._static:
-            nt = [p for p in self.inputs.pool if p.origin == "NT"]
+            nt = [p for p in self.pool if p.origin == "NT"]
             if len(nt) < k:
                 raise ConfigError(f"STATIC_K: only {len(nt)} NT pairs for k={k}")
             chosen = random.Random(self.config.static_seed).sample(nt, k)
@@ -414,25 +403,159 @@ class _Plan:
         if self.config.context == "STATIC_K":
             return self._static_examples(size)
         if i not in self._examples:
-            self._examples[i] = self._retriever.prefixes(
-                self.inputs.test_pairs[i].source_text, self.size
-            )
+            self._examples[i] = self._retriever.prefixes(self.test_pairs[i].source_text,
+                                                         self.size)
         return self._examples[i](size)
 
     def context(self, i: int, size: int | None) -> tuple[ContextBundle, int]:
         """The context of test sentence ``i`` for a cell asking for ``size``,
         and how many lexicon entries it shows; every cell shows the same
-        entries, in one glossary string rendered once per plan."""
+        entries, in one glossary string rendered once per session."""
         examples = self.examples(i, size)
         if self.config.lexicon_mode == "FUZZY_N" and i not in self._lexicon:
             if self._lexicon_index is None:
-                self._lexicon_index = retrieval.TokenIndex.over_lexicon(self.inputs.lexicon)
+                self._lexicon_index = retrieval.TokenIndex.over_lexicon(self.lexicon)
             hits = retrieval.lexicon_fuzzy_retrieve(
-                self._lexicon_index, self.inputs.test_pairs[i].source_text, self.config.lexicon_n
+                self._lexicon_index, self.test_pairs[i].source_text, self.config.lexicon_n
             )
             self._lexicon[i] = self._glossary([hit.entry for hit in hits])
         glossary, count = self._lexicon.get(i, self._full)
         return ContextBundle(examples, glossary), count
+
+    def run(self, config: ExperimentConfig, resume: bool) -> tuple[EvalReport, RunManifest]:
+        """Render, send, score and save one cell, ``config``.
+
+        A provider failure stops sending prompts and aborts the cell once
+        the ones in flight have settled; the partial manifest keeps every
+        completed sentence and the first failed one.
+        """
+        fingerprint = config.fingerprint()
+        out_dir = Path(config.output_dir)
+        manifest_path = out_dir / f"manifest-{fingerprint}.json"
+        manifest = RunManifest(config_fingerprint=fingerprint,
+                               corpus_hashes=dict(self.corpus_hashes))
+        done: dict[str, SentenceRecord] = {}
+        if resume and manifest_path.exists():
+            prior = RunManifest.load(manifest_path)
+            # the fingerprint hashes file paths, not contents: a file edited in
+            # place keeps it, so its records are reused only if every input matches
+            if (prior.config_fingerprint == fingerprint
+                    and prior.corpus_hashes == manifest.corpus_hashes):
+                done = {r.id: r for r in prior.records if r.error is None}
+
+        size = _size(config)
+        self.prepare([i for i, p in enumerate(self.test_pairs) if p.id not in done])
+
+        # Retrieval and rendering stay on this thread, in test order; prompts
+        # go to max_in_flight workers. The oldest is settled before another
+        # is sent, so at most max_in_flight prompts wait on the provider at
+        # once, and the answered ones at the head of the window are settled
+        # before the next sentence is planned, so a failure seen there stops
+        # the run before more retrieval and rendering. A replay answers each
+        # prompt on this thread as it is sent and settles it before the next
+        # sentence, so nothing is planned or sent after a failure.
+        if config.provider is None or config.provider.replay_dir:
+            in_flight, executor = 1, _Inline()
+        else:
+            in_flight = config.provider.max_in_flight
+            executor = ThreadPoolExecutor(max_workers=in_flight)
+        window: deque[tuple[SentenceRecord, Future]] = deque()
+        sent: dict[str, Future] = {}  # prompt digest -> its completion text
+        failed: SentenceRecord | None = None
+        failure: ProviderError | None = None
+
+        def settle_oldest() -> None:
+            nonlocal failed, failure
+            record, future = window.popleft()
+            try:
+                record.completion = future.result()
+            except ProviderError as exc:
+                record.error = str(exc)
+                if failure is None:  # settled in test order: the first failure
+                    failed, failure = record, exc
+
+        with executor:
+            for i, pair in enumerate(self.test_pairs):
+                if pair.id in done:
+                    manifest.records.append(done[pair.id])
+                    continue
+                while window and window[0][1].done():
+                    settle_oldest()
+                if failure is not None:  # plan and send nothing more after a failure
+                    continue
+                draft = self.drafts.get(pair.id)
+                bundle, lexicon_count = self.context(i, size)
+                record = SentenceRecord(
+                    id=pair.id,
+                    source=pair.source_text,
+                    reference=pair.target_text,
+                    draft=draft,
+                    retrieved_ids=[ex.pair.id for ex in bundle.examples],
+                    lexicon_count=lexicon_count,
+                    effective_k=len(bundle.examples),
+                    prompt_hash=None,
+                    completion=None,
+                )
+                if config.mode == "NMT_ONLY":
+                    record.completion = draft
+                    manifest.records.append(record)
+                    continue
+                if config.mode == "POST_EDIT":
+                    rendered = render_postedit(pair.source_text, draft, bundle, self.profile)
+                else:
+                    rendered = render_direct(pair.source_text, bundle, self.profile)
+                digest = _prompt_digest(rendered.system, rendered.user)
+                record.prompt_hash = digest[:16]
+                # a prompt already sent in this run is not sent again
+                future = sent.get(digest)
+                if future is None:
+                    while len(window) >= in_flight:
+                        settle_oldest()
+                    if failure is not None:
+                        continue
+                    future = sent[digest] = executor.submit(
+                        _completion_text, self.provider, rendered
+                    )
+                manifest.records.append(record)
+                window.append((record, future))
+            while window:
+                settle_oldest()
+        # keep the first failure in test order; the later ones are resent on resume
+        manifest.records = [r for r in manifest.records if r.error is None or r is failed]
+
+        completed = [r for r in manifest.records if r.error is None]
+        if completed:
+            report = metrics.evaluate(
+                ids=[r.id for r in completed],
+                hypotheses=[r.completion for r in completed],
+                references=[r.reference for r in completed],
+                tokenizer=WhitespaceTokenizer(),
+                chrf_params=ChrfParams(),
+                config_fingerprint=fingerprint,
+            )
+            for record, score in zip(completed, report.per_sentence):
+                record.bleu = score.bleu
+                record.chrf = score.chrf
+            manifest.effective_k_mean = statistics.fmean(r.effective_k for r in completed)
+        manifest.save(manifest_path)
+
+        if failure is not None:
+            raise ProviderError(
+                f"run aborted after provider failure (partial manifest at {manifest_path}): "
+                f"{failure}",
+                failure.status,
+            )
+
+        report.metadata["test_fingerprint"] = manifest.corpus_hashes["test"]
+        report.metadata["effective_k_mean"] = manifest.effective_k_mean
+        report.metadata["temperature"] = (
+            config.provider.temperature if config.provider else None
+        )
+        report.metadata["mode"] = config.mode
+        report.metadata["context"] = config.context
+        _write_atomic(out_dir / f"report-{fingerprint}.json",
+                      json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False, indent=1))
+        return report, manifest
 
 
 def _completion_text(provider, rendered) -> str:
@@ -461,147 +584,6 @@ class _Inline:
         return future
 
 
-def _dispatch(config: ExperimentConfig, plan: _Plan, resume: bool) -> tuple[EvalReport, RunManifest]:
-    """Dispatch stage: render, send, score and save one cell of the plan.
-
-    A provider failure stops sending prompts and aborts the cell once the
-    ones in flight have settled; the partial manifest keeps every completed
-    sentence and the first failed one.
-    """
-    inputs = plan.inputs
-    fingerprint = config.fingerprint()
-    out_dir = Path(config.output_dir)
-    manifest_path = out_dir / f"manifest-{fingerprint}.json"
-    manifest = RunManifest(config_fingerprint=fingerprint,
-                           corpus_hashes=dict(inputs.corpus_hashes))
-    done: dict[str, SentenceRecord] = {}
-    if resume and manifest_path.exists():
-        prior = RunManifest.load(manifest_path)
-        # the fingerprint hashes file paths, not contents: a file edited in
-        # place keeps it, so its records are reused only if every input matches
-        if (prior.config_fingerprint == fingerprint
-                and prior.corpus_hashes == manifest.corpus_hashes):
-            done = {r.id: r for r in prior.records if r.error is None}
-
-    size = _size(config)
-    plan.prepare([i for i, p in enumerate(inputs.test_pairs) if p.id not in done])
-
-    # Retrieval and rendering stay on this thread, in test order; prompts go
-    # to max_in_flight workers. The oldest is settled before another is
-    # sent, so at most max_in_flight prompts wait on the provider at once,
-    # and the answered ones at the head of the window are settled before
-    # the next sentence is planned, so a failure seen there stops the run
-    # before more retrieval and rendering. A replay reaches no network:
-    # each prompt is answered on this thread as it is sent and settled
-    # before the next sentence, so nothing is planned or sent after a
-    # failure. Dropping the pool's thread starts and hand-offs raised the
-    # benchmark's chrfcw_sweep_replay from 198 to 225 sentences/s on 2 vCPUs.
-    if config.provider is None or config.provider.replay_dir:
-        in_flight, executor = 1, _Inline()
-    else:
-        in_flight = config.provider.max_in_flight
-        executor = ThreadPoolExecutor(max_workers=in_flight)
-    window: deque[tuple[SentenceRecord, Future]] = deque()
-    sent: dict[str, Future] = {}  # prompt digest -> its completion text
-    failed: SentenceRecord | None = None
-    failure: ProviderError | None = None
-
-    def settle_oldest() -> None:
-        nonlocal failed, failure
-        record, future = window.popleft()
-        try:
-            record.completion = future.result()
-        except ProviderError as exc:
-            record.error = str(exc)
-            if failure is None:  # settled in test order: the first failure
-                failed, failure = record, exc
-
-    with executor:
-        for i, pair in enumerate(inputs.test_pairs):
-            if pair.id in done:
-                manifest.records.append(done[pair.id])
-                continue
-            while window and window[0][1].done():
-                settle_oldest()
-            if failure is not None:  # plan and send nothing more after a failure
-                continue
-            draft = inputs.drafts.get(pair.id)
-            bundle, lexicon_count = plan.context(i, size)
-            record = SentenceRecord(
-                id=pair.id,
-                source=pair.source_text,
-                reference=pair.target_text,
-                draft=draft,
-                retrieved_ids=[ex.pair.id for ex in bundle.examples],
-                lexicon_count=lexicon_count,
-                effective_k=len(bundle.examples),
-                prompt_hash=None,
-                completion=None,
-            )
-            if config.mode == "NMT_ONLY":
-                record.completion = draft
-                manifest.records.append(record)
-                continue
-            if config.mode == "POST_EDIT":
-                rendered = render_postedit(pair.source_text, draft, bundle, plan.profile)
-            else:
-                rendered = render_direct(pair.source_text, bundle, plan.profile)
-            digest = _prompt_digest(rendered.system, rendered.user)
-            record.prompt_hash = digest[:16]
-            # a prompt already sent in this run is not sent again
-            future = sent.get(digest)
-            if future is None:
-                while len(window) >= in_flight:
-                    settle_oldest()
-                if failure is not None:
-                    continue
-                future = sent[digest] = executor.submit(
-                    _completion_text, inputs.provider, rendered
-                )
-            manifest.records.append(record)
-            window.append((record, future))
-        while window:
-            settle_oldest()
-    # keep the first failure in test order; the later ones are resent on resume
-    manifest.records = [r for r in manifest.records if r.error is None or r is failed]
-
-    completed = [r for r in manifest.records if r.error is None]
-    if completed:
-        report = metrics.evaluate(
-            ids=[r.id for r in completed],
-            hypotheses=[r.completion for r in completed],
-            references=[r.reference for r in completed],
-            tokenizer=WhitespaceTokenizer(),
-            chrf_params=ChrfParams(),
-            config_fingerprint=fingerprint,
-        )
-        for record, score in zip(completed, report.per_sentence):
-            record.bleu = score.bleu
-            record.chrf = score.chrf
-        manifest.effective_k_mean = statistics.fmean(r.effective_k for r in completed)
-    manifest.save(manifest_path)
-
-    if failure is not None:
-        raise ProviderError(
-            f"run aborted after provider failure (partial manifest at {manifest_path}): {failure}",
-            failure.status,
-        )
-
-    report.metadata["test_fingerprint"] = manifest.corpus_hashes["test"]
-    report.metadata["effective_k_mean"] = manifest.effective_k_mean
-    report.metadata["temperature"] = (
-        config.provider.temperature if config.provider else None
-    )
-    report.metadata["mode"] = config.mode
-    report.metadata["context"] = config.context
-    report_path = out_dir / f"report-{fingerprint}.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), sort_keys=True, ensure_ascii=False, indent=1),
-        encoding="utf-8",
-    )
-    return report, manifest
-
-
 def run_experiment(
     config: ExperimentConfig,
     provider=None,
@@ -609,19 +591,15 @@ def run_experiment(
 ) -> tuple[EvalReport, RunManifest]:
     """Execute one experiment cell and return (report, manifest).
 
-    A sweep of one value: one load, one plan and one dispatch. A provider
-    failure stops sending prompts and aborts the run once the ones in
-    flight have settled; the partial manifest keeps every completed
-    sentence and the first failed one, and rerunning with ``resume=True``
-    skips the completed sentences. A provider built here is closed on
-    return; one handed in is left open.
+    A sweep of one value: one session, one cell. A provider failure stops
+    sending prompts and aborts the run once the ones in flight have
+    settled; the partial manifest keeps every completed sentence and the
+    first failed one, and rerunning with ``resume=True`` skips the
+    completed sentences. A provider built here is closed on return; one
+    handed in is left open.
     """
-    inputs = _load(config, provider)
-    try:
-        return _dispatch(config, _Plan(config, inputs, _size(config)), resume)
-    finally:
-        if inputs.provider is not provider:  # built by _load
-            inputs.provider.close()
+    with _Session(config, provider, _size(config)) as session:
+        return session.run(config, resume)
 
 
 SWEEP_COLUMNS = ("strategy", "k_or_n", "effective_k_mean", "spBLEU", "chrF++", "error")
@@ -636,52 +614,42 @@ def sweep(
     """One cell per k/n value, each written as ``run_experiment`` writes it;
     failed cells are marked and the sweep continues.
 
-    The inputs are loaded and the provider built once (load), each test
-    sentence's examples and lexicon entries are retrieved once, at the
-    largest value (plan), and each cell renders, sends, scores and saves
-    its own prompts (dispatch). A value run_experiment would reject marks
-    its own cell; an input that fails to load marks every cell. A provider
-    built here is closed on return; one handed in is left open.
+    One session loads the inputs, builds the provider and retrieves each
+    test sentence's examples and lexicon entries once, at the largest
+    value; each cell renders, sends, scores and saves its own prompts. A
+    value run_experiment would reject marks its own cell; an input that
+    fails to load marks every cell. A provider built here is closed on
+    return; one handed in is left open.
     """
     if not values:
         raise ConfigError("sweep requires at least one value")
     swept = "n" if base_config.context == "FUZZY_WORD" else "k"
-    cells: list[ExperimentConfig | str] = []  # a config, or why its value is rejected
+    rows, cells = [], []  # cells: (row, config) for each value not rejected
     for value in values:
+        row = {"strategy": base_config.context, "k_or_n": value, "effective_k_mean": "",
+               "spBLEU": "", "chrF++": "", "error": ""}
         try:
-            cells.append(replace(base_config, **{swept: value}))
+            cells.append((row, replace(base_config, **{swept: value})))
         except ConfigError as exc:
-            cells.append(str(exc))
-    configs = [c for c in cells if isinstance(c, ExperimentConfig)]
-    plan, load_error = None, ""
-    if configs:
+            row["error"] = str(exc)
+        rows.append(row)
+    if cells:
         try:
-            plan = _Plan(base_config, _load(base_config, provider), max(map(_size, configs)))
+            session = _Session(base_config, provider, max(_size(cell) for _, cell in cells))
         except (ProviderError, ConfigError, CorpusError, OSError) as exc:
-            load_error = str(exc)
-    rows = []
-    try:
-        for value, cell in zip(values, cells):
-            row = {
-                "strategy": base_config.context,
-                "k_or_n": value,
-                "effective_k_mean": "",
-                "spBLEU": "",
-                "chrF++": "",
-                "error": cell if isinstance(cell, str) else load_error,
-            }
-            if not row["error"]:
-                try:
-                    report, manifest = _dispatch(cell, plan, resume=True)
+            for row, _ in cells:
+                row["error"] = str(exc)
+        else:
+            with session:
+                for row, cell in cells:
+                    try:
+                        report, manifest = session.run(cell, resume=True)
+                    except (ProviderError, ConfigError, OSError) as exc:
+                        row["error"] = str(exc)
+                        continue
                     row["effective_k_mean"] = round(manifest.effective_k_mean, 2)
                     row["spBLEU"] = round(report.corpus_bleu, 2)
                     row["chrF++"] = round(report.corpus_chrf, 2)
-                except (ProviderError, ConfigError, OSError) as exc:
-                    row["error"] = str(exc)
-            rows.append(row)
-    finally:
-        if plan is not None and plan.inputs.provider is not provider:  # built by _load
-            plan.inputs.provider.close()
     if csv_path is not None:
         write_sweep_csv(csv_path, rows)
     return rows

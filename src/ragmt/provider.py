@@ -42,13 +42,14 @@ posts its ``embed_batch_size`` chunks through a window of 2 ×
 waiting while the calling thread handles each one (parse, normalise,
 cache) in chunk order, so the next requests are on the wire while a chunk
 file is written. A failed reply cancels the chunks queued behind it,
-unsent. ``complete`` is called from the worker threads of
-``pipeline.run_experiment`` and of each ``sweep`` cell, that many at
-once, except with ``replay_dir``: a replayed ``complete`` only reads a
-file, so the pipeline calls it on its own thread, one prompt at a time,
-and ``max_in_flight`` does not apply (on 2 vCPUs this raised the
-benchmark's ``chrfcw_sweep_replay`` from 198 to 225 sentences/s). Results
-never depend on the order in which replies arrive.
+unsent. ``complete`` is called from the worker threads of each cell a
+pipeline session runs (one for ``run_experiment``, one per value for
+``sweep``), that many at once, except with ``replay_dir``: a replayed
+``complete`` only reads a file, so the session calls it on its own
+thread, one prompt at a time, and ``max_in_flight`` does not apply (on
+2 vCPUs this raised the benchmark's ``chrfcw_sweep_replay`` from 198 to
+225 sentences/s). Results never depend on the order in which replies
+arrive.
 """
 
 from __future__ import annotations
@@ -219,6 +220,21 @@ def _unit_matrix(rows: list) -> np.ndarray:
     return matrix
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file of its own in the same
+    directory, so writers sharing it (threads or processes) never clobber
+    each other's partial output; ``os.replace`` then swaps in the complete
+    file, so a write that fails or is killed leaves the previous file whole."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class _JsonStore:
     """Provider records as JSON files under one directory, keyed by the
     content hash of their request.
@@ -252,17 +268,8 @@ class _JsonStore:
         self._write(f"{key}.json", record)
 
     def _write(self, name: str, record: dict) -> None:
-        # a temp file of its own per write, so writers sharing the directory
-        # (threads or processes) never clobber each other's partial output;
-        # os.replace then swaps in a complete file atomically
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-            os.replace(tmp, self.directory / name)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _write_atomic(self.directory / name,
+                      json.dumps(record, sort_keys=True, ensure_ascii=False))
 
     def _add(self, name: str, keys, matrix: np.ndarray) -> None:
         for key, row in zip(keys, matrix):

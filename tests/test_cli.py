@@ -417,18 +417,47 @@ def test_sweep_rejects_values_that_are_not_integers(values, capsys):
     (["analyze", "oov", "--train", "missing.txt", "--eval", "missing.txt"], "analyze oov: "),
     (["score", "--hyp", "latin-1.txt", "--ref", "latin-1.txt"], "score: "),
     (["compare", "missing.json", "--baseline", "missing"], "compare: "),
+    (["score", "--hyp", "two-lines.txt", "--ref", "one-line.txt"], "score: "),
+    (["score", "--hyp", "empty.txt", "--ref", "empty.txt"], "score: "),
+    (["analyze", "termfreq", "--terms-file", "blank.txt", "--corpus", "one-line.txt"],
+     "analyze termfreq: "),
+    (["compare", "a.json", "--baseline", "a"], "compare: "),
+    (["compare", "a.json", "b.json", "--baseline", "c"], "compare: "),
 ], ids=["split-missing-corpus", "leak-check-not-an-object", "oov-missing-file",
-        "score-not-utf8", "compare-missing-report"])
+        "score-not-utf8", "compare-missing-report", "score-unequal-lengths", "score-empty",
+        "termfreq-no-terms", "compare-one-report", "compare-unknown-baseline"])
 def test_bad_input_is_usage_error_for_every_command(tmp_path, monkeypatch, capsys, argv,
                                                     prefix):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.jsonl").write_text("[1, 2]\n", encoding="utf-8")
     (tmp_path / "latin-1.txt").write_bytes("café\n".encode("latin-1"))
+    (tmp_path / "two-lines.txt").write_text("a b\nc d\n", encoding="utf-8")
+    (tmp_path / "one-line.txt").write_text("a b\n", encoding="utf-8")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "blank.txt").write_text("\n  \n", encoding="utf-8")
+    for name in ("a", "b"):
+        report = {"corpus_bleu": 1.0, "corpus_chrf": 2.0, "metadata": {"test_fingerprint": "t"}}
+        (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"ragmt: error: {prefix}")
+
+
+def test_unreadable_manifest_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = ExperimentConfig.from_dict(TestBadRunInput.CONFIG)
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    manifest = tmp_path / "runs" / f"manifest-{config.fingerprint()}.json"
+    manifest.parent.mkdir()
+    manifest.write_text('{"config_fingerprint": "', encoding="utf-8")  # cut off mid-write
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", "config.json"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    named = manifest.relative_to(tmp_path)
+    assert last.startswith(f"ragmt: error: run --config config.json: {named}: not JSON")
 
 
 def test_unknown_command_exits():

@@ -682,7 +682,7 @@ class TestDenseQueryBatch:
         assert requests == -(-len(pool | queries) // 4)
         # the same run without the plan's batch: the first query joins the
         # pool's stream, and each later one is a request of its own
-        monkeypatch.setattr(pipeline._Plan, "prepare", lambda self, indices: None)
+        monkeypatch.setattr(pipeline._Session, "prepare", lambda self, indices: None)
         one_by_one, files_one_by_one = self._run(tmp_path, "one_by_one", embed_batch_size=4)
         assert one_by_one == -(-(len(pool) + 1) // 4) + len(tests) - 1
         assert len(files) == 2
@@ -982,6 +982,159 @@ class TestProviderClosed:
         assert sent["/chat/completions"] == 30  # 10 test verses, three cells
         assert sent["/embeddings"] > 0
         assert "ResourceWarning" not in done.stderr, done.stderr
+
+
+class FakeProvider:
+    """Answers every prompt with one text and counts its calls; fails from
+    call ``fail_after + 1`` on when ``fail_after`` is set. No ``close``, as
+    a wrapper such as the benchmark's ``ClockedProvider`` has none."""
+
+    def __init__(self, fail_after: int | None = None):
+        self.calls = 0
+        self.fail_after = fail_after
+
+    def complete(self, prompt):
+        self.calls += 1
+        if self.fail_after is not None and self.calls > self.fail_after:
+            raise ProviderError("scripted failure", 500)
+        return ChatExchange(request={}, response_text="the edited verse", latency=0.0)
+
+
+class ClosableProvider(FakeProvider):
+    def __init__(self, fail_after: int | None = None):
+        super().__init__(fail_after)
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+
+def fake_provider_config(tmp_path, **overrides) -> ExperimentConfig:
+    """A POST_EDIT BM25 config whose provider settings name no server: it
+    runs only with a provider handed in, or with ``pipeline.Provider``
+    patched."""
+    provider = ProviderConfig(model_name="mock-chat", replay_dir=str(tmp_path / "none"))
+    return base_config(tmp_path, mode="POST_EDIT", context="BM25", k=2, provider=provider,
+                       **overrides)
+
+
+class TestProviderOwnership:
+    """A run and a sweep close the provider they built and only that one."""
+
+    @staticmethod
+    def build_closable(monkeypatch, fail_after: int | None = None) -> list[ClosableProvider]:
+        """Make the pipeline build ``ClosableProvider``s; the list of those built."""
+        built = []
+        monkeypatch.setattr(pipeline, "Provider", lambda config: built.append(
+            ClosableProvider(fail_after)) or built[-1])
+        return built
+
+    def test_handed_in_provider_left_open(self, tmp_path):
+        config = fake_provider_config(tmp_path)
+        provider = ClosableProvider()
+        run_experiment(config, provider=provider)
+        rows = sweep(config, [1, 2], provider=provider)
+        assert [r["error"] for r in rows] == ["", ""]
+        rows = sweep(replace(config, test_path=str(tmp_path / "missing.tsv")), [1, 2],
+                     provider=provider)
+        assert all("missing.tsv" in r["error"] for r in rows)
+        # 10 prompts each for the run and k=1; k=2 resumes the run's manifest
+        assert provider.calls == 20
+        assert provider.closed == 0
+
+    def test_provider_without_close(self, tmp_path):
+        config = fake_provider_config(tmp_path)
+        provider = FakeProvider()
+        _, manifest = run_experiment(config, provider=provider, resume=False)
+        assert all(r.completion == "the edited verse" for r in manifest.records)
+        assert [r["error"] for r in sweep(config, [1, 3], provider=provider)] == ["", ""]
+
+    def test_built_provider_closed_once_and_none_built_for_bad_input(self, tmp_path,
+                                                                     monkeypatch):
+        built = self.build_closable(monkeypatch)
+        config = fake_provider_config(tmp_path)
+        run_experiment(config)
+        sweep(config, [1, 3])
+        short = tmp_path / "short-drafts.tsv"
+        short.write_text("GEN.1.1\tone draft\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="draft file missing ids"):
+            run_experiment(replace(config, draft_path=str(short)))
+        assert all(r["error"] for r in sweep(replace(config, draft_path=str(short)), [1, 2]))
+        assert [(p.calls, p.closed) for p in built] == [(10, 1), (20, 1)]
+
+    def test_built_provider_closed_when_a_cell_fails(self, tmp_path, monkeypatch):
+        built = self.build_closable(monkeypatch, fail_after=3)
+        config = fake_provider_config(tmp_path)
+        with pytest.raises(ProviderError, match="partial manifest"):
+            run_experiment(config)
+        rows = sweep(config, [1, 2])
+        assert all("scripted failure" in r["error"] for r in rows)
+        assert [p.closed for p in built] == [1, 1]
+
+
+class TestAtomicWrites:
+    """Manifests and reports are replaced whole: a save that fails leaves
+    the previous manifest as it was, for a later run to resume from."""
+
+    def test_failed_save_keeps_the_prior_manifest(self, tmp_path, monkeypatch):
+        config = fake_provider_config(tmp_path)
+        with pytest.raises(ProviderError, match="partial manifest"):
+            run_experiment(config, provider=FakeProvider(fail_after=3), resume=False)
+        out = Path(config.output_dir)
+        manifest_path = out / f"manifest-{config.fingerprint()}.json"
+        partial = manifest_path.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", no_replace)
+            with pytest.raises(OSError, match="No space left"):
+                run_experiment(config, provider=FakeProvider())
+        assert manifest_path.read_bytes() == partial
+        assert sorted(p.name for p in out.iterdir()) == [manifest_path.name]
+
+        provider = FakeProvider()
+        _, manifest = run_experiment(config, provider=provider)
+        assert provider.calls == 7  # the three completed sentences are not sent again
+        assert len(manifest.records) == 10 and all(r.error is None for r in manifest.records)
+        assert (out / f"report-{config.fingerprint()}.json").exists()
+
+
+class TestUnreadableManifest:
+    """A prior manifest that is not a manifest's JSON is a ``ConfigError``
+    naming it."""
+
+    @staticmethod
+    def spoil(config, content: bytes | None) -> Path:
+        """Overwrite ``config``'s manifest with ``content``, or with its own
+        first 100 bytes, as a write cut off midway leaves it."""
+        path = Path(config.output_dir) / f"manifest-{config.fingerprint()}.json"
+        path.write_bytes(path.read_bytes()[:100] if content is None else content)
+        return path
+
+    @pytest.mark.parametrize("content, why", [
+        (None, "not JSON"),
+        (b"[]", "not a run manifest"),
+        (b'{"records": []}', "not a run manifest"),
+        (b'{"config_fingerprint": "f", "records": [{"id": 1}]}', "not a run manifest"),
+    ], ids=["truncated", "list", "no-fingerprint", "bad-record"])
+    def test_run_raises_config_error_naming_the_file(self, tmp_path, content, why):
+        config = base_config(tmp_path, context="BM25", k=1)
+        run_experiment(config)
+        path = self.spoil(config, content)
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(config)
+        assert str(exc.value).startswith(f"{path}: {why}")
+
+    def test_sweep_marks_only_that_cell(self, tmp_path):
+        config = base_config(tmp_path, context="BM25", k=1)
+        first = sweep(config, [1, 2])
+        path = self.spoil(config, None)
+        rows = sweep(config, [1, 2])
+        assert rows[0]["error"].startswith(f"{path}: not JSON")
+        assert rows[0]["chrF++"] == ""
+        assert rows[1] == first[1]
 
 
 class TestSweepPlan:
