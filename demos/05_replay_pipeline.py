@@ -1,13 +1,15 @@
 """Running the full post-editing pipeline offline with replay fixtures.
 
 The provider reads every request from a record directory, keyed by a
-content hash of the request: one JSON file per chat request, and one
-``emb-*.json`` chunk file per embedding reply that maps each text's key to
-its record. A live run writes its misses there as its cache; point
-``replay_dir`` at such a directory and the same provider never sends, so
-the whole pipeline becomes bit-reproducible with zero network traffic. The
-fixtures below are hand-written: one file per chat request, and every
-embedding in one chunk file.
+content hash of the request: one JSON file per chat request, and one chunk
+per embedding reply. A live run writes its misses there as its cache, each
+embedding chunk as its rows in an ``emb-*.npy`` file plus an ``emb-*.keys``
+file naming each row's text; point ``replay_dir`` at such a directory and
+the same provider never sends, so the whole pipeline becomes
+bit-reproducible with zero network traffic. The fixtures below are
+hand-written: one file per chat request, and every embedding in one chunk
+of the older, all-JSON layout (``emb-*.json``, mapping each text's key to
+its request and vector), which the provider still reads.
 
 This demo synthesizes its own fixtures with a toy "post-editor" (it just
 collapses repetition loops in the NMT drafts), then runs the pipeline in
@@ -120,7 +122,7 @@ for row in table:
 print()
 
 # ---------------------------------------------------------------------------
-# Dense retrieval through the same fixture mechanism: store one chunk file
+# Dense retrieval through the same fixture mechanism: store one JSON chunk
 # mapping each sentence's key to its record (a toy character-histogram
 # vector) and query the index through a provider with replay_dir set.
 

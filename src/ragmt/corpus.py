@@ -31,12 +31,12 @@ def naming_errors(path, error: type[ValueError] = CorpusError):
     ``path``."""
     try:
         yield
-    except error as exc:
-        raise error(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # before ``error``, which may be ValueError
         raise error(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not JSON ({exc})") from None
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, order=True)

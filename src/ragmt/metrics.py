@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import naming_errors
 from .text import char_ngrams
 
 _PUNCTS = set(string.punctuation)
@@ -114,7 +115,14 @@ class EvalReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "EvalReport":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """A saved report; one that is not UTF-8 JSON of a report's shape is
+        a ``ValueError`` naming ``path``."""
+        with naming_errors(path, ValueError):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            try:
+                return cls.from_dict(data)
+            except (AttributeError, KeyError, TypeError):
+                raise ValueError("not an evaluation report") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Two parts:
   * ``_JsonStore``, the record directory: records keyed by the content hash
-    of their request, one JSON file per chat exchange, and one file per
-    embedding reply chunk that maps each of its texts' keys to their
-    records;
+    of their request, one JSON file per chat exchange, and one chunk per
+    embedding reply: its rows as one ``.npy`` file and its texts' keys and
+    requests in a key file written after it;
   * ``Provider``, which answers every ``complete`` and ``embed`` call from
     that directory first: ``replay_dir`` if set, else ``cache_dir``. With
     ``replay_dir`` a miss is an error and nothing is sent, which makes
@@ -16,10 +16,12 @@ Two parts:
 Embeddings travel as float64 arrays. ``embed`` allocates its (n × d)
 result once the first vector gives d, and each reply is checked,
 normalised and written into its rows; the record directory keeps views
-of those rows for the texts it caches, and one matrix per chunk file it
-reads, and ``retrieval.EmbeddingIndex`` adopts the result without a
-copy. The files hold the same JSON as when vectors were lists of floats,
-byte for byte.
+of those rows for the texts it caches, and one matrix per chunk it reads,
+and ``retrieval.EmbeddingIndex`` adopts the result without a copy. A
+chunk's rows go to disk as they are held, in NumPy's ``.npy`` format,
+never as decimal text: for 8000 × 1536 rows on 2 vCPUs, JSON chunks took
+14.7 s to write, 5.5 s to read and 274 MB, ``.npy`` rows 0.05 s, 0.06 s
+and 98 MB, bit-exact either way.
 
 ``embed_batch_size`` defaults to 128 texts per request. A cold embedding
 pass is paced by round trips, not by the client: against a mock that
@@ -41,7 +43,7 @@ posts its ``embed_batch_size`` chunks through a window of 2 ×
 ``max_in_flight``: that many requests on the wire, and as many replies
 waiting while the calling thread handles each one (parse, normalise,
 cache) in chunk order, so the next requests are on the wire while a chunk
-file is written. A failed reply cancels the chunks queued behind it,
+is written. A failed reply cancels the chunks queued behind it,
 unsent. ``complete`` is called from the worker threads of each cell a
 pipeline session runs (one for ``run_experiment``, one per value for
 ``sweep``), that many at once, except with ``replay_dir``: a replayed
@@ -55,10 +57,10 @@ arrive.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 from collections import deque
@@ -220,35 +222,78 @@ def _unit_matrix(rows: list) -> np.ndarray:
     return matrix
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file of its own in the same
-    directory, so writers sharing it (threads or processes) never clobber
-    each other's partial output; ``os.replace`` then swaps in the complete
-    file, so a write that fails or is killed leaves the previous file whole."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+def _write_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` through a temp file of its
+    own in the same directory, so writers sharing it (threads or processes)
+    never clobber each other's partial output; ``os.replace`` then swaps in
+    the complete file, so a write that fails or is killed leaves the
+    previous file whole. The file gets the mode ``open`` would give it:
+    0o666 less the umask."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # another writer drew the same name
+            continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-class _JsonStore:
-    """Provider records as JSON files under one directory, keyed by the
-    content hash of their request.
+# np.load parses a file's header with ast.literal_eval, which CPython 3.11.7
+# cannot run in two threads at once ("SystemError: AST constructor recursion
+# depth mismatch", seen with two stores reading one directory), so the
+# stores of a process load one file at a time
+_load_lock = threading.Lock()
 
-    A chat exchange is one file, ``{key}.json``. Embeddings are one file per
-    reply chunk, ``emb-<sha256 of its sorted keys>.json``, mapping each
-    text's key to ``{"request": {"model", "text"}, "vector"}``; ``vector``
-    looks a key up in the chunks read so far. ``read_chunks`` lists the
-    directory and adds the chunk files not read yet in sorted file-name
-    order, and a key's first record wins, so every reader of a directory
-    resolves a key alike and chunks written meanwhile by another process
-    are picked up. Each chunk read is held as one float64 matrix, and a
-    key's vector is a row of it; a chunk written keeps the rows it was
-    handed.
+
+def _read_rows(path: Path, count: int) -> np.ndarray:
+    """The (count × d) float64 rows of a chunk's ``.npy`` file; a file that
+    is missing or unreadable, or holds any other array, is a
+    ``ProviderError`` naming it."""
+    try:
+        with _load_lock:
+            rows = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:  # missing, truncated, not .npy
+        raise ProviderError(f"{path}: unreadable embedding rows ({exc})") from None
+    if rows.dtype != np.float64 or rows.ndim != 2 or len(rows) != count:
+        raise ProviderError(
+            f"{path}: embedding rows of dtype {rows.dtype} and shape {rows.shape} "
+            f"for {count} keys")
+    return rows
+
+
+class _JsonStore:
+    """Provider records under one directory, keyed by the content hash of
+    their request.
+
+    A chat exchange is one JSON file, ``{key}.json``. Embeddings are one
+    chunk per reply, named by ``digest``, the sha256 of its sorted keys:
+      * ``emb-<digest>.npy``, its unit rows as float64, sorted by key;
+      * ``emb-<digest>.keys``, written after the rows: a JSON object that
+        maps each key to its request (``{"model", "text"}``), in row order.
+    The key file is the chunk's commit marker: rows without one (a writer
+    killed between the two files) are never read, and the next miss writes
+    them again. Rows sorted by key make two writers of one key set write
+    the same key file, which pairs with either writer's rows. Chunks of the
+    older layout, ``emb-<digest>.json`` mapping each key to ``{"request",
+    "vector"}``, are still read; the key files end in ``.keys`` so that a
+    reader of that layout alone skips them.
+
+    ``vector`` looks a key up in the chunks read so far. ``read_chunks``
+    lists the directory and adds the key files and JSON chunks not read yet
+    in one sorted file-name order, and a key's first record wins, so every
+    reader of a directory resolves a key alike and chunks written meanwhile
+    by another process are picked up. Each chunk read is held as one
+    float64 matrix, and a key's vector is a row of it; a chunk written
+    keeps the rows it was handed.
     """
 
     def __init__(self, directory: str | Path):
@@ -277,30 +322,38 @@ class _JsonStore:
         self._chunks_read.add(name)
 
     def read_chunks(self) -> None:
-        """List the directory once and add the embedding chunk files not
-        read yet, in sorted name order."""
+        """List the directory once and add the embedding chunks not read
+        yet, in sorted name order."""
         with self._lock:
             for name in sorted(n for n in set(os.listdir(self.directory)) - self._chunks_read
-                               if n.startswith("emb-") and n.endswith(".json")):
-                records = json.loads((self.directory / name).read_text(encoding="utf-8"))
-                try:
-                    matrix = np.array([r["vector"] for r in records.values()],
-                                      dtype=np.float64)
-                except (TypeError, ValueError):
-                    raise ProviderError(
-                        f"{self.directory / name}: malformed embedding vectors") from None
+                               if n.startswith("emb-") and n.endswith((".json", ".keys"))):
+                path = self.directory / name
+                records = json.loads(path.read_text(encoding="utf-8"))
+                if not isinstance(records, dict):
+                    raise ProviderError(f"{path}: not a JSON object of embedding keys")
+                if name.endswith(".keys"):
+                    matrix = _read_rows(path.with_suffix(".npy"), len(records))
+                else:
+                    try:
+                        matrix = np.array([r["vector"] for r in records.values()],
+                                          dtype=np.float64)
+                    except (TypeError, ValueError):
+                        raise ProviderError(f"{path}: malformed embedding vectors") from None
                 self._add(name, records, matrix)
 
     def put_chunk(self, requests: dict[str, dict], rows: list[np.ndarray]) -> None:
-        """Write one embedding reply as one file: key -> its request and its
-        row, and keep the rows themselves, not copies, as the keys' vectors."""
-        records = {key: {"request": request, "vector": row.tolist()}
-                   for (key, request), row in zip(requests.items(), rows)}
-        digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
-        name = f"emb-{digest}.json"
-        self._write(name, records)
+        """Write one embedding reply as one chunk, its rows first and its key
+        file last, and keep the rows themselves, not copies, as the keys'
+        vectors."""
+        chunk = sorted(zip(requests, rows), key=lambda pair: pair[0])
+        digest = hashlib.sha256("\n".join(key for key, _ in chunk).encode()).hexdigest()
+        buffer = io.BytesIO()
+        np.save(buffer, np.stack([row for _, row in chunk]), allow_pickle=False)
+        _write_atomic(self.directory / f"emb-{digest}.npy", buffer.getvalue())
+        name = f"emb-{digest}.keys"
+        self._write(name, requests)  # sort_keys puts the keys in row order
         with self._lock:
-            self._add(name, records, rows)
+            self._add(name, requests, rows)
 
     def vector(self, key: str) -> np.ndarray | None:
         """The cached vector of an embedding key from the chunks read so far,
@@ -336,6 +389,9 @@ class Provider:
 
     def __init__(self, config: ProviderConfig):
         self.config = config
+        if config.replay_dir and not os.path.isdir(config.replay_dir):
+            # a replay reads the directory and never creates it
+            raise NotADirectoryError(f"replay_dir {config.replay_dir!r} is not a directory")
         directory = config.replay_dir or config.cache_dir
         self.store = _JsonStore(directory) if directory else None
         self.request_count = 0  # stays 0 in replay: nothing is ever sent
@@ -500,7 +556,7 @@ class Provider:
     def _store_embeddings(self, model: str, chunk: list[tuple[str, str, int]], reply,
                           result: _Rows) -> None:
         """Check one embedding reply, write its unit rows into ``result`` and
-        hand those rows, as one chunk file, to the cache; a malformed reply,
+        hand those rows, as one chunk, to the cache; a malformed reply,
         or one whose width differs from the rows before it, is a
         ``ProviderError`` and caches nothing."""
         data = reply.result()

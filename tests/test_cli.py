@@ -379,12 +379,15 @@ class TestBadRunInput:
         ("run", {"lexicon_path": "latin-1.tsv", "lexicon_mode": "FULL"}, "latin-1.tsv"),
         ("run", {"draft_path": "latin-1.tsv"}, "latin-1.tsv"),
         ("run", {"draft_path": "three-columns.tsv"}, "three-columns.tsv"),
+        ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "typo/dir"}},
+         "replay_dir 'typo/dir' is not a directory"),
     ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
             "missing-config", "sweep-bogus-mode", "sweep-missing-config", "unknown-field",
             "unknown-provider-field", "json-array", "negative-temperature",
             "no-requests-in-flight", "provider-without-url", "url-without-scheme",
             "url-bad-scheme", "url-without-host", "nan-temperature", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
-            "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line"])
+            "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line",
+            "missing-replay-dir"])
     def test_is_usage_error(self, tmp_path, command, config, named):
         (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")
         (tmp_path / "three-columns.tsv").write_text("GEN.1.1\tdraft\textra\n", encoding="utf-8")
@@ -401,6 +404,7 @@ class TestBadRunInput:
         assert last.startswith(f"ragmt: error: {command} --config config.json: ")
         assert named in last
         assert not list(tmp_path.rglob("manifest-*.json"))
+        assert not (tmp_path / "typo").exists()
 
 
 @pytest.mark.parametrize("values", ["1,,2", "a", "1,2,"])
@@ -423,9 +427,13 @@ def test_sweep_rejects_values_that_are_not_integers(values, capsys):
      "analyze termfreq: "),
     (["compare", "a.json", "--baseline", "a"], "compare: "),
     (["compare", "a.json", "b.json", "--baseline", "c"], "compare: "),
+    (["compare", "a.json", "not-a-report.json", "--baseline", "a"],
+     "compare: not-a-report.json: not an evaluation report"),
+    (["compare", "a.json", "empty.txt", "--baseline", "a"], "compare: empty.txt: not JSON"),
 ], ids=["split-missing-corpus", "leak-check-not-an-object", "oov-missing-file",
         "score-not-utf8", "compare-missing-report", "score-unequal-lengths", "score-empty",
-        "termfreq-no-terms", "compare-one-report", "compare-unknown-baseline"])
+        "termfreq-no-terms", "compare-one-report", "compare-unknown-baseline",
+        "compare-not-a-report", "compare-not-json"])
 def test_bad_input_is_usage_error_for_every_command(tmp_path, monkeypatch, capsys, argv,
                                                     prefix):
     monkeypatch.chdir(tmp_path)
@@ -438,6 +446,7 @@ def test_bad_input_is_usage_error_for_every_command(tmp_path, monkeypatch, capsy
     for name in ("a", "b"):
         report = {"corpus_bleu": 1.0, "corpus_chrf": 2.0, "metadata": {"test_fingerprint": "t"}}
         (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
+    (tmp_path / "not-a-report.json").write_text('{"corpus_chrf": 2.0}', encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -719,8 +719,9 @@ class TestDenseCache:
                 run_experiment(config)
                 outputs[run] = sorted((f.name, f.read_bytes()) for f in (tmp_path / run).iterdir())
                 if run == "cold":
-                    # one file per embedding reply, not one per text
-                    assert len(list(cache.glob("emb-*.json"))) == -(-len(pool | queries) // 4)
+                    # one chunk per embedding reply, not one file per text
+                    assert len(list(cache.glob("emb-*.keys"))) == -(-len(pool | queries) // 4)
+                    assert len(list(cache.glob("emb-*.npy"))) == -(-len(pool | queries) // 4)
             assert server.requests == []
         config = replace(config, output_dir=str(tmp_path / "replay"),
                          provider=ProviderConfig(model_name="mock-chat",
@@ -730,6 +731,42 @@ class TestDenseCache:
         outputs["replay"] = sorted((f.name, f.read_bytes()) for f in (tmp_path / "replay").iterdir())
         assert len(outputs["cold"]) == 2
         assert outputs["cold"] == outputs["warm"] == outputs["replay"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_files_get_the_mode_of_the_umask(tmp_path, umask, mode):
+    cache = tmp_path / "cache"
+    previous = os.umask(umask)
+    try:
+        with MockProviderServer() as server:
+            provider_config = ProviderConfig(
+                base_url=server.base_url, model_name="mock-chat",
+                embedding_model_name="mock-embed", cache_dir=str(cache))
+            config = base_config(tmp_path, mode="POST_EDIT", context="DENSE", k=1,
+                                 provider=provider_config)
+            run_experiment(config)
+    finally:
+        os.umask(previous)
+    outputs = sorted(p.name.split("-")[0] for p in Path(config.output_dir).iterdir())
+    assert outputs == ["manifest", "report"]
+    assert sorted({p.suffix for p in cache.iterdir()}) == [".json", ".keys", ".npy"]
+    files = [*Path(config.output_dir).iterdir(), *cache.iterdir()]
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(mode)}
+
+
+def test_missing_replay_dir_is_an_error_that_creates_nothing(tmp_path):
+    missing = tmp_path / "typo" / "dir"
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for replay_dir in (missing, tmp_path / "file"):
+        with pytest.raises(NotADirectoryError, match=f"replay_dir '{replay_dir}'"):
+            Provider(ProviderConfig(model_name="mock-chat", replay_dir=str(replay_dir)))
+    provider = ProviderConfig(model_name="mock-chat", replay_dir=str(missing))
+    config = base_config(tmp_path, mode="POST_EDIT", context="BM25", k=1, provider=provider)
+    rows = sweep(config, [1, 2])
+    assert [str(missing) in row["error"] for row in rows] == [True, True]
+    assert not (tmp_path / "typo").exists()
+    assert not Path(config.output_dir).exists()
 
 
 class TestEmptyDrafts:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from ragmt.provider import (
     chat_request_key,
     embedding_request_key,
 )
-from ragmt.retrieval import EmbeddingIndex
+from ragmt.retrieval import EmbeddingIndex, Retriever
 
+EMBEDDINGS = Path(__file__).resolve().parent / "data" / "embeddings"
 PROMPT = RenderedPrompt(system="sys", user="translate this", mode="direct")
 
 
@@ -436,7 +439,7 @@ class TestEmbedWindow:
         # started by then; chunk 5 was queued and is cancelled
         assert all(chunk in sent for chunk in chunks[:4])
         assert all(inputs in chunks[:5] for inputs in sent)
-        cached = {key for path in (tmp_path / "cache").iterdir()
+        cached = {key for path in (tmp_path / "cache").glob("emb-*.keys")
                   for key in json.loads(path.read_text(encoding="utf-8"))}
         assert cached == {embedding_request_key("mock-embed", t) for t in self.TEXTS[:8]}
         # a rerun sends only the texts of chunk 2 on
@@ -513,6 +516,17 @@ def write_json(path, record) -> None:
     path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
 
 
+def write_chunk(directory, name: str, vectors: dict[str, list[float]]) -> None:
+    """A binary embedding chunk as ``put_chunk`` lays it out: ``{name}.npy``
+    holding the rows, ``{name}.keys`` mapping their keys to their requests,
+    both in key order."""
+    chunk = sorted((embedding_request_key("mock-embed", text), text, vector)
+                   for text, vector in vectors.items())
+    np.save(directory / f"{name}.npy", np.array([v for _, _, v in chunk], dtype=np.float64))
+    write_json(directory / f"{name}.keys", {
+        key: {"model": "mock-embed", "text": text} for key, text, _ in chunk})
+
+
 def replay_of(directory) -> Provider:
     return Provider(ProviderConfig(
         model_name="mock-chat", embedding_model_name="mock-embed", replay_dir=str(directory)))
@@ -528,8 +542,11 @@ class TestEmbeddingCache:
             cold = Provider(make_config(server, tmp_path, embed_batch_size=32))
             vectors = cold.embed(self.TEXTS)
         files = sorted(p.name for p in (tmp_path / "cache").iterdir())
-        assert len(files) == 4  # ceil(100 / 32), not one per text
-        assert all(name.startswith("emb-") and name.endswith(".json") for name in files)
+        chunks = [name[:-len(".keys")] for name in files if name.endswith(".keys")]
+        assert len(chunks) == 4  # ceil(100 / 32), not one per text
+        assert files == sorted(f"{chunk}{suffix}" for chunk in chunks
+                               for suffix in (".keys", ".npy"))
+        assert all(chunk.startswith("emb-") for chunk in chunks)
         with MockProviderServer() as server:
             warm = Provider(make_config(server, tmp_path, embed_batch_size=32))
             assert warm.embed(self.TEXTS) == vectors
@@ -594,6 +611,107 @@ class TestEmbeddingCache:
             assert live.embed(["alpha"]).vectors.tolist() == [[1.0, 0.0]]
             assert server.requests == []
         assert replay_of(cache).embed(["alpha"]).vectors.tolist() == [[1.0, 0.0]]
+
+    def test_json_and_binary_chunks_first_file_in_sorted_order_wins(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        write_chunk(cache, "emb-0", {"alpha": [1.0, 0.0]})
+        write_json(cache / "emb-1.json", {
+            embedding_request_key("mock-embed", text): {
+                "request": {"model": "mock-embed", "text": text}, "vector": vector}
+            for text, vector in (("alpha", [0.0, 1.0]), ("beta", [1.0, 0.0]))})
+        write_chunk(cache, "emb-2", {"beta": [0.0, 1.0], "gamma": [0.6, 0.8]})
+        want = [[1.0, 0.0], [1.0, 0.0], [0.6, 0.8]]
+        with MockProviderServer() as server:
+            live = Provider(make_config(server, tmp_path))
+            assert live.embed(["alpha", "beta", "gamma"]).vectors.tolist() == want
+            assert server.requests == []
+        assert replay_of(cache).embed(["alpha", "beta", "gamma"]).vectors.tolist() == want
+
+    def test_rows_without_a_key_file_are_ignored_and_rewritten(self, tmp_path, monkeypatch):
+        # a writer killed between its two files leaves the rows alone
+        class Killed(BaseException):
+            pass
+
+        def killed_at_the_key_file(path, data):
+            if path.suffix == ".keys":
+                raise Killed
+            write_atomic(path, data)
+
+        cache = tmp_path / "cache"
+        write_atomic = ragmt.provider._write_atomic
+        with MockProviderServer() as server:
+            monkeypatch.setattr(ragmt.provider, "_write_atomic", killed_at_the_key_file)
+            with pytest.raises(Killed):
+                Provider(make_config(server, tmp_path)).embed(["alpha"])
+            monkeypatch.undo()
+            (rows,) = cache.iterdir()
+            assert rows.suffix == ".npy"
+            rows.write_bytes(rows.read_bytes()[:-8])  # cut short too: never read
+            with pytest.raises(ProviderError, match="no replay fixture"):
+                replay_of(cache).embed(["alpha"])
+            server.requests.clear()
+            batch = Provider(make_config(server, tmp_path)).embed(["alpha"])
+            assert [r["body"]["input"] for r in server.requests] == [["alpha"]]
+        assert sorted(cache.iterdir()) == [rows.with_suffix(".keys"), rows]
+        assert replay_of(cache).embed(["alpha"]).vectors.tobytes() == batch.vectors.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda rows: rows.unlink(),
+        lambda rows: rows.write_bytes(rows.read_bytes()[:-8]),
+        lambda rows: rows.write_bytes(rows.read_bytes()[:40]),
+        lambda rows: rows.write_bytes(b""),
+        lambda rows: rows.write_bytes(b"[[1.0, 0.0]]"),
+        lambda rows: np.save(rows, np.load(rows).astype(np.float32)),
+        lambda rows: np.save(rows, np.load(rows).ravel()),
+        lambda rows: np.save(rows, np.load(rows)[:, None, :]),
+        lambda rows: np.save(rows, np.load(rows)[:1]),
+        lambda rows: np.save(rows, np.concatenate([np.load(rows)] * 2)),
+    ], ids=["missing", "truncated-data", "truncated-header", "empty", "not-npy", "float32",
+            "one-dimensional", "three-dimensional", "fewer-rows", "more-rows"])
+    def test_bad_rows_are_an_error_naming_the_file(self, tmp_path, damage):
+        with MockProviderServer() as server:
+            Provider(make_config(server, tmp_path)).embed(["alpha", "beta"])
+        (key_file,) = (tmp_path / "cache").glob("emb-*.keys")
+        rows = key_file.with_suffix(".npy")
+        damage(rows)
+        with pytest.raises(ProviderError, match=f"{rows.name}: .*embedding rows"):
+            replay_of(tmp_path / "cache").embed(["alpha"])
+
+    def test_rows_round_trip_bit_exact(self, tmp_path, monkeypatch):
+        # replies of 1536 values across the float range, subnormals and -0.0
+        # among them: a warm and a replayed call give back the cold rows' bytes
+        rng = np.random.default_rng(0)
+        replies = rng.standard_normal((40, 1536)) * 10.0 ** rng.integers(-150, 150, (40, 1))
+        replies[0, :3] = [5e-324, -0.0, -5e-324]
+        texts = [f"text number {i}" for i in range(40)]
+        reply_of = dict(zip(texts, replies.tolist()))
+        config = ProviderConfig(base_url="http://127.0.0.1:9", model_name="m",
+                                cache_dir=str(tmp_path / "cache"), embed_batch_size=16)
+        cold = Provider(config)
+        monkeypatch.setattr(cold, "_post", lambda endpoint, body: {
+            "data": [{"embedding": reply_of[text]} for text in body["input"]]})
+        batch = cold.embed(texts)
+        assert len(list((tmp_path / "cache").glob("emb-*.keys"))) == 3
+        warm = Provider(config)
+        monkeypatch.setattr(warm, "_post", lambda endpoint, body: pytest.fail("sent"))
+        replay = Provider(ProviderConfig(model_name="m", replay_dir=str(tmp_path / "cache")))
+        for again in (warm.embed(texts[::-1]), replay.embed(texts[::-1])):
+            assert again.vectors.tobytes() == batch.vectors[::-1].tobytes()
+
+    def test_committed_chunks_of_both_layouts_replay_alike(self):
+        # the same rows as a binary chunk written by numpy 2.x and as a JSON
+        # chunk; every numpy this package supports must read both alike
+        pool, query = make_pairs(8, seed=3), make_pairs(1, seed=4)[0].source_text
+        hits = {}
+        for layout, suffixes in (("npy", [".keys", ".npy"]), ("json", [".json"])):
+            directory = EMBEDDINGS / layout
+            assert sorted(p.suffix for p in directory.iterdir()) == suffixes
+            retriever = Retriever("DENSE", pool, provider=replay_of(directory))
+            hits[layout] = [(r.pair.id, r.score.hex())
+                            for r in retriever.prefixes(query, 3)(3)]
+        assert hits["npy"] == hits["json"]
+        assert [pair_id for pair_id, _ in hits["npy"]] == ["doc0001", "doc0000", "doc0003"]
 
     def test_chunk_of_unequal_vectors_names_its_file(self, tmp_path):
         cache = tmp_path / "cache"
@@ -688,12 +806,20 @@ class TestEmbeddingArrays:
                    server._respond("/embeddings", {"input": self.TEXTS})["data"]]
         assert batch.vectors.flags.c_contiguous and batch.vectors.dtype == np.float64
         assert batch.vectors.tolist() == [unit_normalize_oracle(row) for row in raw]
-        records = {embedding_request_key("mock-embed", text):
-                   {"request": {"model": "mock-embed", "text": text}, "vector": row.tolist()}
-                   for text, row in zip(self.TEXTS, batch.vectors)}
-        (chunk,) = (tmp_path / "cache").iterdir()
-        assert chunk.read_bytes() == json.dumps(
-            records, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        # the key file maps each key to its request, and the rows follow the
+        # keys in sorted order
+        keys = [embedding_request_key("mock-embed", text) for text in self.TEXTS]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        requests = {key: {"model": "mock-embed", "text": text}
+                    for key, text in zip(keys, self.TEXTS)}
+        (key_file,) = (tmp_path / "cache").glob("emb-*.keys")
+        assert key_file.read_bytes() == json.dumps(
+            requests, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        rows = io.BytesIO()
+        np.save(rows, np.array([unit_normalize_oracle(raw[i]) for i in order]))
+        assert key_file.with_suffix(".npy").read_bytes() == rows.getvalue()
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+            key_file.name, key_file.with_suffix(".npy").name]
 
     def test_warm_and_replay_rows_bit_identical(self, tmp_path):
         cache = tmp_path / "cache"
@@ -774,7 +900,8 @@ class TestMalformedEmbeddings:
             "data": [{"embedding": [1.0] * widths[body["input"][0]]}]})
         with pytest.raises(ProviderError, match=r"inconsistent embedding dimensions: \[2, 3\]"):
             provider.embed(["first", "second"])
-        (chunk,) = (tmp_path / "cache").iterdir()
+        assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".keys", ".npy"]
+        (chunk,) = (tmp_path / "cache").glob("emb-*.keys")
         assert list(json.loads(chunk.read_text(encoding="utf-8"))) == [
             embedding_request_key("m", "first")]
         # a rerun reads the first reply and sends the second text again
@@ -824,6 +951,53 @@ def test_json_store_concurrent_writers_share_directory(tmp_path):
     assert errors == []
     assert json.loads((tmp_path / "key.json").read_text(encoding="utf-8")) in records
     assert sorted(p.name for p in tmp_path.iterdir()) == ["key.json"]
+
+
+def test_chunk_writers_of_one_key_set_share_directory(tmp_path):
+    # two stores writing the same chunk at once stand for two sweeps over one
+    # pool sharing a cache_dir; each hands its keys over in its own order and
+    # has rows of its own, and a reader pairs any key file with either
+    # writer's rows
+    stores = [_JsonStore(tmp_path), _JsonStore(tmp_path)]
+    keys = [embedding_request_key("m", f"text {i}") for i in range(64)]
+    rows = {key: np.arange(256.0) + 1000 * i for i, key in enumerate(keys)}
+    orders = [keys, keys[::-1]]
+    errors: list[Exception] = []
+
+    def write(w):
+        try:
+            for _ in range(30):
+                stores[w].put_chunk({key: {"model": "m", "text": key} for key in orders[w]},
+                                    [rows[key] * (1 - 2 * w) for key in orders[w]])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def read():
+        try:
+            for _ in range(100):
+                store = _JsonStore(tmp_path)
+                store.read_chunks()
+                got = [store.vector(key) for key in keys]
+                if got[0] is not None:
+                    sign = np.sign(got[0][1])  # whose rows were read
+                    assert all(np.array_equal(v, rows[key] * sign) for key, v in zip(keys, got))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(w,)) for w in range(2)]
+    threads += [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".keys", ".npy"]
 
 
 class TestCacheKeys:
