@@ -30,9 +30,8 @@ import json
 import random
 import statistics
 import typing
-from collections import deque
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -447,41 +446,46 @@ class _Session:
         self.prepare([i for i, p in enumerate(self.test_pairs) if p.id not in done])
 
         # Retrieval and rendering stay on this thread, in test order; prompts
-        # go to max_in_flight workers. The oldest is settled before another
-        # is sent, so at most max_in_flight prompts wait on the provider at
-        # once, and the answered ones at the head of the window are settled
-        # before the next sentence is planned, so a failure seen there stops
-        # the run before more retrieval and rendering. A replay answers each
-        # prompt on this thread as it is sent and settles it before the next
-        # sentence, so nothing is planned or sent after a failure.
+        # go to max_in_flight workers, and at most that many distinct prompts
+        # are unsettled at once. A prompt that finds them all taken waits for
+        # whichever answers first, so a slow or retried request holds only
+        # its own worker. Every answered prompt is settled before the next
+        # sentence is planned, so a failure seen there stops the run before
+        # more retrieval and rendering. A replay answers each prompt on this
+        # thread as it is sent and settles it before the next sentence, so
+        # nothing is planned or sent after a failure.
         if config.provider is None or config.provider.replay_dir:
             in_flight, executor = 1, _Inline()
         else:
             in_flight = config.provider.max_in_flight
             executor = ThreadPoolExecutor(max_workers=in_flight)
-        window: deque[tuple[SentenceRecord, Future]] = deque()
+        unsettled: list[tuple[int, SentenceRecord, Future]] = []  # in test order
         sent: dict[str, Future] = {}  # prompt digest -> its completion text
-        failed: SentenceRecord | None = None
-        failure: ProviderError | None = None
+        failures: dict[int, tuple[SentenceRecord, ProviderError]] = {}  # by test index
 
-        def settle_oldest() -> None:
-            nonlocal failed, failure
-            record, future = window.popleft()
-            try:
-                record.completion = future.result()
-            except ProviderError as exc:
-                record.error = str(exc)
-                if failure is None:  # settled in test order: the first failure
-                    failed, failure = record, exc
+        def settle(block: bool) -> None:
+            """Settle every answered prompt; with ``block``, wait for one first."""
+            if block:
+                wait({pending for _, _, pending in unsettled}, return_when=FIRST_COMPLETED)
+            waiting = []
+            for i, record, future in unsettled:
+                if not future.done():
+                    waiting.append((i, record, future))
+                    continue
+                try:
+                    record.completion = future.result()
+                except ProviderError as exc:
+                    record.error = str(exc)
+                    failures[i] = record, exc
+            unsettled[:] = waiting
 
         with executor:
             for i, pair in enumerate(self.test_pairs):
                 if pair.id in done:
                     manifest.records.append(done[pair.id])
                     continue
-                while window and window[0][1].done():
-                    settle_oldest()
-                if failure is not None:  # plan and send nothing more after a failure
+                settle(block=False)
+                if failures:  # plan and send nothing more after a failure
                     continue
                 draft = self.drafts.get(pair.id)
                 bundle, lexicon_count = self.context(i, size)
@@ -509,18 +513,19 @@ class _Session:
                 # a prompt already sent in this run is not sent again
                 future = sent.get(digest)
                 if future is None:
-                    while len(window) >= in_flight:
-                        settle_oldest()
-                    if failure is not None:
+                    while len({pending for _, _, pending in unsettled}) >= in_flight:
+                        settle(block=True)
+                    if failures:
                         continue
                     future = sent[digest] = executor.submit(
                         _completion_text, self.provider, rendered
                     )
                 manifest.records.append(record)
-                window.append((record, future))
-            while window:
-                settle_oldest()
+                unsettled.append((i, record, future))
+            while unsettled:
+                settle(block=True)
         # keep the first failure in test order; the later ones are resent on resume
+        failed, failure = failures[min(failures)] if failures else (None, None)
         manifest.records = [r for r in manifest.records if r.error is None or r is failed]
 
         completed = [r for r in manifest.records if r.error is None]

@@ -46,7 +46,9 @@ cache) in chunk order, so the next requests are on the wire while a chunk
 is written. A failed reply cancels the chunks queued behind it,
 unsent. ``complete`` is called from the worker threads of each cell a
 pipeline session runs (one for ``run_experiment``, one per value for
-``sweep``), that many at once, except with ``replay_dir``: a replayed
+``sweep``), that many at once. The session sends the next prompt as soon
+as any one is answered, so a slow or retried request holds only its own
+worker. The exception is ``replay_dir``: a replayed
 ``complete`` only reads a file, so the session calls it on its own
 thread, one prompt at a time, and ``max_in_flight`` does not apply (on
 2 vCPUs this raised the benchmark's ``chrfcw_sweep_replay`` from 198 to

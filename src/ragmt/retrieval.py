@@ -159,10 +159,11 @@ def _code_points(text: str) -> np.ndarray:
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending: a sort and a neighbour mask. np.unique
-    without return_inverse hashes, which is far slower on millions of keys,
-    and asks ``np.ma.is_masked`` first, which imports ``numpy.ma`` (~15 ms)
-    into a process that has no other use for it."""
+    """The distinct values, ascending: a sort and a neighbour mask. Nothing
+    here calls np.unique. Without return_inverse it hashes, which is far
+    slower on millions of keys, and asks ``np.ma.is_masked`` first, which
+    imports ``numpy.ma`` (~15 ms) into a process that has no other use for
+    it; with it, it adds an argsort and a scatter to the sort."""
     values = np.sort(values)
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -182,13 +183,18 @@ class GramIndex:
     """The character n-grams (orders 2..6, chrF++'s) of a pool's source texts.
 
     Built once per pool, in numpy. Each source text is squeezed as
-    ``char_ngrams`` squeezes it and read as code points. An order-1 id is
-    the character's rank in the pool's alphabet; the order-k id at a
-    position is the rank of (order-(k-1) id there) * (alphabet size) +
-    (order-1 id of its k-th character) among the order's distinct such
-    keys, so equal n-grams get equal ids. Orders 2..6 share one id space,
-    offset by order, and ``gram_ids`` reads a query's n-grams through the
-    same chain.
+    ``char_ngrams`` squeezes it and read as code points, each coded by its
+    rank in the pool's alphabet. The key of the k-gram at a position chains
+    the codes of its characters, key * (alphabet size) + code, so keys sort
+    as their n-grams do, and an order-k id is the rank of its key among the
+    order's distinct keys: equal n-grams get equal ids. One sort per order
+    of key * (pool size) + pair gives both the ids and the distinct (n-gram,
+    pair) postings. Where that value could pass int64 at order k (only
+    alphabets in the thousands get there), the order-(k-1) keys are
+    replaced by their ranks before they are chained, which keeps their
+    order and so the ids.
+    Orders 2..6 share one id space, offset by order, and ``gram_ids`` reads
+    a query's n-grams through the same chain, ranked orders included.
 
     ``sizes[i]`` is the number of distinct n-grams of pair i, whose ids are
     ``grams[bounds[i]:bounds[i + 1]]``, ascending. The pairs holding n-gram
@@ -204,35 +210,65 @@ class GramIndex:
         n = len(self.pairs)
         squeezed = ["".join(p.source_text.split()) for p in self.pairs]
         lengths = np.fromiter(map(len, squeezed), dtype=np.intp, count=n)
-        alphabet, codes = np.unique(_code_points("".join(squeezed)), return_inverse=True)
+        points = _code_points("".join(squeezed))
+        del squeezed
+        alphabet = _sorted_distinct(points)
+        codes = np.searchsorted(alphabet, points).astype(np.int32)
+        del points
         self._keys = [alphabet]  # per order, the ascending keys its ids rank
-        owner = np.repeat(np.arange(n), lengths)  # each position's pair
-        stop = np.repeat(np.cumsum(lengths), lengths)  # and where its text ends
-        at, ids = np.arange(len(codes)), codes
-        held, total = [], 0  # distinct (n-gram id, pair) postings, as id * n + pair
-        for k in range(1, self.n_max + 1):
-            if k > 1:
-                # the positions where a k-gram fits in its text, and its id there
-                fits = at + k <= stop
-                at, stop, ids = at[fits], stop[fits], ids[fits]
-                keys, ids = np.unique(ids * len(alphabet) + codes[at + k - 1],
-                                      return_inverse=True)
-                self._keys.append(keys)
-            if k >= self.n_min:
-                held.append(_sorted_distinct((ids + total) * n + owner[at]))
-                total += len(self._keys[-1])
-        del squeezed, codes, owner, stop, at, ids
-        postings = np.concatenate(held)
-        del held
-        self.holders = (postings % n).astype(np.int32)
-        postings //= n
-        self.starts = np.searchsorted(postings, np.arange(total + 1)).astype(np.int32)
-        self.sizes = np.bincount(self.holders, minlength=n).astype(np.int32)
-        self.bounds = np.concatenate(([0], np.cumsum(self.sizes))).astype(np.int32)
-        # the same postings pair major
-        postings += np.multiply(self.holders, total, dtype=np.int64)
+        self._ranked: set[int] = set()  # the orders the next one chains by rank
+        owner = np.repeat(np.arange(n, dtype=np.int32), lengths)  # each position's pair
+        # how many characters its text has from each position on, at most n_max
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
+        left = np.minimum(left, self.n_max).astype(np.int8)
+        keys, bound = codes, len(alphabet)  # bound: above every key of the order
+        holders, grams, starts = [], [], []  # per order, its distinct (n-gram, pair) postings
+        total = held = 0  # the n-grams and the postings of the orders so far
+        for k in range(2, self.n_max + 1):
+            if k > 2 and bound * len(alphabet) * n > np.iinfo(np.int64).max:
+                # chain the ranks instead, so that key * n + pair stays in
+                # int64 (the order-1 codes are ranks already)
+                keys = np.searchsorted(self._keys[-1], keys)
+                bound = len(self._keys[-1])
+                self._ranked.add(k - 1)
+            # the k-gram key at every position (one reaching past the end of
+            # its text names no n-gram), and where a k-gram fits in its text
+            keys = np.multiply(keys[:-1], len(alphabet), dtype=np.int64)
+            keys += codes[k - 1:]
+            bound *= len(alphabet)
+            fits = left[:len(keys)] >= k
+            postings = keys[fits] * n
+            postings += owner[:len(keys)][fits]
+            postings = _sorted_distinct(postings)  # by key, then pair
+            holders.append((postings % n).astype(np.int32))
+            postings //= n
+            first = np.ones(len(postings), dtype=bool)  # where each key's run begins
+            first[1:] = postings[1:] != postings[:-1]
+            self._keys.append(postings[first])
+            ids = np.cumsum(first, dtype=np.int32)
+            ids += total - 1
+            grams.append(ids)
+            starts.append(np.flatnonzero(first) + held)
+            total += len(self._keys[-1])
+            held += len(postings)
+        del codes, owner, left, keys, fits, postings, first, ids
+        self.holders = np.concatenate(holders)
+        self.starts = np.concatenate(starts + [[held]]).astype(np.int32)
+        del holders, starts
+        # the same postings pair major, as pair * total + n-gram id, each
+        # order's ids added where they sit (concatenated, they would be held twice)
+        postings = np.multiply(self.holders, total, dtype=np.int64)
+        at = 0
+        for ids in grams:
+            postings[at:at + len(ids)] += ids
+            at += len(ids)
+        del grams, ids
         postings.sort()
-        self.grams = (postings % total).astype(np.int32)
+        self.bounds = np.searchsorted(postings, np.arange(n + 1) * total).astype(np.int32)
+        self.sizes = np.diff(self.bounds)
+        postings %= total
+        self.grams = postings.astype(np.int32)
+        del postings
         distinct: dict[str, int] = {}
         self.texts = np.array(
             [distinct.setdefault(p.source_text, len(distinct)) for p in self.pairs], dtype=np.intp
@@ -244,16 +280,16 @@ class GramIndex:
         Characters outside the pool's alphabet and n-grams no pair holds
         drop out."""
         codes, known = _lookup(self._keys[0], _code_points("".join(text.split())))
-        ids, found = codes, known
+        keys, found = codes, known
         held, total = [], 0
-        for k, keys in enumerate(self._keys, start=1):
-            if k > 1:
-                chained, fits = ids[:-1], found[:-1] & known[k - 1:]
-                ids, found = _lookup(keys, chained * len(self._keys[0]) + codes[k - 1:])
-                found &= fits
-            if k >= self.n_min:
-                held.append(ids[found] + total)
-                total += len(keys)
+        for k, table in enumerate(self._keys[1:], start=2):
+            if k - 1 in self._ranked:
+                keys = ids
+            keys = keys[:-1] * len(self._keys[0]) + codes[k - 1:]
+            ids, hit = _lookup(table, keys)
+            found = found[:-1] & known[k - 1:] & hit
+            held.append(ids[found] + total)
+            total += len(table)
         return _sorted_distinct(np.concatenate(held))
 
     def holder_counts(self, grams: np.ndarray) -> np.ndarray:

@@ -448,9 +448,10 @@ class TestConcurrentDispatch:
         assert ids == sorted(ids, key=test_ids.index)
         first_error = test_ids.index(errors[0].id)
         assert ids[: first_error + 1] == test_ids[: first_error + 1]
-        # nothing was sent after the failure: at most the window behind it
+        # nothing was sent once a failure was seen: every prompt sent had
+        # either completed by then or was among the max_in_flight unsettled
         prompts = {r["body"]["messages"][-1]["content"] for r in server.requests}
-        assert len(prompts) <= first_error + provider_config.max_in_flight
+        assert len(prompts) <= len(partial.records) - len(errors) + provider_config.max_in_flight
 
         with MockProviderServer() as server:
             config = base_config(tmp_path, provider=replace(
@@ -500,6 +501,60 @@ class TestConcurrentDispatch:
         assert not thread.is_alive()
         _, manifest = results[0]
         assert [r.completion for r in manifest.records] == ["done"] * 10
+
+    def test_slow_prompt_holds_only_its_own_worker(self, tmp_path):
+        # prompt 1 is answered only once prompt 3 reaches the provider: the
+        # other worker must go on to prompt 3 instead of waiting behind prompt 1
+        sources = [p.source_text for p in load_parallel(DEMO_DATA / "test.tsv")]
+
+        class HeadOfLineProvider:
+            def __init__(self):
+                self.third_sent = threading.Event()
+
+            def complete(self, prompt):
+                if sources[2] in prompt.user:
+                    self.third_sent.set()
+                if sources[0] in prompt.user and not self.third_sent.wait(timeout=5):
+                    raise ProviderError("prompt 3 never reached the provider")
+                return ChatExchange(request={}, response_text="done", latency=0.0)
+
+        config = base_config(tmp_path, mode="POST_EDIT", context="NONE",
+                             provider=ProviderConfig(model_name="m", max_in_flight=2))
+        _, manifest = run_experiment(config, HeadOfLineProvider(), resume=False)
+        assert [r.completion for r in manifest.records] == ["done"] * len(sources)
+
+    def test_replies_in_any_order_reach_their_own_records(self, tmp_path):
+        # more workers than cores, replies out of order and a short switch
+        # interval; every sentence twice, so half the records share a prompt
+        pairs = load_parallel(DEMO_DATA / "test.tsv")
+        rows = [(f"{p.id}-{copy}", p) for copy in "ab" for p in pairs]
+        test_path, draft_path = tmp_path / "test.tsv", tmp_path / "drafts.tsv"
+        test_path.write_text("".join(f"{i}\t{p.source_text}\t{p.target_text}\tOT\n"
+                                     for i, p in rows), encoding="utf-8")
+        draft_path.write_text("".join(f"{i}\tdraft of {p.id}\n" for i, p in rows),
+                              encoding="utf-8")
+        sent = []
+
+        class DigestProvider:
+            def complete(self, prompt):
+                digest = pipeline._prompt_digest(prompt.system, prompt.user)[:16]
+                sent.append(digest)
+                time.sleep(int(digest[:2], 16) / 50_000)  # up to 5 ms
+                return ChatExchange(request={}, response_text=digest, latency=0.0)
+
+        config = base_config(tmp_path, mode="POST_EDIT", context="NONE",
+                             test_path=str(test_path), draft_path=str(draft_path),
+                             provider=ProviderConfig(model_name="m", max_in_flight=8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, manifest = run_experiment(config, DigestProvider(), resume=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.id for r in manifest.records] == [i for i, _ in rows]
+        assert all(r.completion == r.prompt_hash for r in manifest.records)
+        assert sorted(sent) == sorted({r.prompt_hash for r in manifest.records})
+        assert len(sent) == len(pairs)
 
     def test_identical_prompts_sent_once(self, tmp_path):
         pair = load_parallel(DEMO_DATA / "test.tsv")[0]

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -655,6 +656,44 @@ class TestGramIndex:
         assert [(r.pair.id, r.score) for r in got] == [(f"p{j}", 0.0) for j in range(4)]
         check_gram_index([], ["ab"])
         assert chrf_counterweighted_retrieve(GramIndex([]), "ab", 2) == []
+
+    @pytest.mark.parametrize("texts, first, chars, ranked", [
+        # ~1500 distinct characters: the order-5 keys are ranked before order 6
+        (50, 0x4E00, 3000, {5}),
+        # ~3800 of the supplementary plane: the order-4 keys already
+        (100, 0x20000, 40000, {4}),
+    ])
+    def test_alphabet_too_large_for_chained_keys(self, texts, first, chars, ranked):
+        rng = random.Random(37)
+        pairs = [ParallelPair(f"c{i:03d}", "".join(chr(first + rng.randrange(chars))
+                                                   for _ in range(rng.randint(20, 60))),
+                              "t", "NT")
+                 for i in range(texts)]
+        index = GramIndex(pairs)
+        assert index._ranked == ranked
+        used = {c for p in pairs for c in p.source_text}
+        unused = next(chr(first + j) for j in range(chars) if chr(first + j) not in used)
+        queries = [pairs[3].source_text[5:25], pairs[7].source_text + unused + "ÿ",
+                   pairs[0].source_text[:8] + unused + pairs[1].source_text[-9:],
+                   unused * 7, pairs[9].source_text[::-1]]
+        check_gram_index(pairs, queries)
+
+    def test_build_peak_memory(self):
+        # the build's traced peak over the bytes of the arrays it keeps: 3.2
+        # for a build that ranks every order with np.unique and collects
+        # int64 postings, 2.0 for one sort per order and int32 postings
+        pairs = make_pairs(2000, seed=0)
+        GramIndex(pairs[:10])  # whatever numpy sets up on first use
+        tracemalloc.start()
+        try:
+            index = GramIndex(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(array.nbytes for array in (index.holders, index.starts, index.sizes,
+                                              index.bounds, index.grams, index.texts,
+                                              index.rank))
+        assert peak / kept < 2.5
 
     def test_query_without_pool_ngrams(self):
         # shorter than n_min, or only characters outside the pool's alphabet
