@@ -27,8 +27,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
-import statistics
 import typing
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -272,8 +272,9 @@ def _pairs_hash(pairs: list[ParallelPair]) -> str:
 
 
 def load_drafts(path: str | Path) -> dict[str, str]:
-    """Draft file: ``id \\t hypothesis`` per line."""
+    """Draft file: ``id \\t hypothesis`` per line, each id once."""
     drafts: dict[str, str] = {}
+    seen: dict[str, int] = {}
     with naming_errors(path, ConfigError), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -282,6 +283,11 @@ def load_drafts(path: str | Path) -> dict[str, str]:
             cols = line.split("\t")
             if len(cols) != 2:
                 raise ConfigError(f"line {lineno}: expected 2 TSV columns, got {len(cols)}")
+            if cols[0] in seen:
+                raise ConfigError(
+                    f"duplicate id {cols[0]!r} on lines {seen[cols[0]]} and {lineno}"
+                )
+            seen[cols[0]] = lineno
             drafts[cols[0]] = cols[1]
     return drafts
 
@@ -541,7 +547,9 @@ class _Session:
             for record, score in zip(completed, report.per_sentence):
                 record.bleu = score.bleu
                 record.chrf = score.chrf
-            manifest.effective_k_mean = statistics.fmean(r.effective_k for r in completed)
+            # statistics.fmean's arithmetic, without importing statistics
+            effective_k = [r.effective_k for r in completed]
+            manifest.effective_k_mean = math.fsum(effective_k) / len(effective_k)
         manifest.save(manifest_path)
 
         if failure is not None:

@@ -213,8 +213,14 @@ class GramIndex:
         points = _code_points("".join(squeezed))
         del squeezed
         alphabet = _sorted_distinct(points)
-        codes = np.searchsorted(alphabet, points).astype(np.int32)
-        del points
+        # each code point's rank from a table over the code points (at most
+        # 0x110000 entries), read as intp and narrowed: at paper scale, freeing
+        # the intp codes here left ~11 MB less in glibc's heap after the build
+        # than int32 codes read from an int32 table did
+        table = np.zeros(int(alphabet.max(initial=0)) + 1, dtype=np.intp)
+        table[alphabet] = np.arange(len(alphabet))
+        codes = table[points].astype(np.int32)
+        del points, table
         self._keys = [alphabet]  # per order, the ascending keys its ids rank
         self._ranked: set[int] = set()  # the orders the next one chains by rank
         owner = np.repeat(np.arange(n, dtype=np.int32), lengths)  # each position's pair
@@ -386,18 +392,12 @@ def _pattern_masks(pattern: str) -> dict[str, int]:
     return masks
 
 
-def _reach(threshold: float, longest: int) -> int:
-    """How many edit distances d in [0, longest] keep 1 - d / longest >=
-    threshold: the condition holds up to some d, so bisect for the first
-    d where it fails."""
-    lo, hi = 0, longest + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if 1.0 - mid / longest >= threshold:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _reach(longest):
+    """How many edit distances d >= 0 keep 1 - d / longest >= 1/2, the one
+    cut-off: d <= longest // 2. The float test agrees, as d / longest
+    rounds to at most 0.5 exactly when it is, for any length under 2**53;
+    ``longest`` may be an integer array."""
+    return longest // 2 + 1
 
 
 def _uint_of(bits: int) -> np.dtype:
@@ -409,6 +409,10 @@ def _uint_of(bits: int) -> np.dtype:
 
 class TokenIndex:
     """Distinct strings of a pool or lexicon, indexed for fuzzy lookups.
+
+    A string matches a token when their similarity 1 - (edit distance) /
+    max(len(token), len(string)) is at least 1/2, the one cut-off: when
+    the distance is at most max(len) // 2.
 
     ``postings`` maps each string to the indices of the items carrying it,
     ascending. ``top`` ranks items by their best match, ties by ``rank``,
@@ -423,13 +427,11 @@ class TokenIndex:
     character position, each token being one word: a machine word, or a
     Python int for tokens over 64 characters, which run in batches of their
     own. A string's distance is final when its last column is read. Strings
-    whose similarity bound 1 - |len(a) - len(b)| / max(len) is below the
-    threshold for every token of the lookup are skipped: the edit distance
-    is at least the length difference, so the skip is exact. Lookups are
-    memoised per (token, threshold) for the index's life, top lists per
-    (token, n, threshold), and the reach of each string length per (token
-    length, threshold). Memoised lists are shared with the callers, which
-    only read them.
+    whose length differs from that of every token of the lookup by more
+    than max(len) // 2 are skipped: the edit distance is at least the
+    length difference, so the skip is exact. Lookups are memoised per token
+    for the index's life, top lists per (token, n). Memoised lists are
+    shared with the callers, which only read them.
     """
 
     def __init__(self, items: list, strings_per_item, tie_key: Callable):
@@ -454,10 +456,8 @@ class TokenIndex:
         # _longer[j]: how many strings are longer than j
         self._longer = np.searchsorted(-self._lengths, -np.arange(longest), side="left")
         self._columns = [codes[starts[:n] + j] for j, n in enumerate(self._longer)]
-        self._distinct_lengths = sorted(set(self._lengths.tolist()))
-        self._memo: dict[tuple[str, float], list[tuple[str, float]]] = {}
-        self._tops: dict[tuple[str, int, float], list[tuple[int, float]]] = {}
-        self._reach_rows: dict[tuple[int, float], np.ndarray] = {}
+        self._memo: dict[str, list[tuple[str, float]]] = {}
+        self._tops: dict[tuple[str, int], list[tuple[int, float]]] = {}
 
     @classmethod
     def over_pairs(cls, pairs: list[ParallelPair]) -> "TokenIndex":
@@ -472,26 +472,23 @@ class TokenIndex:
         return cls(lexicon, ((e.source_word.lower(),) for e in lexicon),
                    lambda e: e.source_word)
 
-    def top(self, tokens: list[str], n: int,
-            threshold: float) -> dict[str, list[tuple[int, float]]]:
+    def top(self, tokens: list[str], n: int) -> dict[str, list[tuple[int, float]]]:
         """Per distinct token, in first-seen order, its n best items as
         (item index, similarity), best first. An item scores the best
-        similarity among its strings that match the token; at a threshold
-        <= 0 an item without strings scores 0.0, which then qualifies."""
+        similarity among its strings that match the token; one with no
+        match does not qualify."""
         tokens = list(dict.fromkeys(tokens))
-        new = [t for t in tokens if (t, n, threshold) not in self._tops]
-        found = self.matches(new, threshold)
+        new = [t for t in tokens if (t, n) not in self._tops]
+        found = self.matches(new)
         for token in new:
-            # similarities are >= 0, so at a threshold <= 0 every string
-            # matches and every item qualifies, one without strings at 0.0
-            best = np.full(len(self.items), 0.0 if threshold <= 0.0 else -1.0)
+            best = np.full(len(self.items), -1.0)
             if found[token]:
                 strings, sims = zip(*found[token])
                 held = [self.postings[s] for s in strings]
                 np.maximum.at(best, np.concatenate(held), np.repeat(sims, list(map(len, held))))
             top = _top(best, self.rank, n, keep=best >= 0.0)
-            self._tops[(token, n, threshold)] = list(zip(top.tolist(), best[top].tolist()))
-        return {t: self._tops[(t, n, threshold)] for t in tokens}
+            self._tops[(token, n)] = list(zip(top.tolist(), best[top].tolist()))
+        return {t: self._tops[(t, n)] for t in tokens}
 
     def union(self, tokens: list[str], tops: dict[str, list[tuple[int, float]]], n: int,
               key: Callable) -> list[tuple[int, float, str]]:
@@ -507,47 +504,37 @@ class TokenIndex:
                     best[k] = (idx, sim, token)
         return sorted(best.values(), key=lambda hit: (-hit[1], self.rank[hit[0]]))
 
-    def matches(self, tokens: list[str], threshold: float) -> dict[str, list[tuple[str, float]]]:
+    def matches(self, tokens: list[str]) -> dict[str, list[tuple[str, float]]]:
         """Per token, the indexed strings s whose similarity 1 - (edit
-        distance) / max(len(token), len(s)) is at least ``threshold``, paired
-        with that similarity; tokens must be non-empty."""
-        new = [t for t in dict.fromkeys(tokens) if (t, threshold) not in self._memo]
+        distance) / max(len(token), len(s)) is at least 1/2, paired with
+        that similarity; tokens must be non-empty."""
+        new = [t for t in dict.fromkeys(tokens) if t not in self._memo]
         # a few dozen tokens at a time bound the (strings x tokens) arrays;
         # one token over 64 characters would make a whole batch Python ints
         for batch in ([t for t in new if len(t) <= 64], [t for t in new if len(t) > 64]):
             for i in range(0, len(batch), 32):
-                self._lookup(batch[i:i + 32], threshold)
-        return {t: self._memo[(t, threshold)] for t in tokens}
+                self._lookup(batch[i:i + 32])
+        return {t: self._memo[t] for t in tokens}
 
-    def _reach_row(self, m: int, threshold: float) -> np.ndarray:
-        """row[L]: distances below it keep a token of length m and a string
-        of length L similar enough, for each indexed length L; 0 elsewhere."""
-        row = self._reach_rows.get((m, threshold))
-        if row is None:
-            row = np.zeros(len(self._longer) + 1, dtype=np.intp)  # lengths 0..longest
-            for length in self._distinct_lengths:
-                row[length] = _reach(threshold, max(m, length))
-            self._reach_rows[(m, threshold)] = row
-        return row
-
-    def _lookup(self, tokens: list[str], threshold: float) -> None:
+    def _lookup(self, tokens: list[str]) -> None:
         """Memoise the matches of ``tokens``, all at once."""
         m = [len(t) for t in tokens]
         for token in tokens:
-            self._memo[(token, threshold)] = []
+            self._memo[token] = []
         # reach[q, L]: distances below it keep tokens[q] and a string of
-        # length L similar enough; similarities are computed in Python only,
-        # as 1.0 - d / max(len) of the integer distance. A string length is
-        # kept when its length difference to some token is below that reach.
-        reach = np.stack([self._reach_row(mq, threshold) for mq in m])
-        span = np.abs(np.array(m)[:, None] - np.arange(reach.shape[1]))
-        keep = (span < reach).any(axis=0)
+        # length L, 0..longest, similar enough; similarities are computed in
+        # Python only, as 1.0 - d / max(len) of the integer distance. A
+        # string length is kept when its length difference to some token is
+        # below that reach.
+        every = np.arange(len(self._longer) + 1)
+        reach = _reach(np.maximum.outer(m, every))
+        keep = (np.abs(np.subtract.outer(m, every)) < reach).any(axis=0)
         rows = np.flatnonzero(keep[self._lengths])  # ascending, so still longest first
         if not len(rows):
             return
         # the type holds every token's bits and every distance, so all the
         # steps run in it
-        top = max(max(m), self._distinct_lengths[-1])
+        top = max(max(m), len(self._longer))
         word = _uint_of(max(max(m), (top + 1).bit_length()))
         reach = reach.astype(word)
         lengths = self._lengths[rows]
@@ -600,7 +587,7 @@ class TokenIndex:
         for r, q, d in zip(rows[hit_rows].tolist(), hit_tokens.tolist(),
                            dist[hit_rows, hit_tokens].tolist()):
             s = self._strings[r]
-            self._memo[(tokens[q], threshold)].append((s, 1.0 - d / max(m[q], len(s))))
+            self._memo[tokens[q]].append((s, 1.0 - d / max(m[q], len(s))))
 
 
 @dataclass
@@ -626,11 +613,11 @@ class FuzzyWordLists:
                                                         key=lambda p: p.id)]
 
 
-def fuzzy_word_lists(
-    index: TokenIndex, query: str, n: int, threshold: float = 0.5
-) -> FuzzyWordLists:
-    """Each query word's top-n sentences by best-token fuzzy similarity;
-    ``index`` is ``TokenIndex.over_pairs`` of the pool.
+def fuzzy_word_lists(index: TokenIndex, query: str, n: int) -> FuzzyWordLists:
+    """Each query word's top-n sentences by best-token fuzzy similarity at
+    least 1/2 (edit distance at most max(len) // 2); ``index`` is
+    ``TokenIndex.over_pairs`` of the pool, which memoises each token's
+    matches and its list per (token, n).
 
     ``union(n)`` gives the retrieved examples: the lists unioned across
     query words and deduplicated by pair id (keeping the highest score and
@@ -640,7 +627,7 @@ def fuzzy_word_lists(
     if n < 1:
         raise ValueError("n must be >= 1")
     tokens = word_tokenize(query)
-    return FuzzyWordLists(index=index, tokens=tokens, tops=index.top(tokens, n, threshold))
+    return FuzzyWordLists(index=index, tokens=tokens, tops=index.top(tokens, n))
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +710,11 @@ class Retriever:
 # Lexicon retrieval
 
 
-def lexicon_fuzzy_retrieve(
-    index: TokenIndex, query: str, n: int, threshold: float = 0.5
-) -> list[RetrievedLexicon]:
-    """Per query word, the top-n lexicon entries by fuzzy headword match;
-    ``index`` is ``TokenIndex.over_lexicon`` of the lexicon.
+def lexicon_fuzzy_retrieve(index: TokenIndex, query: str, n: int) -> list[RetrievedLexicon]:
+    """Per query word, the top-n lexicon entries by fuzzy headword match,
+    similarity at least 1/2 (edit distance at most max(len) // 2);
+    ``index`` is ``TokenIndex.over_lexicon`` of the lexicon, which memoises
+    each word's matches and its list per (word, n).
 
     Entries tied on (score, headword) keep their input order. The lists are
     unioned by ``TokenIndex.union`` and deduplicated by entry, that is by
@@ -737,5 +724,5 @@ def lexicon_fuzzy_retrieve(
         raise ValueError("n must be >= 1")
     tokens = word_tokenize(query)
     return [RetrievedLexicon(entry=index.items[idx], score=sim, query_word=token)
-            for idx, sim, token in index.union(tokens, index.top(tokens, n, threshold), n,
+            for idx, sim, token in index.union(tokens, index.top(tokens, n), n,
                                                key=lambda e: e)]

@@ -379,6 +379,8 @@ class TestBadRunInput:
         ("run", {"lexicon_path": "latin-1.tsv", "lexicon_mode": "FULL"}, "latin-1.tsv"),
         ("run", {"draft_path": "latin-1.tsv"}, "latin-1.tsv"),
         ("run", {"draft_path": "three-columns.tsv"}, "three-columns.tsv"),
+        ("run", {"draft_path": "duplicate-ids.tsv"},
+         "duplicate-ids.tsv: duplicate id 'GEN.1.1' on lines 1 and 3"),
         ("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "typo/dir"}},
          "replay_dir 'typo/dir' is not a directory"),
     ], ids=["bogus-mode", "malformed-line", "not-utf8", "missing-corpus", "not-json",
@@ -387,10 +389,12 @@ class TestBadRunInput:
             "no-requests-in-flight", "provider-without-url", "url-without-scheme",
             "url-bad-scheme", "url-without-host", "nan-temperature", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
             "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line",
-            "missing-replay-dir"])
+            "drafts-duplicate-id", "missing-replay-dir"])
     def test_is_usage_error(self, tmp_path, command, config, named):
         (tmp_path / "two-columns.tsv").write_text("only two\tcolumns\n", encoding="utf-8")
         (tmp_path / "three-columns.tsv").write_text("GEN.1.1\tdraft\textra\n", encoding="utf-8")
+        (tmp_path / "duplicate-ids.tsv").write_text("GEN.1.1\tone\nGEN.1.2\ttwo\nGEN.1.1\tthree\n",
+                                                    encoding="utf-8")
         (tmp_path / "latin-1.tsv").write_bytes("GEN.1.1\tcafé\tt\tNT\n".encode("latin-1"))
         if isinstance(config, dict):
             config = json.dumps({**self.CONFIG, **config})

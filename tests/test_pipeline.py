@@ -975,14 +975,33 @@ class TestMalformedInput:
         assert all(r["error"] and r["chrF++"] == "" for r in rows)
         assert list(Path(config.output_dir).glob("manifest-*.json")) == []
 
+    def test_duplicate_draft_id_rejected_and_marks_every_cell(self, tmp_path):
+        # every test id has a draft, the first one twice with different text
+        rows = (DEMO_DATA / "drafts.tsv").read_text(encoding="utf-8").splitlines()
+        first = rows[0].split("\t")[0]
+        drafts = tmp_path / "drafts.tsv"
+        drafts.write_text("".join(r + "\n" for r in rows + [first + "\tanother draft"]),
+                          encoding="utf-8")
+        config = replay_config(tmp_path, str(tmp_path / "fixtures"), {
+            "mode": "POST_EDIT", "context": "BM25", "k": 1, "draft_path": str(drafts),
+        })
+        named = f"duplicate id {first!r} on lines 1 and {len(rows) + 1}"
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(config, resume=False)
+        cells = sweep(config, [1, 2])
+        assert [c["k_or_n"] for c in cells] == [1, 2]
+        assert all(named in c["error"] and c["chrF++"] == "" for c in cells)
+        assert list(Path(config.output_dir).glob("manifest-*.json")) == []
+
 
 class TestImportFootprint:
     """Replay runs and the CLI load no HTTP module (only a provider without
-    ``replay_dir`` needs ``http.client``) and no ``numpy.ma`` (nothing in
-    the package does); no run loads ``requests``, and a live run loads
-    ``urllib.request`` only when a proxy variable is set."""
+    ``replay_dir`` needs ``http.client``), and no ``numpy.ma``,
+    ``statistics`` or ``decimal`` (nothing in the package does); no run
+    loads ``requests``, and a live run loads ``urllib.request`` only when a
+    proxy variable is set."""
 
-    MODULES = ("requests", "numpy.ma", "http.client", "urllib.request")
+    MODULES = ("requests", "numpy.ma", "http.client", "urllib.request", "statistics", "decimal")
     SCRIPT = (
         "import sys\n"
         "import ragmt.cli\n"
@@ -1416,4 +1435,11 @@ def test_load_drafts_rejects_bad_rows(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_text("id1\tdraft\textra\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 1"):
+        load_drafts(path)
+
+
+def test_load_drafts_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("id1\tfirst\nid2\tdraft\n\nid1\tsecond\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"d\.tsv: duplicate id 'id1' on lines 1 and 4$"):
         load_drafts(path)
