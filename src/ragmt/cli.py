@@ -28,7 +28,11 @@ STRATEGY_NAMES = {
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """A file's lines as the corpus loaders read them: split at line ends
+    alone, not at the other breaks ``str.splitlines`` knows (U+2028, U+0085,
+    the file and group separators, vertical tab, form feed)."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh]
 
 
 def _emit(data) -> None:

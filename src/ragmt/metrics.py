@@ -5,6 +5,16 @@ chrF++ follows the published definition: character n-grams (orders
 1..word_order) over punctuation-separated tokens, precision/recall averaged
 over effective orders, combined with F-beta. Corpus scores pool n-gram
 statistics over segments rather than averaging sentence scores.
+
+Every scorer reads its counts from ``_statistics``, which counts all the
+segments it is given in one numpy pass. Each hypothesis and reference is
+coded once as squeezed characters, as punctuation-separated words and as
+tokenizer tokens (each text tokenized once). ``text.chained_ngrams`` then
+sorts, once per order for all three streams, the (n-gram, text) values; a
+segment's clipped matches are read off the sorted runs, and its n-gram
+totals follow from its texts' lengths. The counts come back as one int64
+array per metric, a row per segment, and a corpus score is computed from
+the column sums.
 """
 
 from __future__ import annotations
@@ -12,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 import string
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import naming_errors
-from .text import char_ngrams
+from .text import _code_points, _run_starts, _sorted_distinct, chained_ngrams
 
 _PUNCTS = set(string.punctuation)
 
@@ -126,7 +137,7 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# chrF++
+# n-gram counts
 
 
 def _separate_punctuation(text: str) -> list[str]:
@@ -144,27 +155,100 @@ def _separate_punctuation(text: str) -> list[str]:
     return tokens
 
 
-def _word_ngram_counts(tokens: list[str], order: int) -> Counter:
-    return Counter(
-        " ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+def _statistics(
+    hypotheses: list[str],
+    references: list[str],
+    chrf_params: ChrfParams | None = None,
+    tokenizer=None,
+    max_order: int = 4,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Each segment's chrF++ counts (given ``chrf_params``) and BLEU counts
+    (given ``tokenizer``), as one int64 array per metric with a row per
+    segment; None for a metric not asked for.
+
+    A chrF++ row holds, per order, characters before words, (hypothesis
+    n-grams, reference n-grams, matches). A BLEU row holds the matches of
+    each order, then the hypothesis n-grams of each order, then the
+    hypothesis and reference lengths in tokens. A match is clipped: an
+    n-gram matches min(its hypothesis count, its reference count) times.
+    """
+    n = len(hypotheses)
+    texts = [text for pair in zip(hypotheses, references) for text in pair]
+    vocab: dict[str, int] = {}  # word and token codes; the streams never mix
+    # per stream: its highest order, its codes and each text's length in
+    # them; segment i's texts are a stream's texts 2i and 2i + 1
+    orders, codes, lengths = [], [], []
+
+    def add_tokens(order: int, tokenize) -> None:
+        """A stream of each text's tokens, coded through ``vocab``."""
+        tokens = [tokenize(text) for text in texts]
+        counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(texts))
+        orders.append(order)
+        codes.append(np.fromiter((vocab.setdefault(t, len(vocab)) for ts in tokens for t in ts),
+                                 dtype=np.int64, count=int(counts.sum())))
+        lengths.append(counts)
+
+    size = 0
+    if chrf_params is not None:
+        squeezed = ["".join(text.split()) for text in texts]
+        lengths.append(np.fromiter(map(len, squeezed), dtype=np.intp, count=len(texts)))
+        points = _code_points("".join(squeezed))
+        del squeezed
+        alphabet = _sorted_distinct(points)
+        size = len(alphabet)
+        orders.append(chrf_params.char_order)
+        codes.append(np.searchsorted(alphabet, points))
+        del points
+        if chrf_params.word_order:
+            add_tokens(chrf_params.word_order, _separate_punctuation)
+    chrf_streams = len(orders)
+    if tokenizer is not None:
+        add_tokens(max_order, tokenizer.tokenize)
+    codes = np.concatenate(codes)
+    lengths = np.concatenate(lengths)
+    bits = max(len(lengths) - 1, 0).bit_length()
+    matches = np.zeros((max(orders), len(orders) * n), dtype=np.int64)  # by order, (stream, segment)
+    for k, values, _ in chained_ngrams(codes, max(size, len(vocab)), lengths, 1, max(orders),
+                                       caps=np.repeat(orders, 2 * n)):
+        matches[k - 1] = _clipped_matches(values, bits, matches.shape[1])
+    lengths = lengths.reshape(len(orders), n, 2)
+
+    def counts_by_order(s: int) -> np.ndarray:
+        """Stream s's (segments, orders, 3) hypothesis, reference and match counts."""
+        order = orders[s]
+        totals = np.maximum(lengths[s][:, :, None] - np.arange(order), 0)
+        return np.stack([totals[:, 0], totals[:, 1], matches[:order, s * n:(s + 1) * n].T], axis=2)
+
+    chrf_rows = bleu_rows = None
+    if chrf_params is not None:
+        chrf_rows = np.concatenate(
+            [counts_by_order(s).reshape(n, -1) for s in range(chrf_streams)], axis=1)
+    if tokenizer is not None:
+        bleu = counts_by_order(chrf_streams)
+        bleu_rows = np.concatenate([bleu[:, :, 2], bleu[:, :, 0], lengths[-1]], axis=1)
+    return chrf_rows, bleu_rows
 
 
-def _segment_statistics(hyp: str, ref: str, params: ChrfParams) -> list[int]:
-    """Per order: (hyp count, ref count, match count), chars then words."""
-    stats: list[int] = []
-    for order in range(1, params.char_order + 1):
-        h = char_ngrams(hyp, order, order)
-        r = char_ngrams(ref, order, order)
-        stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
-    if params.word_order > 0:
-        h_toks = _separate_punctuation(hyp)
-        r_toks = _separate_punctuation(ref)
-        for order in range(1, params.word_order + 1):
-            h = _word_ngram_counts(h_toks, order)
-            r = _word_ngram_counts(r_toks, order)
-            stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
-    return stats
+def _clipped_matches(values: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """Per pair of texts 2i, 2i + 1, the n-grams they share, each counted
+    min(its count in 2i, its count in 2i + 1) times: ``values`` is one
+    order's sorted key << bits | text values from ``chained_ngrams``."""
+    starts = np.flatnonzero(_run_starts(values))
+    runs, counts = values[starts], np.diff(starts, append=len(values))
+    # an n-gram's run in text 2i, then its run in text 2i + 1: the two values
+    # differ in the last bit alone
+    both = (runs[1:] ^ runs[:-1]) == 1
+    where = (runs[:-1][both] & ((1 << bits) - 1)) >> 1
+    return np.bincount(where, np.minimum(counts[:-1], counts[1:])[both], minlength=width)
+
+
+def _pooled(rows: np.ndarray) -> list[int]:
+    """Column sums of per-segment count rows: corpus scores pool counts."""
+    return rows.sum(axis=0).tolist()
+
+
+# ---------------------------------------------------------------------------
+# chrF++
 
 
 def _f_score(stats: list[int], params: ChrfParams) -> float:
@@ -197,14 +281,9 @@ def _check_pairs(hypotheses: list[str], references: list[str]) -> None:
         raise ValueError("need at least one hypothesis/reference pair")
 
 
-def _pooled(rows) -> list[int]:
-    """Column sums of per-segment count rows: corpus scores pool counts."""
-    return [sum(column) for column in zip(*rows)]
-
-
 def chrf_pp(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> float:
     """Sentence-level chrF++ in [0, 100]."""
-    return _f_score(_segment_statistics(hypothesis, reference, params), params)
+    return _f_score(_pooled(_statistics([hypothesis], [reference], params)[0]), params)
 
 
 def corpus_chrf(
@@ -212,28 +291,11 @@ def corpus_chrf(
 ) -> float:
     """Corpus-level chrF++ over pooled n-gram statistics."""
     _check_pairs(hypotheses, references)
-    return _f_score(
-        _pooled(_segment_statistics(h, r, params) for h, r in zip(hypotheses, references)),
-        params,
-    )
+    return _f_score(_pooled(_statistics(hypotheses, references, params)[0]), params)
 
 
 # ---------------------------------------------------------------------------
 # BLEU
-
-
-def _bleu_statistics(hyp: str, ref: str, tokenizer, max_order: int) -> list[int]:
-    """One segment's BLEU counts: n-gram matches per order, n-gram totals
-    per order, then the hypothesis and reference lengths in tokens."""
-    h_toks = tokenizer.tokenize(hyp)
-    r_toks = tokenizer.tokenize(ref)
-    matches, totals = [], []
-    for order in range(1, max_order + 1):
-        h = _word_ngram_counts(h_toks, order)
-        r = _word_ngram_counts(r_toks, order)
-        totals.append(sum(h.values()))
-        matches.append(sum((h & r).values()))
-    return matches + totals + [len(h_toks), len(r_toks)]
 
 
 def _bleu_from_pooled(stats: list[int], max_order: int) -> float:
@@ -258,8 +320,8 @@ def corpus_bleu(
 ) -> float:
     """Pooled-count BLEU with brevity penalty and epsilon smoothing."""
     _check_pairs(hypotheses, references)
-    tokenizer = tokenizer or WhitespaceTokenizer()
-    rows = (_bleu_statistics(h, r, tokenizer, max_order) for h, r in zip(hypotheses, references))
+    _, rows = _statistics(hypotheses, references, tokenizer=tokenizer or WhitespaceTokenizer(),
+                          max_order=max_order)
     return _bleu_from_pooled(_pooled(rows), max_order)
 
 
@@ -286,13 +348,10 @@ def evaluate(
     _check_pairs(hypotheses, references)
     tokenizer = tokenizer or WhitespaceTokenizer()
     max_order = 4
-    chrf_rows = [_segment_statistics(h, r, chrf_params) for h, r in zip(hypotheses, references)]
-    bleu_rows = [
-        _bleu_statistics(h, r, tokenizer, max_order) for h, r in zip(hypotheses, references)
-    ]
+    chrf_rows, bleu_rows = _statistics(hypotheses, references, chrf_params, tokenizer, max_order)
     per_sentence = [
         SentenceScore(id=i, bleu=_bleu_from_pooled(b, max_order), chrf=_f_score(c, chrf_params))
-        for i, b, c in zip(ids, bleu_rows, chrf_rows)
+        for i, b, c in zip(ids, bleu_rows.tolist(), chrf_rows.tolist())
     ]
     label = "spBLEU" if tokenizer.is_subword_model else f"BLEU({tokenizer.name})"
     return EvalReport(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LexiconEntry, ParallelPair
-from .text import word_tokenize
+from .text import _code_points, _run_starts, _sorted_distinct, chained_ngrams, word_tokenize
 
 
 @dataclass
@@ -153,23 +153,6 @@ def dense_retrieve(index: EmbeddingIndex, query_vector, k: int) -> list[Retrieve
 # ChrF-counterweighted greedy retrieval
 
 
-def _code_points(text: str) -> np.ndarray:
-    """The code points of ``text``, lone surrogates included."""
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending: a sort and a neighbour mask. Nothing
-    here calls np.unique. Without return_inverse it hashes, which is far
-    slower on millions of keys, and asks ``np.ma.is_masked`` first, which
-    imports ``numpy.ma`` (~15 ms) into a process that has no other use for
-    it; with it, it adds an argsort and a scatter to the sort."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
-
-
 def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each value sits in the ascending ``table``, and whether it is there."""
     at = np.searchsorted(table, values)
@@ -182,17 +165,14 @@ def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class GramIndex:
     """The character n-grams (orders 2..6, chrF++'s) of a pool's source texts.
 
-    Built once per pool, in numpy. Each source text is squeezed as
-    ``char_ngrams`` squeezes it and read as code points, each coded by its
-    rank in the pool's alphabet. The key of the k-gram at a position chains
-    the codes of its characters, key * (alphabet size) + code, so keys sort
-    as their n-grams do, and an order-k id is the rank of its key among the
-    order's distinct keys: equal n-grams get equal ids. One sort per order
-    of key * (pool size) + pair gives both the ids and the distinct (n-gram,
-    pair) postings. Where that value could pass int64 at order k (only
-    alphabets in the thousands get there), the order-(k-1) keys are
-    replaced by their ranks before they are chained, which keeps their
-    order and so the ids.
+    Built once per pool, in numpy. Each source text is squeezed as chrF++
+    squeezes it (whitespace removed) and read as code points, each coded by
+    its rank in the pool's alphabet. ``text.chained_ngrams`` gives one sort
+    per order of the (key, pair) values of its n-grams, keys chained from
+    those codes; an order-k id is the rank of its key among the order's
+    distinct keys, so equal n-grams get equal ids, and the distinct values
+    are the (n-gram, pair) postings. ``_ranked`` holds the orders whose keys
+    were replaced by their ranks before the next order chained them.
     Orders 2..6 share one id space, offset by order, and ``gram_ids`` reads
     a query's n-grams through the same chain, ranked orders included.
 
@@ -223,57 +203,44 @@ class GramIndex:
         del points, table
         self._keys = [alphabet]  # per order, the ascending keys its ids rank
         self._ranked: set[int] = set()  # the orders the next one chains by rank
-        owner = np.repeat(np.arange(n, dtype=np.int32), lengths)  # each position's pair
-        # how many characters its text has from each position on, at most n_max
-        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
-        left = np.minimum(left, self.n_max).astype(np.int8)
-        keys, bound = codes, len(alphabet)  # bound: above every key of the order
-        holders, grams, starts = [], [], []  # per order, its distinct (n-gram, pair) postings
+        bits = max(n - 1, 0).bit_length()  # a pair's bits in a (key, pair) value
+        holders, starts = [], []  # per order, its distinct (n-gram, pair) postings
         total = held = 0  # the n-grams and the postings of the orders so far
-        for k in range(2, self.n_max + 1):
-            if k > 2 and bound * len(alphabet) * n > np.iinfo(np.int64).max:
-                # chain the ranks instead, so that key * n + pair stays in
-                # int64 (the order-1 codes are ranks already)
-                keys = np.searchsorted(self._keys[-1], keys)
-                bound = len(self._keys[-1])
+        for k, postings, ranked in chained_ngrams(codes, len(alphabet), lengths,
+                                                  self.n_min, self.n_max):
+            if ranked:
                 self._ranked.add(k - 1)
-            # the k-gram key at every position (one reaching past the end of
-            # its text names no n-gram), and where a k-gram fits in its text
-            keys = np.multiply(keys[:-1], len(alphabet), dtype=np.int64)
-            keys += codes[k - 1:]
-            bound *= len(alphabet)
-            fits = left[:len(keys)] >= k
-            postings = keys[fits] * n
-            postings += owner[:len(keys)][fits]
-            postings = _sorted_distinct(postings)  # by key, then pair
-            holders.append((postings % n).astype(np.int32))
-            postings //= n
-            first = np.ones(len(postings), dtype=bool)  # where each key's run begins
-            first[1:] = postings[1:] != postings[:-1]
+            postings = postings[_run_starts(postings)]  # by key, then pair
+            holders.append((postings & ((1 << bits) - 1)).astype(np.int32))
+            postings >>= bits
+            first = _run_starts(postings)  # where each key's run begins
             self._keys.append(postings[first])
-            ids = np.cumsum(first, dtype=np.int32)
-            ids += total - 1
-            grams.append(ids)
             starts.append(np.flatnonzero(first) + held)
             total += len(self._keys[-1])
             held += len(postings)
-        del codes, owner, left, keys, fits, postings, first, ids
+        del codes, postings, first
         self.holders = np.concatenate(holders)
         self.starts = np.concatenate(starts + [[held]]).astype(np.int32)
         del holders, starts
-        # the same postings pair major, as pair * total + n-gram id, each
-        # order's ids added where they sit (concatenated, they would be held twice)
-        postings = np.multiply(self.holders, total, dtype=np.int64)
-        at = 0
-        for ids in grams:
-            postings[at:at + len(ids)] += ids
-            at += len(ids)
-        del grams, ids
+        # the same postings pair major, pair << id_bits | n-gram id in one
+        # sort: uint32 where both fit (13 + 19 bits at paper scale), each
+        # n-gram's id repeated over its run of holders
+        id_bits = max(total - 1, 0).bit_length()
+        dtype = np.uint32 if bits + id_bits <= 32 else np.int64
+        postings = self.holders.astype(dtype)
+        postings <<= id_bits
+        postings |= np.repeat(np.arange(total, dtype=dtype), np.diff(self.starts))
         postings.sort()
-        self.bounds = np.searchsorted(postings, np.arange(n + 1) * total).astype(np.int32)
+        # where each pair's run begins; past the last pair, the end (n << id_bits
+        # itself may not fit the dtype)
+        self.bounds = np.append(np.searchsorted(postings, np.arange(n, dtype=dtype) << id_bits),
+                                len(postings)).astype(np.int32)
         self.sizes = np.diff(self.bounds)
-        postings %= total
-        self.grams = postings.astype(np.int32)
+        postings &= (1 << id_bits) - 1
+        # uint32 ids are below 2**31 (``starts`` are int32), so they are their
+        # own int32 bytes: at paper scale an int32 copy left ~9 MB more RSS
+        # after the build
+        self.grams = postings.view(np.int32) if dtype == np.uint32 else postings.astype(np.int32)
         del postings
         distinct: dict[str, int] = {}
         self.texts = np.array(

@@ -2,15 +2,19 @@
 
 Every module that tokenizes English source text goes through
 :func:`word_tokenize` so that vocabulary analysis, fuzzy retrieval, and the
-prompt side all agree on what a "word" is.
+prompt side all agree on what a "word" is. Every module that counts n-grams
+goes through :func:`chained_ngrams`: the chrF-CW index over characters, and
+chrF++ and BLEU over characters, words and tokens.
 """
 
 from __future__ import annotations
 
 import string
-from collections import Counter
+
+import numpy as np
 
 _PUNCT = string.punctuation
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def word_tokenize(text: str) -> list[str]:
@@ -26,14 +30,80 @@ def word_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
-    """Multiset of character n-grams of orders n_min..n_max.
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
-    Whitespace is removed before extraction so that n-grams never span a
-    token boundary marker.
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and a neighbour mask. Nothing
+    here calls np.unique. Without return_inverse it hashes, which is far
+    slower on millions of keys, and asks ``np.ma.is_masked`` first, which
+    imports ``numpy.ma`` (~15 ms) into a process that has no other use for
+    it; with it, it adds an argsort and a scatter to the sort."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``values`` begins, as a mask."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def chained_ngrams(codes: np.ndarray, size: int, lengths: np.ndarray, n_min: int, n_max: int,
+                   caps: np.ndarray | None = None):
+    """The n-grams of orders ``n_min``..``n_max`` of coded texts, one sort
+    per order.
+
+    ``codes`` holds the texts' items one text after another, each coded
+    below ``size``. ``lengths[t]`` is text t's item count and ``caps[t]``,
+    when given, the highest order counted in it. The key of the k-gram at a
+    position chains the codes of its items, key * size + code, so keys sort
+    as their n-grams do and equal n-grams get equal keys.
+
+    For each order k this yields ``(k, values, ranked)``. ``values`` holds
+    key << bits | t for every k-gram that fits in its text t, ascending,
+    where bits is ``max(len(lengths) - 1, 0).bit_length()``: a run of equal
+    values is one n-gram's count in one text. Where a value of the next
+    order could pass int64 (only alphabets or vocabularies in the thousands
+    get there), the keys of this order are replaced by their ranks among its
+    distinct keys before they are chained, which keeps their order and so
+    which n-grams are equal; ``ranked`` says that happened before order k.
+    Orders below ``n_min`` are chained but not sorted, so they are never
+    ranked.
     """
-    squeezed = "".join(text.split())
-    grams: Counter = Counter()
-    for n in range(n_min, n_max + 1):
-        grams.update(squeezed[i : i + n] for i in range(len(squeezed) - n + 1))
-    return grams
+    count = len(lengths)
+    bits = max(count - 1, 0).bit_length()
+    owner = np.repeat(np.arange(count, dtype=np.int32), lengths)  # each position's text
+    # how many items its text has from each position on, at most its cap
+    left = np.repeat(np.cumsum(lengths), lengths)
+    left -= np.arange(len(codes))
+    small = np.min_scalar_type(n_max)
+    cap = n_max if caps is None else np.repeat(np.minimum(caps, n_max).astype(small), lengths)
+    left = np.minimum(left, cap, out=left).astype(small)
+    keys, bound = codes, size  # bound: above every key of the order
+    table = None  # this order's distinct keys, when the next chains their ranks
+    for k in range(1, n_max + 1):
+        ranked = table is not None
+        if ranked:
+            keys, bound, table = np.searchsorted(table, keys), len(table), None
+        if k > 1:
+            # the k-gram key at every position; one reaching past the end of
+            # its text names no n-gram and is never sorted
+            keys = np.multiply(keys[:-1], size, dtype=np.int64)
+            keys += codes[k - 1:]
+            bound *= size
+        if k < n_min:
+            continue
+        fits = left[:len(keys)] >= k
+        values = keys[fits].astype(np.int64, copy=False)
+        values <<= bits
+        values |= owner[:len(keys)][fits]
+        values.sort()
+        if k < n_max and bound * size << bits > _INT64_MAX:
+            table = values >> bits
+            table = table[_run_starts(table)]
+        yield k, values, ranked
+        del values  # the caller's to keep: not held while the next order is chained

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ def make_pairs(count: int, seed: int, origin: str = "NT") -> list[ParallelPair]:
                          origin=origin)
         )
     return pairs
+
+
+def char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
+    """Multiset of character n-grams of orders n_min..n_max, whitespace
+    removed first: the Counter oracle for the numpy n-gram counts."""
+    squeezed = "".join(text.split())
+    grams: Counter = Counter()
+    for n in range(n_min, n_max + 1):
+        grams.update(squeezed[i : i + n] for i in range(len(squeezed) - n + 1))
+    return grams
 
 
 @pytest.fixture(scope="session")

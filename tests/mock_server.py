@@ -85,6 +85,12 @@ class MockProviderServer:
                         outer.in_flight -= 1
 
         class Server(ThreadingHTTPServer):
+            # tests open up to 16 connections at once: at socketserver's
+            # default backlog of 5 the kernel drops some handshakes, so a
+            # client waits out a 1 s SYN resend or has its connection reset
+            # and retried (a request counted twice)
+            request_queue_size = 64
+
             def process_request(self, request, client_address):
                 with outer._lock:
                     outer.connections += 1

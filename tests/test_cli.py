@@ -20,6 +20,12 @@ DRAFTS = str(DEMO_DATA / "drafts.tsv")
 LEXICON = str(DEMO_DATA / "lexicon.tsv")
 
 
+# characters str.splitlines() breaks a line at that a text file's lines can hold
+INLINE_BREAKS = pytest.mark.parametrize("mark", [
+    "\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x0b", "\x0c",
+], ids=["u2028", "u2029", "x85", "x1c", "x1d", "x1e", "vt", "ff"])
+
+
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -105,6 +111,18 @@ class TestAnalyzeCommands:
         assert by_term["sin"]["count_per_10k"] == pytest.approx(4000.0)
         assert by_term["covenant"]["raw_count"] == 0
         assert csv_path.read_text(encoding="utf-8").startswith("term,")
+
+    @INLINE_BREAKS
+    def test_termfreq_reads_one_term_per_line(self, tmp_path, capsys, mark):
+        corpus_file = tmp_path / "text.txt"
+        corpus_file.write_text(f"sin and{mark}grace\n", encoding="utf-8")
+        terms = tmp_path / "terms.txt"
+        terms.write_text(f"sin\ngrace{mark}covenant\n", encoding="utf-8")
+        code, out = run_cli(capsys, "analyze", "termfreq", "--terms-file", str(terms),
+                            "--corpus", str(corpus_file))
+        assert code == 0
+        assert [(r["term"], r["raw_count"]) for r in json.loads(out)] == [
+            ("sin", 1), (f"grace{mark}covenant", 0)]
 
 
 class TestRetrieveCommand:
@@ -277,6 +295,25 @@ class TestScoreCommand:
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "id,bleu,chrf"
         assert len(lines) == 3
+
+    @INLINE_BREAKS
+    def test_segments_end_at_line_ends_only(self, tmp_path, capsys, mark):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        # in one file only, and in both files on different lines
+        for hyp_text, ref_text in [
+            (f"the quick{mark}brown fox\nhello to the world\n",
+             "the quick brown fox\nhello to the world\n"),
+            (f"the quick{mark}brown fox\nhello to the world\n",
+             f"the quick brown fox\nhello to{mark}the world\n"),
+        ]:
+            hyp.write_text(hyp_text, encoding="utf-8")
+            ref.write_text(ref_text, encoding="utf-8")
+            code, out = run_cli(capsys, "score", "--hyp", str(hyp), "--ref", str(ref))
+            assert code == 0
+            # the mark splits words as a space does, so each segment matches
+            assert [(s["id"], s["bleu"], s["chrf"]) for s in json.loads(out)["per_sentence"]] == [
+                ("1", 100.0, 100.0), ("2", 100.0, 100.0)]
 
 
 class TestRunSweepCompare:

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import string
 import sys
 import types
+from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import char_ngrams
+from ragmt import metrics
 from ragmt.metrics import (
     ChrfParams,
     EvalReport,
@@ -144,6 +151,102 @@ def oracle_bleu(pairs, max_order=4, eps=1e-9):
         log_p += math.log(p)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_p / max_order)
+
+
+# ---------------------------------------------------------------------------
+# Counter oracle for the per-segment count rows: each segment's n-grams
+# counted on their own in Counters. N-grams of tokens are keyed by the
+# tokens joined with spaces, so tokens must hold no space.
+
+
+def word_ngram_counts(tokens: list[str], order: int) -> Counter:
+    return Counter(
+        " ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
+    )
+
+
+def segment_statistics(hyp: str, ref: str, params: ChrfParams) -> list[int]:
+    """Per order: (hyp count, ref count, match count), chars then words."""
+    stats: list[int] = []
+    for order in range(1, params.char_order + 1):
+        h = char_ngrams(hyp, order, order)
+        r = char_ngrams(ref, order, order)
+        stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
+    if params.word_order > 0:
+        h_toks = metrics._separate_punctuation(hyp)
+        r_toks = metrics._separate_punctuation(ref)
+        for order in range(1, params.word_order + 1):
+            h = word_ngram_counts(h_toks, order)
+            r = word_ngram_counts(r_toks, order)
+            stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
+    return stats
+
+
+def bleu_statistics(hyp: str, ref: str, tokenizer, max_order: int) -> list[int]:
+    """One segment's BLEU counts: n-gram matches per order, n-gram totals
+    per order, then the hypothesis and reference lengths in tokens."""
+    h_toks = tokenizer.tokenize(hyp)
+    r_toks = tokenizer.tokenize(ref)
+    matches, totals = [], []
+    for order in range(1, max_order + 1):
+        h = word_ngram_counts(h_toks, order)
+        r = word_ngram_counts(r_toks, order)
+        totals.append(sum(h.values()))
+        matches.append(sum((h & r).values()))
+    return matches + totals + [len(h_toks), len(r_toks)]
+
+
+def counted(hypotheses, references, *options):
+    """``metrics._statistics``'s rows, and the orders whose keys chained the
+    previous order's ranks."""
+    ranked, chained_ngrams = [], metrics.chained_ngrams
+
+    def spy(*args, **kwargs):
+        for k, values, was_ranked in chained_ngrams(*args, **kwargs):
+            if was_ranked:
+                ranked.append(k)
+            yield k, values, was_ranked
+
+    with mock.patch.object(metrics, "chained_ngrams", spy):
+        return metrics._statistics(hypotheses, references, *options), ranked
+
+
+class PieceTokenizer:
+    """Two-character pieces, as ``_pieces`` cuts them; counts its calls."""
+
+    name = "pieces"
+    is_subword_model = True
+
+    def __init__(self):
+        self.seen: list[str] = []
+
+    def tokenize(self, text: str) -> list[str]:
+        self.seen.append(text)
+        return _pieces(text)
+
+
+# one side of a segment: empty, punctuation only, words with repeats, or
+# characters that include the whitespace str.split() removes (tab, newline,
+# U+3000, U+001C, U+0085, U+2028), non-ASCII, astral characters and a lone
+# surrogate
+SIDES = (
+    st.text(alphabet="ab éß水\U0001F600\ud800.,!?\t\n\u3000\x1c\x85\u2028", max_size=24)
+    | st.text(alphabet=".,!?;:'\"-", max_size=4)
+    | st.lists(st.sampled_from(["the", "lamb", "the.", ",", "!?", "lamb,", "水水", "\U0001F600"]),
+               max_size=10).map(" ".join)
+)
+
+
+def wide_pair(seed: int) -> tuple[str, str]:
+    """A segment of 2000 distinct characters in 666 distinct words, and a
+    reference that shares runs of them: 2000**6 passes int64, so the
+    order-5 keys are chained by rank."""
+    rng = random.Random(seed)
+    chars = [chr(0x4E00 + i) for i in range(2000)]
+    rng.shuffle(chars)
+    words = ["".join(chars[i : i + 3]) for i in range(0, 1998, 3)]
+    cut = rng.randrange(len(words))
+    return " ".join(words) + chars[-1] + chars[-2], " ".join(words[cut:] + words[: cut // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +398,78 @@ class TestEvaluate:
             assert score.chrf == chrf_pp(h, r, params)
         assert report.corpus_bleu == corpus_bleu(hyps, refs)
         assert report.corpus_chrf == corpus_chrf(hyps, refs, params)
+
+
+class TestCountRows:
+    """``_statistics`` counts a cell's n-grams in numpy; each row must equal
+    the Counter oracle's, exactly."""
+
+    @given(
+        st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=6),
+        st.sampled_from([ChrfParams(), ChrfParams(char_order=3, word_order=0, beta=1.0),
+                         ChrfParams(char_order=8, word_order=3)]),
+        st.booleans(),
+        st.none() | st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_rows_equal_the_counter_oracle(self, pairs, params, pieces, wide, data):
+        if wide is not None:
+            pairs.insert(data.draw(st.integers(0, len(pairs))), wide_pair(wide))
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        tokenizer = PieceTokenizer() if pieces else WhitespaceTokenizer()
+        (chrf_rows, bleu_rows), ranked = counted(hyps, refs, params, tokenizer, 4)
+        assert ranked == ([6] if wide is not None and params.char_order >= 6 else [])
+        assert chrf_rows.dtype == bleu_rows.dtype == np.int64
+        assert chrf_rows.tolist() == [segment_statistics(h, r, params) for h, r in pairs]
+        if pieces:
+            assert tokenizer.seen == [text for pair in pairs for text in pair]
+        assert bleu_rows.tolist() == [bleu_statistics(h, r, tokenizer, 4) for h, r in pairs]
+
+    def test_large_vocabulary_chains_ranks(self):
+        # 40,000 distinct words: 40000**4 << bits passes int64, so the
+        # order-3 keys are ranked before order 4 chains them (and the order-5
+        # keys before order 6), and BLEU's 4-grams, the word 4-grams and the
+        # character orders 4..6 are read through ranks
+        rng = random.Random(47)
+        words = ["".join(w) for w in itertools.product(string.ascii_letters[:40], repeat=3)]
+        rng.shuffle(words)
+        pairs = [(" ".join(words[:20000]), " ".join(words[10000:30000])),
+                 (" ".join(words[30000:30100] * 3), " ".join(words[30050:30200] * 2
+                                                             + words[30200:40000]))]
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        params = ChrfParams(word_order=4)
+        (chrf_rows, bleu_rows), ranked = counted(hyps, refs, params, WhitespaceTokenizer(), 4)
+        assert ranked == [4, 6]
+        assert chrf_rows.tolist() == [segment_statistics(h, r, params) for h, r in pairs]
+        assert bleu_rows.tolist() == [bleu_statistics(h, r, WhitespaceTokenizer(), 4)
+                                      for h, r in pairs]
+
+    @given(st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=4), st.integers(1, 5))
+    def test_bleu_alone_at_any_order(self, pairs, max_order):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        chrf_rows, bleu_rows = metrics._statistics(hyps, refs, tokenizer=WhitespaceTokenizer(),
+                                                   max_order=max_order)
+        assert chrf_rows is None
+        assert bleu_rows.tolist() == [bleu_statistics(h, r, WhitespaceTokenizer(), max_order)
+                                      for h, r in pairs]
+
+    def test_fixture_cell_rows_and_pooled_counts(self):
+        # a row per segment, a column per statistic (chrF++: 6 + 2 orders of
+        # 3; BLEU: 4 + 4 + 2), and the corpus counts are the column sums
+        hyps = [h for h, _ in FIXTURE_PAIRS]
+        refs = [r for _, r in FIXTURE_PAIRS]
+        tokenizer = WhitespaceTokenizer()
+        chrf_rows, bleu_rows = metrics._statistics(hyps, refs, ChrfParams(), tokenizer, 4)
+        assert chrf_rows.shape == (20, 24) and bleu_rows.shape == (20, 10)
+        assert metrics._pooled(chrf_rows) == [
+            sum(column) for column in zip(*(segment_statistics(h, r, ChrfParams())
+                                             for h, r in FIXTURE_PAIRS))]
+        assert metrics._pooled(bleu_rows) == [
+            sum(column) for column in zip(*(bleu_statistics(h, r, tokenizer, 4)
+                                             for h, r in FIXTURE_PAIRS))]
 
 
 def test_whitespace_tokenizer_round_trip():
