@@ -177,19 +177,16 @@ def _pair_from_fields(fields: dict, lineno: int) -> ParallelPair:
         raise CorpusError(f"line {lineno}: {exc}") from None
 
 
-def _detect_format(path: Path, fmt: str | None) -> str:
-    if fmt:
-        fmt = fmt.lower()
-        if fmt not in ("tsv", "jsonl"):
-            raise CorpusError(f"unknown corpus format {fmt!r}")
-        return fmt
-    return "jsonl" if path.suffix.lower() in (".jsonl", ".json") else "tsv"
+def _is_jsonl(path: Path) -> bool:
+    """Whether ``path`` is read and written as JSON lines: its suffix alone
+    decides, and every other suffix is TSV."""
+    return path.suffix.lower() in (".jsonl", ".json")
 
 
-def load_parallel(path: str | Path, fmt: str | None = None) -> list[ParallelPair]:
+def load_parallel(path: str | Path) -> list[ParallelPair]:
     """Load and validate a parallel corpus file, preserving row order."""
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    jsonl = _is_jsonl(path)
     pairs: list[ParallelPair] = []
     seen: dict[str, int] = {}
     with naming_errors(path), open(path, encoding="utf-8") as fh:
@@ -197,7 +194,7 @@ def load_parallel(path: str | Path, fmt: str | None = None) -> list[ParallelPair
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if fmt == "tsv":
+            if not jsonl:
                 cols = line.split("\t")
                 if len(cols) not in (4, 5):
                     raise CorpusError(f"line {lineno}: expected 4 or 5 TSV columns, got {len(cols)}")
@@ -214,12 +211,12 @@ def load_parallel(path: str | Path, fmt: str | None = None) -> list[ParallelPair
     return pairs
 
 
-def save_parallel(path: str | Path, pairs: list[ParallelPair], fmt: str | None = None) -> None:
+def save_parallel(path: str | Path, pairs: list[ParallelPair]) -> None:
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    jsonl = _is_jsonl(path)
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            if fmt == "tsv":
+            if not jsonl:
                 cols = [pair.id, pair.source_text, pair.target_text, pair.origin]
                 if pair.ref is not None:
                     cols.append(str(pair.ref))
@@ -236,10 +233,10 @@ def save_parallel(path: str | Path, pairs: list[ParallelPair], fmt: str | None =
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def load_lexicon(path: str | Path, fmt: str | None = None) -> list[LexiconEntry]:
+def load_lexicon(path: str | Path) -> list[LexiconEntry]:
     """Load a lexicon file (TSV: source \\t pos \\t target, pos may be blank)."""
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    jsonl = _is_jsonl(path)
     entries: list[LexiconEntry] = []
     seen: dict[tuple, int] = {}
     with naming_errors(path), open(path, encoding="utf-8") as fh:
@@ -247,7 +244,7 @@ def load_lexicon(path: str | Path, fmt: str | None = None) -> list[LexiconEntry]
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if fmt == "tsv":
+            if not jsonl:
                 cols = line.split("\t")
                 if len(cols) == 3:
                     source, pos, target = cols
@@ -275,12 +272,12 @@ def load_lexicon(path: str | Path, fmt: str | None = None) -> list[LexiconEntry]
     return entries
 
 
-def save_lexicon(path: str | Path, entries: list[LexiconEntry], fmt: str | None = None) -> None:
+def save_lexicon(path: str | Path, entries: list[LexiconEntry]) -> None:
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    jsonl = _is_jsonl(path)
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
-            if fmt == "tsv":
+            if not jsonl:
                 fh.write(f"{entry.source_word}\t{entry.pos or ''}\t{entry.target_word}\n")
             else:
                 obj = {"source_word": entry.source_word, "target_word": entry.target_word}

@@ -1,20 +1,22 @@
 """Native chrF++ and pooled-count BLEU for corpus and sentence scoring.
 
-chrF++ follows the published definition: character n-grams (orders
-1..char_order) extracted with whitespace removed, word n-grams (orders
-1..word_order) over punctuation-separated tokens, precision/recall averaged
-over effective orders, combined with F-beta. Corpus scores pool n-gram
-statistics over segments rather than averaging sentence scores.
+Both metrics are fixed at the paper's definitions. chrF++ (Popović, WMT
+2017) takes character n-grams of orders 1..6 with whitespace removed and
+word n-grams of orders 1..2 over punctuation-separated tokens, averages
+precision and recall over the effective orders and combines them with
+F-beta at beta = 2. BLEU counts tokenizer n-grams of orders 1..4. Corpus
+scores pool n-gram statistics over segments rather than averaging sentence
+scores.
 
 Every scorer reads its counts from ``_statistics``, which counts all the
-segments it is given in one numpy pass. Each hypothesis and reference is
-coded once as squeezed characters, as punctuation-separated words and as
-tokenizer tokens (each text tokenized once). ``text.chained_ngrams`` then
-sorts, once per order for all three streams, the (n-gram, text) values; a
-segment's clipped matches are read off the sorted runs, and its n-gram
-totals follow from its texts' lengths. The counts come back as one int64
-array per metric, a row per segment, and a corpus score is computed from
-the column sums.
+segments it is given in numpy, one stream at a time: squeezed characters
+(coded by ``text.char_codes``), punctuation-separated words and tokenizer
+tokens (each text tokenized once). ``text.chained_ngrams`` sorts a
+stream's (n-gram, text) values once per order, with the stream's own
+alphabet or vocabulary as its radix; a segment's clipped matches are read
+off the sorted runs, and its n-gram totals follow from its texts' lengths.
+The counts come back as one int64 array per metric, a row per segment, and
+a corpus score is computed from the column sums.
 """
 
 from __future__ import annotations
@@ -28,26 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import naming_errors
-from .text import _code_points, _run_starts, _sorted_distinct, chained_ngrams
+from .text import _run_starts, chained_ngrams, char_codes
 
 _PUNCTS = set(string.punctuation)
 
+CHRF_CHAR_ORDER = 6
+CHRF_WORD_ORDER = 2
+CHRF_BETA = 2.0
+BLEU_ORDER = 4
 BLEU_SMOOTHING_EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class ChrfParams:
-    char_order: int = 6
-    word_order: int = 2
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if self.char_order < 1:
-            raise ValueError("char_order must be >= 1")
-        if self.word_order < 0:
-            raise ValueError("word_order must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 class WhitespaceTokenizer:
@@ -155,16 +146,10 @@ def _separate_punctuation(text: str) -> list[str]:
     return tokens
 
 
-def _statistics(
-    hypotheses: list[str],
-    references: list[str],
-    chrf_params: ChrfParams | None = None,
-    tokenizer=None,
-    max_order: int = 4,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Each segment's chrF++ counts (given ``chrf_params``) and BLEU counts
-    (given ``tokenizer``), as one int64 array per metric with a row per
-    segment; None for a metric not asked for.
+def _statistics(hypotheses: list[str], references: list[str],
+                tokenizer) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's chrF++ counts and BLEU counts (over ``tokenizer``'s
+    tokens), as one int64 array per metric with a row per segment.
 
     A chrF++ row holds, per order, characters before words, (hypothesis
     n-grams, reference n-grams, matches). A BLEU row holds the matches of
@@ -174,59 +159,39 @@ def _statistics(
     """
     n = len(hypotheses)
     texts = [text for pair in zip(hypotheses, references) for text in pair]
-    vocab: dict[str, int] = {}  # word and token codes; the streams never mix
-    # per stream: its highest order, its codes and each text's length in
-    # them; segment i's texts are a stream's texts 2i and 2i + 1
-    orders, codes, lengths = [], [], []
-
-    def add_tokens(order: int, tokenize) -> None:
-        """A stream of each text's tokens, coded through ``vocab``."""
-        tokens = [tokenize(text) for text in texts]
-        counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(texts))
-        orders.append(order)
-        codes.append(np.fromiter((vocab.setdefault(t, len(vocab)) for ts in tokens for t in ts),
-                                 dtype=np.int64, count=int(counts.sum())))
-        lengths.append(counts)
-
-    size = 0
-    if chrf_params is not None:
-        squeezed = ["".join(text.split()) for text in texts]
-        lengths.append(np.fromiter(map(len, squeezed), dtype=np.intp, count=len(texts)))
-        points = _code_points("".join(squeezed))
-        del squeezed
-        alphabet = _sorted_distinct(points)
-        size = len(alphabet)
-        orders.append(chrf_params.char_order)
-        codes.append(np.searchsorted(alphabet, points))
-        del points
-        if chrf_params.word_order:
-            add_tokens(chrf_params.word_order, _separate_punctuation)
-    chrf_streams = len(orders)
-    if tokenizer is not None:
-        add_tokens(max_order, tokenizer.tokenize)
-    codes = np.concatenate(codes)
-    lengths = np.concatenate(lengths)
-    bits = max(len(lengths) - 1, 0).bit_length()
-    matches = np.zeros((max(orders), len(orders) * n), dtype=np.int64)  # by order, (stream, segment)
-    for k, values, _ in chained_ngrams(codes, max(size, len(vocab)), lengths, 1, max(orders),
-                                       caps=np.repeat(orders, 2 * n)):
-        matches[k - 1] = _clipped_matches(values, bits, matches.shape[1])
-    lengths = lengths.reshape(len(orders), n, 2)
-
-    def counts_by_order(s: int) -> np.ndarray:
-        """Stream s's (segments, orders, 3) hypothesis, reference and match counts."""
-        order = orders[s]
-        totals = np.maximum(lengths[s][:, :, None] - np.arange(order), 0)
-        return np.stack([totals[:, 0], totals[:, 1], matches[:order, s * n:(s + 1) * n].T], axis=2)
-
-    chrf_rows = bleu_rows = None
-    if chrf_params is not None:
-        chrf_rows = np.concatenate(
-            [counts_by_order(s).reshape(n, -1) for s in range(chrf_streams)], axis=1)
-    if tokenizer is not None:
-        bleu = counts_by_order(chrf_streams)
-        bleu_rows = np.concatenate([bleu[:, :, 2], bleu[:, :, 0], lengths[-1]], axis=1)
+    codes, lengths, alphabet = char_codes(texts)
+    chars = _counts(codes, len(alphabet), lengths, CHRF_CHAR_ORDER)
+    words = _counts(*_token_codes([_separate_punctuation(text) for text in texts]),
+                    CHRF_WORD_ORDER)
+    tokens = _counts(*_token_codes([tokenizer.tokenize(text) for text in texts]), BLEU_ORDER)
+    chrf_rows = np.concatenate([chars.reshape(n, -1), words.reshape(n, -1)], axis=1)
+    # a text's unigrams are its tokens, so its length is its order-1 count
+    bleu_rows = np.concatenate([tokens[:, :, 2], tokens[:, :, 0], tokens[:, 0, :2]], axis=1)
     return chrf_rows, bleu_rows
+
+
+def _token_codes(tokens: list[list[str]]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each text's tokens for ``chained_ngrams``: their codes, one text
+    after another, each a token's place in the order of first appearance;
+    the vocabulary's size; and each text's length in tokens."""
+    vocab: dict[str, int] = {}
+    lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    codes = np.fromiter((vocab.setdefault(t, len(vocab)) for ts in tokens for t in ts),
+                        dtype=np.int64, count=int(lengths.sum()))
+    return codes, len(vocab), lengths
+
+
+def _counts(codes: np.ndarray, size: int, lengths: np.ndarray, order: int) -> np.ndarray:
+    """One stream's (segments, orders, 3) hypothesis n-grams, reference
+    n-grams and clipped matches, orders 1..``order``: segment i's texts are
+    the coded texts 2i and 2i + 1, chained with radix ``size``."""
+    n = len(lengths) // 2
+    bits = max(len(lengths) - 1, 0).bit_length()
+    matches = np.zeros((n, order), dtype=np.int64)
+    for k, values, _ in chained_ngrams(codes, size, lengths, 1, order):
+        matches[:, k - 1] = _clipped_matches(values, bits, n)
+    totals = np.maximum(lengths.reshape(n, 2, 1) - np.arange(order), 0)
+    return np.stack([totals[:, 0], totals[:, 1], matches], axis=2)
 
 
 def _clipped_matches(values: np.ndarray, bits: int, width: int) -> np.ndarray:
@@ -251,12 +216,11 @@ def _pooled(rows: np.ndarray) -> list[int]:
 # chrF++
 
 
-def _f_score(stats: list[int], params: ChrfParams) -> float:
-    n_orders = params.char_order + params.word_order
-    factor = params.beta**2
+def _f_score(stats: list[int]) -> float:
+    factor = CHRF_BETA**2
     avg_prec = avg_rec = 0.0
     effective = 0
-    for i in range(n_orders):
+    for i in range(CHRF_CHAR_ORDER + CHRF_WORD_ORDER):
         n_hyp, n_ref, n_match = stats[3 * i : 3 * i + 3]
         if n_hyp > 0 and n_ref > 0:
             avg_prec += n_match / n_hyp
@@ -281,25 +245,24 @@ def _check_pairs(hypotheses: list[str], references: list[str]) -> None:
         raise ValueError("need at least one hypothesis/reference pair")
 
 
-def chrf_pp(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> float:
+def chrf_pp(hypothesis: str, reference: str) -> float:
     """Sentence-level chrF++ in [0, 100]."""
-    return _f_score(_pooled(_statistics([hypothesis], [reference], params)[0]), params)
+    return corpus_chrf([hypothesis], [reference])
 
 
-def corpus_chrf(
-    hypotheses: list[str], references: list[str], params: ChrfParams = ChrfParams()
-) -> float:
+def corpus_chrf(hypotheses: list[str], references: list[str]) -> float:
     """Corpus-level chrF++ over pooled n-gram statistics."""
     _check_pairs(hypotheses, references)
-    return _f_score(_pooled(_statistics(hypotheses, references, params)[0]), params)
+    rows, _ = _statistics(hypotheses, references, WhitespaceTokenizer())
+    return _f_score(_pooled(rows))
 
 
 # ---------------------------------------------------------------------------
 # BLEU
 
 
-def _bleu_from_pooled(stats: list[int], max_order: int) -> float:
-    matches, totals = stats[:max_order], stats[max_order : 2 * max_order]
+def _bleu_from_pooled(stats: list[int]) -> float:
+    matches, totals = stats[:BLEU_ORDER], stats[BLEU_ORDER : 2 * BLEU_ORDER]
     hyp_len, ref_len = stats[-2:]
     if hyp_len == 0:
         return 0.0
@@ -307,22 +270,16 @@ def _bleu_from_pooled(stats: list[int], max_order: int) -> float:
     for m, t in zip(matches, totals):
         # matches never exceed totals, so m == 0 covers an order with no n-grams
         log_sum += math.log(m / t if m else BLEU_SMOOTHING_EPSILON)
-    geo_mean = math.exp(log_sum / max_order)
+    geo_mean = math.exp(log_sum / BLEU_ORDER)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * geo_mean
 
 
-def corpus_bleu(
-    hypotheses: list[str],
-    references: list[str],
-    tokenizer=None,
-    max_order: int = 4,
-) -> float:
+def corpus_bleu(hypotheses: list[str], references: list[str], tokenizer=None) -> float:
     """Pooled-count BLEU with brevity penalty and epsilon smoothing."""
     _check_pairs(hypotheses, references)
-    _, rows = _statistics(hypotheses, references, tokenizer=tokenizer or WhitespaceTokenizer(),
-                          max_order=max_order)
-    return _bleu_from_pooled(_pooled(rows), max_order)
+    _, rows = _statistics(hypotheses, references, tokenizer or WhitespaceTokenizer())
+    return _bleu_from_pooled(_pooled(rows))
 
 
 def sentence_bleu(hypothesis: str, reference: str, tokenizer=None) -> float:
@@ -334,7 +291,6 @@ def evaluate(
     hypotheses: list[str],
     references: list[str],
     tokenizer=None,
-    chrf_params: ChrfParams = ChrfParams(),
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Corpus + per-sentence scoring bundled into one report.
@@ -347,24 +303,23 @@ def evaluate(
         raise ValueError("ids, hypotheses, and references must align")
     _check_pairs(hypotheses, references)
     tokenizer = tokenizer or WhitespaceTokenizer()
-    max_order = 4
-    chrf_rows, bleu_rows = _statistics(hypotheses, references, chrf_params, tokenizer, max_order)
+    chrf_rows, bleu_rows = _statistics(hypotheses, references, tokenizer)
     per_sentence = [
-        SentenceScore(id=i, bleu=_bleu_from_pooled(b, max_order), chrf=_f_score(c, chrf_params))
+        SentenceScore(id=i, bleu=_bleu_from_pooled(b), chrf=_f_score(c))
         for i, b, c in zip(ids, bleu_rows.tolist(), chrf_rows.tolist())
     ]
     label = "spBLEU" if tokenizer.is_subword_model else f"BLEU({tokenizer.name})"
     return EvalReport(
-        corpus_bleu=_bleu_from_pooled(_pooled(bleu_rows), max_order),
-        corpus_chrf=_f_score(_pooled(chrf_rows), chrf_params),
+        corpus_bleu=_bleu_from_pooled(_pooled(bleu_rows)),
+        corpus_chrf=_f_score(_pooled(chrf_rows)),
         per_sentence=per_sentence,
         config_fingerprint=config_fingerprint,
         bleu_label=label,
         metadata={
             "tokenizer": tokenizer.name,
             "bleu_smoothing": f"epsilon={BLEU_SMOOTHING_EPSILON}",
-            "chrf_char_order": chrf_params.char_order,
-            "chrf_word_order": chrf_params.word_order,
-            "chrf_beta": chrf_params.beta,
+            "chrf_char_order": CHRF_CHAR_ORDER,
+            "chrf_word_order": CHRF_WORD_ORDER,
+            "chrf_beta": CHRF_BETA,
         },
     )

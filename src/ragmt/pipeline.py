@@ -38,7 +38,7 @@ from pathlib import Path
 from . import metrics, retrieval
 from .corpus import (CorpusError, LexiconEntry, ParallelPair, load_lexicon, load_parallel,
                      naming_errors)
-from .metrics import ChrfParams, EvalReport, WhitespaceTokenizer
+from .metrics import EvalReport, WhitespaceTokenizer
 from .prompt import (
     DHAO_PROFILE,
     ContextBundle,
@@ -541,7 +541,6 @@ class _Session:
                 hypotheses=[r.completion for r in completed],
                 references=[r.reference for r in completed],
                 tokenizer=WhitespaceTokenizer(),
-                chrf_params=ChrfParams(),
                 config_fingerprint=fingerprint,
             )
             for record, score in zip(completed, report.per_sentence):

@@ -110,6 +110,14 @@ class ProviderConfig:
             raise ValueError("temperature must be a finite number >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.embed_batch_size < 1:
+            raise ValueError("embed_batch_size must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ValueError("request_timeout must be a finite number > 0")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError("backoff_base must be a finite number >= 0")
 
 
 def _is_base_url(url: str) -> bool:

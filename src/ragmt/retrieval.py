@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LexiconEntry, ParallelPair
-from .text import _code_points, _run_starts, _sorted_distinct, chained_ngrams, word_tokenize
+from .text import (_code_points, _run_starts, _sorted_distinct, chained_ngrams, char_codes,
+                   word_tokenize)
 
 
 @dataclass
@@ -165,11 +166,12 @@ def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class GramIndex:
     """The character n-grams (orders 2..6, chrF++'s) of a pool's source texts.
 
-    Built once per pool, in numpy. Each source text is squeezed as chrF++
-    squeezes it (whitespace removed) and read as code points, each coded by
-    its rank in the pool's alphabet. ``text.chained_ngrams`` gives one sort
-    per order of the (key, pair) values of its n-grams, keys chained from
-    those codes; an order-k id is the rank of its key among the order's
+    Built once per pool, in numpy. ``text.char_codes`` codes the source
+    texts' characters as chrF++ squeezes them (whitespace removed), each by
+    its code point's rank in the pool's alphabet. ``text.chained_ngrams``,
+    with that alphabet as its radix, gives one sort per order of the
+    (key, pair) values of its n-grams, keys chained from those codes; an
+    order-k id is the rank of its key among the order's
     distinct keys, so equal n-grams get equal ids, and the distinct values
     are the (n-gram, pair) postings. ``_ranked`` holds the orders whose keys
     were replaced by their ranks before the next order chained them.
@@ -188,19 +190,7 @@ class GramIndex:
     def __init__(self, pairs: list[ParallelPair]):
         self.pairs = list(pairs)
         n = len(self.pairs)
-        squeezed = ["".join(p.source_text.split()) for p in self.pairs]
-        lengths = np.fromiter(map(len, squeezed), dtype=np.intp, count=n)
-        points = _code_points("".join(squeezed))
-        del squeezed
-        alphabet = _sorted_distinct(points)
-        # each code point's rank from a table over the code points (at most
-        # 0x110000 entries), read as intp and narrowed: at paper scale, freeing
-        # the intp codes here left ~11 MB less in glibc's heap after the build
-        # than int32 codes read from an int32 table did
-        table = np.zeros(int(alphabet.max(initial=0)) + 1, dtype=np.intp)
-        table[alphabet] = np.arange(len(alphabet))
-        codes = table[points].astype(np.int32)
-        del points, table
+        codes, lengths, alphabet = char_codes([p.source_text for p in self.pairs])
         self._keys = [alphabet]  # per order, the ascending keys its ids rank
         self._ranked: set[int] = set()  # the orders the next one chains by rank
         bits = max(n - 1, 0).bit_length()  # a pair's bits in a (key, pair) value

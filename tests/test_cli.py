@@ -409,6 +409,11 @@ class TestBadRunInput:
         ("run", {"mode": "DIRECT_LLM", "provider": {"base_url": "http://127.0.0.1:9",
                                                      "temperature": float("nan")}},
          "temperature"),
+        *[("run", {"mode": "DIRECT_LLM", "provider": {"replay_dir": "fixtures", **change}},
+           next(iter(change)))
+          for change in ({"embed_batch_size": 0}, {"max_retries": -1},
+                         {"request_timeout": 0}, {"request_timeout": float("inf")},
+                         {"backoff_base": -1}, {"backoff_base": float("nan")})],
         ("run", {"k": "3"}, "'k'"),
         ("run", {"k": True}, "'k'"),
         ("run", '{"context": "NONE"}', "'mode'"),
@@ -424,7 +429,9 @@ class TestBadRunInput:
             "missing-config", "sweep-bogus-mode", "sweep-missing-config", "unknown-field",
             "unknown-provider-field", "json-array", "negative-temperature",
             "no-requests-in-flight", "provider-without-url", "url-without-scheme",
-            "url-bad-scheme", "url-without-host", "nan-temperature", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
+            "url-bad-scheme", "url-without-host", "nan-temperature", "no-embed-batch",
+            "negative-retries", "zero-timeout", "inf-timeout", "negative-backoff",
+            "nan-backoff", "string-k", "bool-k", "no-mode", "sweep-unknown-field",
             "lexicon-not-utf8", "drafts-not-utf8", "drafts-malformed-line",
             "drafts-duplicate-id", "missing-replay-dir"])
     def test_is_usage_error(self, tmp_path, command, config, named):

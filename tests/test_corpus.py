@@ -65,8 +65,8 @@ class TestLoadParallel:
         ]
         for fmt in ("tsv", "jsonl"):
             path = tmp_path / f"c.{fmt}"
-            save_parallel(path, pairs, fmt)
-            assert load_parallel(path, fmt) == pairs
+            save_parallel(path, pairs)
+            assert load_parallel(path) == pairs
 
     @pytest.mark.parametrize("bad, message", [
         ([1, 2], "expected a JSON object, got list"),

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import char_ngrams
 from ragmt import metrics
 from ragmt.metrics import (
-    ChrfParams,
     EvalReport,
     SentencePieceTokenizer,
     WhitespaceTokenizer,
@@ -165,30 +164,30 @@ def word_ngram_counts(tokens: list[str], order: int) -> Counter:
     )
 
 
-def segment_statistics(hyp: str, ref: str, params: ChrfParams) -> list[int]:
-    """Per order: (hyp count, ref count, match count), chars then words."""
+def segment_statistics(hyp: str, ref: str) -> list[int]:
+    """Per order: (hyp count, ref count, match count), char orders 1..6
+    then word orders 1..2."""
     stats: list[int] = []
-    for order in range(1, params.char_order + 1):
+    for order in range(1, 7):
         h = char_ngrams(hyp, order, order)
         r = char_ngrams(ref, order, order)
         stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
-    if params.word_order > 0:
-        h_toks = metrics._separate_punctuation(hyp)
-        r_toks = metrics._separate_punctuation(ref)
-        for order in range(1, params.word_order + 1):
-            h = word_ngram_counts(h_toks, order)
-            r = word_ngram_counts(r_toks, order)
-            stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
+    h_toks = metrics._separate_punctuation(hyp)
+    r_toks = metrics._separate_punctuation(ref)
+    for order in range(1, 3):
+        h = word_ngram_counts(h_toks, order)
+        r = word_ngram_counts(r_toks, order)
+        stats += [sum(h.values()), sum(r.values()), sum((h & r).values())]
     return stats
 
 
-def bleu_statistics(hyp: str, ref: str, tokenizer, max_order: int) -> list[int]:
-    """One segment's BLEU counts: n-gram matches per order, n-gram totals
-    per order, then the hypothesis and reference lengths in tokens."""
+def bleu_statistics(hyp: str, ref: str, tokenizer) -> list[int]:
+    """One segment's BLEU counts: n-gram matches per order 1..4, n-gram
+    totals per order, then the hypothesis and reference lengths in tokens."""
     h_toks = tokenizer.tokenize(hyp)
     r_toks = tokenizer.tokenize(ref)
     matches, totals = [], []
-    for order in range(1, max_order + 1):
+    for order in range(1, 5):
         h = word_ngram_counts(h_toks, order)
         r = word_ngram_counts(r_toks, order)
         totals.append(sum(h.values()))
@@ -196,19 +195,23 @@ def bleu_statistics(hyp: str, ref: str, tokenizer, max_order: int) -> list[int]:
     return matches + totals + [len(h_toks), len(r_toks)]
 
 
-def counted(hypotheses, references, *options):
-    """``metrics._statistics``'s rows, and the orders whose keys chained the
-    previous order's ranks."""
-    ranked, chained_ngrams = [], metrics.chained_ngrams
+def counted(hypotheses, references, tokenizer):
+    """``metrics._statistics``'s rows, and per ``chained_ngrams`` call, in
+    call order, its highest order, its radix and the orders whose keys
+    chained the previous order's ranks. The streams' highest orders differ:
+    6 for characters, 2 for words, 4 for tokens."""
+    calls, chained_ngrams = [], metrics.chained_ngrams
 
-    def spy(*args, **kwargs):
-        for k, values, was_ranked in chained_ngrams(*args, **kwargs):
+    def spy(codes, size, lengths, n_min, n_max):
+        ranked = []
+        calls.append((n_max, size, ranked))
+        for k, values, was_ranked in chained_ngrams(codes, size, lengths, n_min, n_max):
             if was_ranked:
                 ranked.append(k)
             yield k, values, was_ranked
 
     with mock.patch.object(metrics, "chained_ngrams", spy):
-        return metrics._statistics(hypotheses, references, *options), ranked
+        return metrics._statistics(hypotheses, references, tokenizer), calls
 
 
 class PieceTokenizer:
@@ -262,11 +265,6 @@ class TestChrfSentence:
     def test_asymmetric_at_beta_2(self):
         hyp, ref = "the light", "the light of the world"
         assert chrf_pp(hyp, ref) != pytest.approx(chrf_pp(ref, hyp))
-
-    def test_symmetric_at_beta_1(self):
-        params = ChrfParams(beta=1.0)
-        hyp, ref = "the light", "the light of the world"
-        assert chrf_pp(hyp, ref, params) == pytest.approx(chrf_pp(ref, hyp, params))
 
     def test_bounded(self):
         for hyp, ref in FIXTURE_PAIRS:
@@ -385,19 +383,16 @@ class TestEvaluate:
         max_size=8,
     ).map(" ".join)
 
-    @given(
-        st.lists(st.tuples(SEGMENTS, SEGMENTS), min_size=1, max_size=6),
-        st.sampled_from([ChrfParams(), ChrfParams(char_order=3, word_order=0, beta=1.0)]),
-    )
-    def test_single_pass_equals_public_scorers(self, pairs, params):
+    @given(st.lists(st.tuples(SEGMENTS, SEGMENTS), min_size=1, max_size=6))
+    def test_single_pass_equals_public_scorers(self, pairs):
         hyps = [h for h, _ in pairs]
         refs = [r for _, r in pairs]
-        report = evaluate([str(i) for i in range(len(pairs))], hyps, refs, chrf_params=params)
+        report = evaluate([str(i) for i in range(len(pairs))], hyps, refs)
         for score, h, r in zip(report.per_sentence, hyps, refs):
             assert score.bleu == sentence_bleu(h, r)
-            assert score.chrf == chrf_pp(h, r, params)
+            assert score.chrf == chrf_pp(h, r)
         assert report.corpus_bleu == corpus_bleu(hyps, refs)
-        assert report.corpus_chrf == corpus_chrf(hyps, refs, params)
+        assert report.corpus_chrf == corpus_chrf(hyps, refs)
 
 
 class TestCountRows:
@@ -406,31 +401,38 @@ class TestCountRows:
 
     @given(
         st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=6),
-        st.sampled_from([ChrfParams(), ChrfParams(char_order=3, word_order=0, beta=1.0),
-                         ChrfParams(char_order=8, word_order=3)]),
         st.booleans(),
         st.none() | st.integers(0, 2**16),
         st.data(),
     )
-    def test_rows_equal_the_counter_oracle(self, pairs, params, pieces, wide, data):
+    def test_rows_equal_the_counter_oracle(self, pairs, pieces, wide, data):
         if wide is not None:
             pairs.insert(data.draw(st.integers(0, len(pairs))), wide_pair(wide))
         hyps = [h for h, _ in pairs]
         refs = [r for _, r in pairs]
         tokenizer = PieceTokenizer() if pieces else WhitespaceTokenizer()
-        (chrf_rows, bleu_rows), ranked = counted(hyps, refs, params, tokenizer, 4)
-        assert ranked == ([6] if wide is not None and params.char_order >= 6 else [])
+        (chrf_rows, bleu_rows), calls = counted(hyps, refs, tokenizer)
+        # each stream's radix is its own alphabet or vocabulary; the wide
+        # pair's 2000 characters rank the characters' order-5 keys alone,
+        # while its 666 words and their pieces stay far below int64
+        texts = [text for pair in pairs for text in pair]
+        radixes = [len(set("".join("".join(text.split()) for text in texts))),
+                   len({w for text in texts for w in metrics._separate_punctuation(text)}),
+                   len({t for text in texts for t in (_pieces if pieces else str.split)(text)})]
+        assert calls == [(6, radixes[0], [6] if wide is not None else []),
+                         (2, radixes[1], []), (4, radixes[2], [])]
         assert chrf_rows.dtype == bleu_rows.dtype == np.int64
-        assert chrf_rows.tolist() == [segment_statistics(h, r, params) for h, r in pairs]
+        assert chrf_rows.tolist() == [segment_statistics(h, r) for h, r in pairs]
         if pieces:
             assert tokenizer.seen == [text for pair in pairs for text in pair]
-        assert bleu_rows.tolist() == [bleu_statistics(h, r, tokenizer, 4) for h, r in pairs]
+        assert bleu_rows.tolist() == [bleu_statistics(h, r, tokenizer) for h, r in pairs]
 
     def test_large_vocabulary_chains_ranks(self):
         # 40,000 distinct words: 40000**4 << bits passes int64, so the
-        # order-3 keys are ranked before order 4 chains them (and the order-5
-        # keys before order 6), and BLEU's 4-grams, the word 4-grams and the
-        # character orders 4..6 are read through ranks
+        # tokens' order-3 keys are ranked before order 4 chains them and
+        # BLEU's 4-grams are read through ranks. Each stream has its own
+        # radix: the word bigrams and the 40-letter alphabet's character
+        # n-grams never rank
         rng = random.Random(47)
         words = ["".join(w) for w in itertools.product(string.ascii_letters[:40], repeat=3)]
         rng.shuffle(words)
@@ -439,21 +441,10 @@ class TestCountRows:
                                                              + words[30200:40000]))]
         hyps = [h for h, _ in pairs]
         refs = [r for _, r in pairs]
-        params = ChrfParams(word_order=4)
-        (chrf_rows, bleu_rows), ranked = counted(hyps, refs, params, WhitespaceTokenizer(), 4)
-        assert ranked == [4, 6]
-        assert chrf_rows.tolist() == [segment_statistics(h, r, params) for h, r in pairs]
-        assert bleu_rows.tolist() == [bleu_statistics(h, r, WhitespaceTokenizer(), 4)
-                                      for h, r in pairs]
-
-    @given(st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=4), st.integers(1, 5))
-    def test_bleu_alone_at_any_order(self, pairs, max_order):
-        hyps = [h for h, _ in pairs]
-        refs = [r for _, r in pairs]
-        chrf_rows, bleu_rows = metrics._statistics(hyps, refs, tokenizer=WhitespaceTokenizer(),
-                                                   max_order=max_order)
-        assert chrf_rows is None
-        assert bleu_rows.tolist() == [bleu_statistics(h, r, WhitespaceTokenizer(), max_order)
+        (chrf_rows, bleu_rows), calls = counted(hyps, refs, WhitespaceTokenizer())
+        assert calls == [(6, 40, []), (2, 40000, []), (4, 40000, [4])]
+        assert chrf_rows.tolist() == [segment_statistics(h, r) for h, r in pairs]
+        assert bleu_rows.tolist() == [bleu_statistics(h, r, WhitespaceTokenizer())
                                       for h, r in pairs]
 
     def test_fixture_cell_rows_and_pooled_counts(self):
@@ -462,13 +453,12 @@ class TestCountRows:
         hyps = [h for h, _ in FIXTURE_PAIRS]
         refs = [r for _, r in FIXTURE_PAIRS]
         tokenizer = WhitespaceTokenizer()
-        chrf_rows, bleu_rows = metrics._statistics(hyps, refs, ChrfParams(), tokenizer, 4)
+        chrf_rows, bleu_rows = metrics._statistics(hyps, refs, tokenizer)
         assert chrf_rows.shape == (20, 24) and bleu_rows.shape == (20, 10)
         assert metrics._pooled(chrf_rows) == [
-            sum(column) for column in zip(*(segment_statistics(h, r, ChrfParams())
-                                             for h, r in FIXTURE_PAIRS))]
+            sum(column) for column in zip(*(segment_statistics(h, r) for h, r in FIXTURE_PAIRS))]
         assert metrics._pooled(bleu_rows) == [
-            sum(column) for column in zip(*(bleu_statistics(h, r, tokenizer, 4)
+            sum(column) for column in zip(*(bleu_statistics(h, r, tokenizer)
                                              for h, r in FIXTURE_PAIRS))]
 
 

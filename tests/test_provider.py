@@ -1034,16 +1034,21 @@ class TestCacheKeys:
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        ProviderConfig(max_in_flight=0)
-    with pytest.raises(ValueError):
-        ProviderConfig(temperature=-1.0)
+    for change in (dict(max_in_flight=0), dict(temperature=-1.0), dict(embed_batch_size=0),
+                   dict(max_retries=-1), dict(request_timeout=0.0), dict(request_timeout=-1.0),
+                   dict(backoff_base=-0.5)):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            ProviderConfig(**change)
 
 
 @pytest.mark.parametrize("change", [
     dict(base_url="localhost:8000"), dict(base_url="htp://x"), dict(base_url="http://"),
-    dict(temperature=math.nan),
-], ids=["no-scheme", "bad-scheme", "no-host", "nan-temperature"])
+    dict(temperature=math.nan), dict(embed_batch_size=0), dict(max_retries=-1),
+    dict(request_timeout=0), dict(request_timeout=math.inf), dict(request_timeout=math.nan),
+    dict(backoff_base=-1), dict(backoff_base=math.inf), dict(backoff_base=math.nan),
+], ids=["no-scheme", "bad-scheme", "no-host", "nan-temperature", "no-embed-batch",
+        "negative-retries", "zero-timeout", "inf-timeout", "nan-timeout", "negative-backoff",
+        "inf-backoff", "nan-backoff"])
 def test_bad_config_rejected_before_any_request(change):
     with pytest.raises(ValueError, match=next(iter(change))):
         ProviderConfig(model_name="m", **change)

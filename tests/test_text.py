@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import char_ngrams
-from ragmt.text import _code_points, _sorted_distinct, chained_ngrams
+from ragmt.text import _code_points, _sorted_distinct, chained_ngrams, char_codes
 
 
 def naive_char_ngrams(text: str, n_min: int, n_max: int) -> Counter:
@@ -32,7 +32,7 @@ def test_char_ngrams_equal_a_per_order_count(text, n_min, extra):
     )
 
 
-def chained_counts(texts, n_min, n_max, caps=None):
+def chained_counts(texts, n_min, n_max):
     """Per order, each text's n-gram counts read off ``chained_ngrams``, and
     whether any order was chained by rank. The k-th smallest distinct key of
     an order is the k-th smallest of its n-grams, code point by code point."""
@@ -43,12 +43,11 @@ def chained_counts(texts, n_min, n_max, caps=None):
     lengths = np.array([len(s) for s in squeezed], dtype=np.intp)
     counts, ranked = {}, False
     for k, values, was_ranked in chained_ngrams(np.searchsorted(alphabet, points), len(alphabet),
-                                                lengths, n_min, n_max, caps):
+                                                lengths, n_min, n_max):
         ranked |= was_ranked
         assert values.dtype == np.int64 and (np.diff(values) >= 0).all()
         keys = _sorted_distinct(values >> bits).tolist()
-        grams = sorted({s[i:i + k] for t, s in enumerate(squeezed)
-                        if caps is None or k <= caps[t] for i in range(len(s) - k + 1)})
+        grams = sorted({s[i:i + k] for s in squeezed for i in range(len(s) - k + 1)})
         assert len(keys) == len(grams)
         name = dict(zip(keys, grams))
         per_text = [Counter() for _ in texts]
@@ -63,17 +62,31 @@ def chained_counts(texts, n_min, n_max, caps=None):
              max_size=6),
     st.integers(1, 3),
     st.integers(0, 4),
-    st.booleans(),
 )
-def test_chained_ngrams_count_as_char_ngrams(texts, n_min, extra, capped):
-    caps = [len(text) % 4 for text in texts] if capped else None
-    counts, ranked = chained_counts(texts, n_min, n_min + extra, caps)
+def test_chained_ngrams_count_as_char_ngrams(texts, n_min, extra):
+    counts, ranked = chained_counts(texts, n_min, n_min + extra)
     assert not ranked
     assert sorted(counts) == list(range(n_min, n_min + extra + 1))
     for k, per_text in counts.items():
-        for t, text in enumerate(texts):
-            want = char_ngrams(text, k, k) if caps is None or k <= caps[t] else Counter()
-            assert per_text[t] == want
+        assert per_text == [char_ngrams(text, k, k) for text in texts]
+
+
+# one text: letters with non-ASCII, astral characters (up to U+10FFFF) and
+# lone surrogates among whitespace str.split() removes, or whitespace alone
+CODER_TEXTS = (st.text(alphabet="ab éß水\U0001F600\U0010FFFF\ud800\udfff\t\n\u3000\x1c\x85",
+                       max_size=12)
+               | st.text(alphabet=" \t\n\u3000\x85\u2028", max_size=3))
+
+
+@given(st.lists(CODER_TEXTS, max_size=6))
+def test_char_codes_equal_searchsorted_ranks(texts):
+    codes, lengths, alphabet = char_codes(texts)
+    squeezed = ["".join(text.split()) for text in texts]
+    points = _code_points("".join(squeezed))
+    assert codes.dtype == np.int32
+    assert codes.tolist() == np.searchsorted(_sorted_distinct(points), points).tolist()
+    assert lengths.tolist() == [len(s) for s in squeezed]
+    assert alphabet.tolist() == sorted(set(points.tolist()))
 
 
 def test_large_alphabet_chains_ranks():
